@@ -19,14 +19,13 @@
 //!   tagged message accounting keeps every per-event figure exact (see
 //!   [`drtree_sim::MsgTag`]).
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 
 use drtree_sim::{Metrics, ProcessId, RoundNetwork};
 use drtree_spatial::{Point, Rect};
 
 use crate::config::DrTreeConfig;
+use crate::contact::ContactOracle;
 use crate::corruption::CorruptionKind;
 use crate::legal::{self, Snapshot, Violation};
 use crate::message::{DrtMessage, DrtTimer, PubEvent};
@@ -59,6 +58,43 @@ pub struct PublishReport {
 }
 
 impl PublishReport {
+    /// Accounts one completed event over the live `nodes`: who received
+    /// it and who should have (the publisher excluded).
+    pub(crate) fn account<'a, const D: usize>(
+        nodes: impl Iterator<Item = (ProcessId, &'a DrtNode<D>)>,
+        (publisher, point): (ProcessId, Point<D>),
+        event_id: u64,
+        messages: u64,
+        rounds: u64,
+    ) -> Self {
+        let mut report = Self {
+            event_id,
+            receivers: Vec::new(),
+            matching: Vec::new(),
+            false_positives: Vec::new(),
+            false_negatives: Vec::new(),
+            messages,
+            rounds,
+        };
+        for (id, node) in nodes.filter(|&(id, _)| id != publisher) {
+            let received = node.pubsub().has_seen(event_id);
+            let matches = node.filter().contains_point(&point);
+            if received {
+                report.receivers.push(id);
+            }
+            if matches {
+                report.matching.push(id);
+            }
+            if received && !matches {
+                report.false_positives.push(id);
+            }
+            if matches && !received {
+                report.false_negatives.push(id);
+            }
+        }
+        report
+    }
+
     /// False-positive rate among receivers (0 when nobody received).
     pub fn false_positive_rate(&self) -> f64 {
         if self.receivers.is_empty() {
@@ -122,6 +158,8 @@ pub struct DrTreeCluster<const D: usize> {
     pub(crate) next_event_id: u64,
     /// Every id ever allocated (for adversarial corruption universes).
     all_ids: Vec<ProcessId>,
+    /// Scratch of the per-round contact computation.
+    oracle: ContactOracle,
 }
 
 impl<const D: usize> DrTreeCluster<D> {
@@ -141,6 +179,7 @@ impl<const D: usize> DrTreeCluster<D> {
             config,
             next_event_id: 0,
             all_ids: Vec::new(),
+            oracle: ContactOracle::default(),
         }
     }
 
@@ -195,7 +234,7 @@ impl<const D: usize> DrTreeCluster<D> {
         let node = DrtNode::new(self.config, filter);
         let id = self.net.add_process(node);
         self.all_ids.push(id);
-        let contact = self.contact();
+        let contact = self.fresh_contact();
         if let Some(n) = self.net.process_mut(id) {
             n.set_contact_hint(contact.or(Some(id)));
         }
@@ -206,16 +245,20 @@ impl<const D: usize> DrTreeCluster<D> {
     /// main tree (or `max_rounds` elapse). Returns the id.
     pub fn add_subscriber_stable(&mut self, filter: Rect<D>) -> ProcessId {
         let id = self.add_subscriber(filter);
-        let max_rounds = 40 + 4 * (self.height() as u64 + 2) + self.config.join_retry;
+        // One oracle call per state: the answer that sizes the budget
+        // and tests attachment also steers the round that follows.
+        let mut contact = self.fresh_contact();
+        let max_rounds =
+            40 + 4 * (u64::from(self.height_under(contact)) + 2) + self.config.join_retry;
         for _ in 0..max_rounds {
-            let contact = self.contact();
             let joined = self
                 .node(id)
                 .is_some_and(|n| !n.believes_root() || contact == Some(id));
             if joined {
                 break;
             }
-            self.run_round();
+            self.run_round_with(contact);
+            contact = self.fresh_contact();
         }
         id
     }
@@ -283,14 +326,26 @@ impl<const D: usize> DrTreeCluster<D> {
 
     /// Executes one round (refreshing the contact oracle first).
     pub fn run_round(&mut self) {
-        let contact = self.contact();
-        let ids = self.net.ids();
-        for id in ids {
-            if let Some(n) = self.net.process_mut(id) {
-                n.set_contact_hint(contact.or(Some(id)));
-            }
+        let contact = self.fresh_contact();
+        self.run_round_with(contact);
+    }
+
+    /// One round under `contact`, the oracle's answer on this state.
+    fn run_round_with(&mut self, contact: Option<ProcessId>) {
+        for (id, n) in self.net.iter_mut() {
+            n.set_contact_hint(contact.or(Some(id)));
         }
         self.net.run_round();
+    }
+
+    /// [`DrTreeCluster::contact`] on the cluster's reused scratch.
+    fn fresh_contact(&mut self) -> Option<ProcessId> {
+        let tops = self.net.iter().map(|(id, n)| (id, n.parent_of(n.top())));
+        self.oracle.root(self.all_ids.len(), tops)
+    }
+
+    fn height_under(&self, contact: Option<ProcessId>) -> u32 {
+        contact.and_then(|r| self.node(r)).map_or(0, |n| n.top())
     }
 
     /// Executes `n` rounds.
@@ -340,31 +395,8 @@ impl<const D: usize> DrTreeCluster<D> {
     /// The contact oracle (§3.2): the root of the largest tree
     /// component — "a subscriber already in the structure".
     pub fn contact(&self) -> Option<ProcessId> {
-        let tops: BTreeMap<ProcessId, ProcessId> = self
-            .net
-            .iter()
-            .map(|(id, n)| (id, n.parent_of(n.top())))
-            .collect();
-        let mut sizes: BTreeMap<ProcessId, usize> = BTreeMap::new();
-        for &start in tops.keys() {
-            let mut cur = start;
-            let mut hops = 0;
-            loop {
-                let parent = tops.get(&cur).copied();
-                match parent {
-                    Some(p) if p != cur && tops.contains_key(&p) && hops <= tops.len() => {
-                        cur = p;
-                        hops += 1;
-                    }
-                    _ => break,
-                }
-            }
-            *sizes.entry(cur).or_insert(0) += 1;
-        }
-        sizes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(root, _)| root)
+        let tops = self.net.iter().map(|(id, n)| (id, n.parent_of(n.top())));
+        ContactOracle::default().root(self.all_ids.len(), tops)
     }
 
     /// The overlay root (the contact, in a legal configuration).
@@ -375,9 +407,7 @@ impl<const D: usize> DrTreeCluster<D> {
     /// Height of the main tree: the root's topmost level (leaf-only
     /// root = 0). Lemma 3.1 bounds this by `O(log_m N)`.
     pub fn height(&self) -> u32 {
-        self.root()
-            .and_then(|r| self.node(r))
-            .map_or(0, |n| n.top())
+        self.height_under(self.root())
     }
 
     /// Controlled departure (Fig. 9): the subscriber announces `LEAVE`
@@ -403,9 +433,9 @@ impl<const D: usize> DrTreeCluster<D> {
     /// Applies an adversarial corruption to one subscriber's memory
     /// (Lemma 3.6's transient faults). Returns `false` if it is dead.
     pub fn corrupt(&mut self, id: ProcessId, kind: CorruptionKind) -> bool {
-        let universe = self.all_ids.clone();
+        let universe = &self.all_ids;
         self.net
-            .corrupt(id, |node, rng| kind.apply(node.state_mut(), &universe, rng))
+            .corrupt(id, |node, rng| kind.apply(node.state_mut(), universe, rng))
     }
 
     /// Replaces the network fault profile (message loss, duplication,
@@ -484,8 +514,11 @@ impl<const D: usize> DrTreeCluster<D> {
     /// correct even if traffic of an earlier event is still in flight.
     pub fn publish_from(&mut self, publisher: ProcessId, point: Point<D>) -> PublishReport {
         let event_id = self.inject(publisher, point);
-        let rounds = 2 * (u64::from(self.height()) + 2) + 2;
-        self.run_rounds(rounds);
+        // Injection leaves node state alone: round one reuses the answer.
+        let contact = self.fresh_contact();
+        let rounds = 2 * (u64::from(self.height_under(contact)) + 2) + 2;
+        self.run_round_with(contact);
+        self.run_rounds(rounds - 1);
         let report = self.finalize(publisher, point, event_id, rounds);
         // If the drain budget did not suffice (corrupted overlays),
         // retire the id so late traffic cannot re-create counters.
@@ -541,7 +574,9 @@ impl<const D: usize> DrTreeCluster<D> {
         // Dissemination is self-limiting (per-node dedup), so every tag
         // drains; the deadline only guards adversarially corrupted
         // configurations, force-finalizing whatever is still in flight.
-        let per_event = 2 * (u64::from(self.height()) + 2) + 2;
+        let contact = self.fresh_contact();
+        let mut first_round = true;
+        let per_event = 2 * (u64::from(self.height_under(contact)) + 2) + 2;
         let deadline = self.round() + (events.len() as u64 + 1) * (per_event + 4) + 64;
         while next < events.len() || !live.is_empty() {
             while live.len() < window && next < events.len() {
@@ -550,7 +585,13 @@ impl<const D: usize> DrTreeCluster<D> {
                 live.push((next, event_id, self.round()));
                 next += 1;
             }
-            self.run_round();
+            // Injections leave node state alone: round one reuses the
+            // answer that sized the deadline.
+            if std::mem::take(&mut first_round) {
+                self.run_round_with(contact);
+            } else {
+                self.run_round();
+            }
             let expired = self.round() >= deadline;
             let mut i = 0;
             while i < live.len() {
@@ -601,40 +642,15 @@ impl<const D: usize> DrTreeCluster<D> {
         event_id: u64,
         rounds: u64,
     ) -> PublishReport {
-        let mut receivers = Vec::new();
-        let mut matching = Vec::new();
-        let mut false_positives = Vec::new();
-        let mut false_negatives = Vec::new();
-        for (id, node) in self.net.iter() {
-            if id == publisher {
-                continue;
-            }
-            let received = node.pubsub().has_seen(event_id);
-            let matches = node.filter().contains_point(&point);
-            if received {
-                receivers.push(id);
-            }
-            if matches {
-                matching.push(id);
-            }
-            if received && !matches {
-                false_positives.push(id);
-            }
-            if matches && !received {
-                false_negatives.push(id);
-            }
-        }
         let messages = self.net.metrics().tag_count(event_id);
         self.net.clear_tag(event_id);
-        PublishReport {
+        PublishReport::account(
+            self.net.iter(),
+            (publisher, point),
             event_id,
-            receivers,
-            matching,
-            false_positives,
-            false_negatives,
             messages,
             rounds,
-        }
+        )
     }
 
     /// Maximum and mean per-process memory entries (Lemma 3.1's

@@ -24,6 +24,7 @@ use drtree_spatial::{Point, Rect};
 
 use crate::cluster::PublishReport;
 use crate::config::DrTreeConfig;
+use crate::contact::ContactOracle;
 use crate::corruption::CorruptionKind;
 use crate::legal::{self, Snapshot, Violation};
 use crate::message::{DrtMessage, PubEvent};
@@ -214,38 +215,15 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
     /// Clones every live process's state.
     pub fn snapshot(&self) -> Snapshot<D> {
         self.net
-            .ids()
-            .into_iter()
-            .filter_map(|id| self.net.process(id).map(|n| (id, n.state().clone())))
+            .iter()
+            .map(|(id, n)| (id, n.state().clone()))
             .collect()
     }
 
     /// The contact oracle: root of the largest component.
     pub fn contact(&self) -> Option<ProcessId> {
-        let tops: std::collections::BTreeMap<ProcessId, ProcessId> = self
-            .net
-            .ids()
-            .into_iter()
-            .filter_map(|id| self.net.process(id).map(|n| (id, n.parent_of(n.top()))))
-            .collect();
-        let mut sizes: std::collections::BTreeMap<ProcessId, usize> =
-            std::collections::BTreeMap::new();
-        for &start in tops.keys() {
-            let mut cur = start;
-            let mut hops = 0;
-            while let Some(&p) = tops.get(&cur) {
-                if p == cur || !tops.contains_key(&p) || hops > tops.len() {
-                    break;
-                }
-                cur = p;
-                hops += 1;
-            }
-            *sizes.entry(cur).or_insert(0) += 1;
-        }
-        sizes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(root, _)| root)
+        let tops = self.net.iter().map(|(id, n)| (id, n.parent_of(n.top())));
+        ContactOracle::default().root(self.all_ids.len(), tops)
     }
 
     /// The overlay root.
@@ -295,9 +273,9 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
 
     /// Adversarial memory corruption (Lemma 3.6).
     pub fn corrupt(&mut self, id: ProcessId, kind: CorruptionKind) -> bool {
-        let universe = self.all_ids.clone();
+        let universe = &self.all_ids;
         self.net
-            .corrupt(id, |node, rng| kind.apply(node.state_mut(), &universe, rng))
+            .corrupt(id, |node, rng| kind.apply(node.state_mut(), universe, rng))
     }
 
     /// Publishes `point` from `publisher` and accounts the delivery
@@ -409,51 +387,21 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         event_id: u64,
         rounds: u64,
     ) -> PublishReport {
-        let mut receivers = Vec::new();
-        let mut matching = Vec::new();
-        let mut false_positives = Vec::new();
-        let mut false_negatives = Vec::new();
-        for id in self.net.ids() {
-            if id == publisher {
-                continue;
-            }
-            let Some(node) = self.net.process(id) else {
-                continue;
-            };
-            let received = node.pubsub().has_seen(event_id);
-            let matches = node.filter().contains_point(&point);
-            if received {
-                receivers.push(id);
-            }
-            if matches {
-                matching.push(id);
-            }
-            if received && !matches {
-                false_positives.push(id);
-            }
-            if matches && !received {
-                false_negatives.push(id);
-            }
-        }
         let messages = self.metrics().tag_count(event_id);
         self.net.clear_tag(event_id);
-        PublishReport {
+        PublishReport::account(
+            self.net.iter(),
+            (publisher, point),
             event_id,
-            receivers,
-            matching,
-            false_positives,
-            false_negatives,
             messages,
             rounds,
-        }
+        )
     }
 
     fn refresh_hints(&mut self) {
         let contact = self.contact();
-        for id in self.net.ids() {
-            if let Some(n) = self.net.process_mut(id) {
-                n.set_contact_hint(contact.or(Some(id)));
-            }
+        for (id, n) in self.net.iter_mut() {
+            n.set_contact_hint(contact.or(Some(id)));
         }
     }
 }

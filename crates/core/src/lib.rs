@@ -68,6 +68,7 @@ pub mod churn;
 mod cluster;
 mod cluster_async;
 mod config;
+pub mod contact;
 pub mod corruption;
 pub mod federation;
 pub mod legal;

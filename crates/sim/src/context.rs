@@ -2,8 +2,9 @@ use rand::rngs::StdRng;
 
 use crate::ProcessId;
 
-/// Buffered effects released by [`Context::into_effects`]: messages to
-/// send and timers to arm.
+/// The effect buffers a callback fills — messages to send, timers to
+/// arm. Each engine owns one pair and lends it to every [`Context`], so
+/// a callback allocates only while the buffers still grow.
 pub(crate) type Effects<M, T> = (Vec<(ProcessId, M)>, Vec<(u64, T)>);
 
 /// The interface a [`Process`](crate::Process) uses to act on the world
@@ -17,18 +18,26 @@ pub struct Context<'a, M, T> {
     id: ProcessId,
     now: u64,
     rng: &'a mut StdRng,
-    pub(crate) outbox: Vec<(ProcessId, M)>,
-    pub(crate) timer_requests: Vec<(u64, T)>,
+    pub(crate) outbox: &'a mut Vec<(ProcessId, M)>,
+    pub(crate) timer_requests: &'a mut Vec<(u64, T)>,
 }
 
 impl<'a, M, T> Context<'a, M, T> {
-    pub(crate) fn new(id: ProcessId, now: u64, rng: &'a mut StdRng) -> Self {
+    /// The one constructor both engines use. `effects` must be empty:
+    /// the engine drains it after the callback returns.
+    pub(crate) fn new(
+        id: ProcessId,
+        now: u64,
+        rng: &'a mut StdRng,
+        effects: &'a mut Effects<M, T>,
+    ) -> Self {
+        let (outbox, timer_requests) = effects;
         Self {
             id,
             now,
             rng,
-            outbox: Vec::new(),
-            timer_requests: Vec::new(),
+            outbox,
+            timer_requests,
         }
     }
 
@@ -60,12 +69,6 @@ impl<'a, M, T> Context<'a, M, T> {
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
-
-    /// Consumes the context, releasing the buffered effects (and the
-    /// borrow of the network RNG) so the engine can apply them.
-    pub(crate) fn into_effects(self) -> Effects<M, T> {
-        (self.outbox, self.timer_requests)
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +79,9 @@ mod tests {
     #[test]
     fn buffers_effects() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut ctx: Context<'_, &str, u8> = Context::new(ProcessId::from_raw(3), 99, &mut rng);
+        let mut effects = Effects::default();
+        let mut ctx: Context<'_, &str, u8> =
+            Context::new(ProcessId::from_raw(3), 99, &mut rng, &mut effects);
         assert_eq!(ctx.id(), ProcessId::from_raw(3));
         assert_eq!(ctx.now(), 99);
         ctx.send(ProcessId::from_raw(4), "hello");
@@ -84,6 +89,6 @@ mod tests {
         ctx.set_timer(5, 2);
         let _: u32 = ctx.rng().gen();
         assert_eq!(ctx.outbox.len(), 1);
-        assert_eq!(ctx.timer_requests, vec![(1, 1), (5, 2)]);
+        assert_eq!(*ctx.timer_requests, vec![(1, 1), (5, 2)]);
     }
 }

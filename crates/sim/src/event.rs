@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::context::Effects;
 use crate::process::MessageLabel;
 use crate::{Context, Metrics, Process, ProcessId};
 
@@ -181,6 +182,9 @@ pub struct EventNetwork<P: Process> {
     next_id: u64,
     rng: StdRng,
     metrics: Metrics,
+    /// The effect buffers lent to every callback's [`Context`]; empty
+    /// between callbacks.
+    effects: Effects<P::Msg, P::Timer>,
 }
 
 impl<P: Process> EventNetwork<P> {
@@ -197,6 +201,7 @@ impl<P: Process> EventNetwork<P> {
             next_id: 0,
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(),
+            effects: Effects::default(),
         }
     }
 
@@ -205,11 +210,10 @@ impl<P: Process> EventNetwork<P> {
     pub fn add_process(&mut self, mut process: P) -> ProcessId {
         let id = ProcessId::from_raw(self.next_id);
         self.next_id += 1;
-        let mut ctx = Context::new(id, self.time, &mut self.rng);
+        let mut ctx = Context::new(id, self.time, &mut self.rng, &mut self.effects);
         process.on_start(&mut ctx);
         self.procs.insert(id, process);
-        let (outbox, timers) = ctx.into_effects();
-        self.apply_effects(id, outbox, timers);
+        self.apply_effects(id);
         id
     }
 
@@ -250,6 +254,16 @@ impl<P: Process> EventNetwork<P> {
         self.procs.get_mut(&id)
     }
 
+    /// Iterates over `(id, process)` pairs in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &P)> {
+        self.procs.iter().map(|(&id, p)| (id, p))
+    }
+
+    /// Mutable [`EventNetwork::iter`] (harness bookkeeping).
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ProcessId, &mut P)> {
+        self.procs.iter_mut().map(|(&id, p)| (id, p))
+    }
+
     /// Message metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -284,11 +298,10 @@ impl<P: Process> EventNetwork<P> {
         if id.raw() >= self.next_id || self.procs.contains_key(&id) {
             return false;
         }
-        let mut ctx = Context::new(id, self.time, &mut self.rng);
+        let mut ctx = Context::new(id, self.time, &mut self.rng, &mut self.effects);
         process.on_start(&mut ctx);
         self.procs.insert(id, process);
-        let (outbox, timers) = ctx.into_effects();
-        self.apply_effects(id, outbox, timers);
+        self.apply_effects(id);
         true
     }
 
@@ -408,23 +421,20 @@ impl<P: Process> EventNetwork<P> {
                 if let Some(tag) = msg.tag() {
                     self.metrics.record_tag_settled(tag);
                 }
-                if !self.procs.contains_key(&to) {
+                let Some(proc) = self.procs.get_mut(&to) else {
                     self.metrics.record_to_dead();
                     return true;
-                }
+                };
                 self.metrics.record_delivered();
-                let mut ctx = Context::new(to, self.time, &mut self.rng);
-                let proc = self.procs.get_mut(&to).expect("checked above");
+                let mut ctx = Context::new(to, self.time, &mut self.rng, &mut self.effects);
                 proc.on_message(from, msg, &mut ctx);
-                let (outbox, timers) = ctx.into_effects();
-                self.apply_effects(to, outbox, timers);
+                self.apply_effects(to);
             }
             EventKind::Fire { at, timer } => {
                 if let Some(proc) = self.procs.get_mut(&at) {
-                    let mut ctx = Context::new(at, self.time, &mut self.rng);
+                    let mut ctx = Context::new(at, self.time, &mut self.rng, &mut self.effects);
                     proc.on_timer(timer, &mut ctx);
-                    let (outbox, timers) = ctx.into_effects();
-                    self.apply_effects(at, outbox, timers);
+                    self.apply_effects(at);
                 }
             }
         }
@@ -455,13 +465,10 @@ impl<P: Process> EventNetwork<P> {
         executed
     }
 
-    fn apply_effects(
-        &mut self,
-        from: ProcessId,
-        outbox: Vec<(ProcessId, P::Msg)>,
-        timer_requests: Vec<(u64, P::Timer)>,
-    ) {
-        for (to, msg) in outbox {
+    /// Applies and empties the effect buffers `from`'s callback filled.
+    fn apply_effects(&mut self, from: ProcessId) {
+        let (mut outbox, mut timer_requests) = std::mem::take(&mut self.effects);
+        for (to, msg) in outbox.drain(..) {
             self.metrics.record_sent(msg.label());
             if let Some(tag) = msg.tag() {
                 self.metrics.record_tag_sent(tag);
@@ -506,9 +513,10 @@ impl<P: Process> EventNetwork<P> {
             }
             self.push(self.time + latency, EventKind::Deliver { from, to, msg });
         }
-        for (delay, timer) in timer_requests {
+        for (delay, timer) in timer_requests.drain(..) {
             self.push(self.time + delay, EventKind::Fire { at: from, timer });
         }
+        self.effects = (outbox, timer_requests);
     }
 
     /// One fault-knob Bernoulli draw; never touches the RNG for an

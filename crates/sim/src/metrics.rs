@@ -23,7 +23,9 @@ pub struct Metrics {
     duplicated: u64,
     reordered: u64,
     partitioned_drops: u64,
-    per_label: BTreeMap<&'static str, u64>,
+    /// Sent counts per label, first-seen order: a protocol has a handful
+    /// of labels, and a scan by address beats a map keyed by string.
+    per_label: Vec<(&'static str, u64)>,
     /// Billed sends per tag (the per-operation message bill).
     tag_sent: BTreeMap<u64, u64>,
     /// Tagged messages currently in the network, per tag.
@@ -79,14 +81,15 @@ impl Metrics {
         self.partitioned_drops
     }
 
-    /// Sent-message counts per message label.
-    pub fn per_label(&self) -> &BTreeMap<&'static str, u64> {
-        &self.per_label
+    /// Sent-message counts per message label, sorted by label.
+    pub fn per_label(&self) -> BTreeMap<&'static str, u64> {
+        self.per_label.iter().copied().collect()
     }
 
     /// Count for one label (0 if never seen).
     pub fn label_count(&self, label: &str) -> u64 {
-        self.per_label.get(label).copied().unwrap_or(0)
+        let hit = self.per_label.iter().find(|(l, _)| *l == label);
+        hit.map_or(0, |&(_, n)| n)
     }
 
     /// Billed messages charged to `tag` so far (0 for unknown tags).
@@ -131,7 +134,12 @@ impl Metrics {
 
     pub(crate) fn record_sent(&mut self, label: &'static str) {
         self.sent += 1;
-        *self.per_label.entry(label).or_insert(0) += 1;
+        // Same address, else same text: equal strings stay one counter.
+        let same = |l: &str| std::ptr::eq(l, label) || l == label;
+        match self.per_label.iter_mut().find(|(l, _)| same(l)) {
+            Some((_, n)) => *n += 1,
+            None => self.per_label.push((label, 1)),
+        }
     }
 
     pub(crate) fn record_tag_sent(&mut self, tag: MsgTag) {
@@ -196,7 +204,7 @@ impl fmt::Display for Metrics {
             self.reordered,
             self.partitioned_drops
         )?;
-        for (label, count) in &self.per_label {
+        for (label, count) in self.per_label() {
             write!(f, " {label}={count}")?;
         }
         Ok(())
@@ -223,8 +231,16 @@ mod tests {
         assert_eq!(m.label_count("join"), 2);
         assert_eq!(m.label_count("leave"), 1);
         assert_eq!(m.label_count("nope"), 0);
+        // The same label at another address is still the same counter.
+        m.record_sent(String::from("leave").leak());
+        assert_eq!(m.label_count("leave"), 2);
+        assert_eq!(
+            m.per_label().into_iter().collect::<Vec<_>>(),
+            [("join", 2), ("leave", 2)]
+        );
+        assert_eq!(m.sent(), 4);
         let shown = m.to_string();
-        assert!(shown.contains("join=2"));
+        assert!(shown.contains("join=2 leave=2"), "sorted by label: {shown}");
         m.reset();
         assert_eq!(m.sent(), 0);
     }

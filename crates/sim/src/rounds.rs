@@ -3,6 +3,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::context::Effects;
 use crate::process::MessageLabel;
 use crate::{Context, FaultProfile, Metrics, MsgTag, Process, ProcessId};
 
@@ -17,8 +18,9 @@ use crate::{Context, FaultProfile, Metrics, MsgTag, Process, ProcessId};
 ///
 /// Ids are assigned densely from 0, so processes and inboxes live in
 /// flat `Vec`s indexed by raw id (a crashed process leaves a `None`
-/// slot). Inbox buffers are double-buffered and reused round over
-/// round: steady-state rounds allocate nothing for message plumbing.
+/// slot). Inbox buffers are double-buffered and the callbacks' effect
+/// buffers are lent by the engine, all reused round over round:
+/// steady-state rounds allocate nothing for message plumbing.
 /// Messages addressed outside the allocated id range (the protocol
 /// under corruption forges references to nonexistent processes) are
 /// parked in a side map with the same one-round lifetime they had
@@ -43,6 +45,7 @@ use crate::{Context, FaultProfile, Metrics, MsgTag, Process, ProcessId};
 /// net.run_rounds(5);
 /// assert_eq!(net.process(id).unwrap().ticks, 5);
 /// ```
+#[derive(Clone)]
 pub struct RoundNetwork<P: Process> {
     /// `procs[raw_id]`; `None` after a crash (ids are never reused).
     procs: Vec<Option<P>>,
@@ -71,6 +74,9 @@ pub struct RoundNetwork<P: Process> {
     faults: FaultProfile,
     /// Reordered messages parked until their (later) delivery round.
     delayed: BTreeMap<u64, Vec<(ProcessId, ProcessId, P::Msg)>>,
+    /// The effect buffers lent to every callback's [`Context`]; empty
+    /// between callbacks.
+    effects: Effects<P::Msg, P::Timer>,
 }
 
 impl<P: Process> RoundNetwork<P> {
@@ -91,6 +97,7 @@ impl<P: Process> RoundNetwork<P> {
             partition_links: BTreeSet::new(),
             faults: FaultProfile::default(),
             delayed: BTreeMap::new(),
+            effects: Effects::default(),
         }
     }
 
@@ -106,7 +113,7 @@ impl<P: Process> RoundNetwork<P> {
     /// [`Process::on_start`].
     pub fn add_process(&mut self, mut process: P) -> ProcessId {
         let id = ProcessId::from_raw(self.procs.len() as u64);
-        let mut ctx = Context::new(id, self.round, &mut self.rng);
+        let mut ctx = Context::new(id, self.round, &mut self.rng, &mut self.effects);
         process.on_start(&mut ctx);
         self.procs.push(Some(process));
         self.live += 1;
@@ -116,8 +123,7 @@ impl<P: Process> RoundNetwork<P> {
         if let Some(pending) = self.overflow.remove(&id) {
             self.inboxes[id.raw() as usize] = pending;
         }
-        let (outbox, timers) = ctx.into_effects();
-        self.apply_effects(id, outbox, timers);
+        self.apply_effects(id);
         id
     }
 
@@ -176,6 +182,15 @@ impl<P: Process> RoundNetwork<P> {
             .filter_map(|(i, p)| p.as_ref().map(|p| (ProcessId::from_raw(i as u64), p)))
     }
 
+    /// Mutable [`RoundNetwork::iter`] (harness bookkeeping over every
+    /// live process without collecting [`RoundNetwork::ids`]).
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ProcessId, &mut P)> {
+        self.procs
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, p)| p.as_mut().map(|p| (ProcessId::from_raw(i as u64), p)))
+    }
+
     /// Message metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -217,12 +232,11 @@ impl<P: Process> RoundNetwork<P> {
     pub fn revive(&mut self, id: ProcessId, mut process: P) -> bool {
         match self.procs.get_mut(id.raw() as usize) {
             Some(slot @ None) => {
-                let mut ctx = Context::new(id, self.round, &mut self.rng);
+                let mut ctx = Context::new(id, self.round, &mut self.rng, &mut self.effects);
                 process.on_start(&mut ctx);
                 *slot = Some(process);
                 self.live += 1;
-                let (outbox, timers) = ctx.into_effects();
-                self.apply_effects(id, outbox, timers);
+                self.apply_effects(id);
                 true
             }
             _ => false,
@@ -348,9 +362,13 @@ impl<P: Process> RoundNetwork<P> {
             }
         }
         let due_timers = self.timers.remove(&self.round).unwrap_or_default();
-        let ids: Vec<ProcessId> = self.ids();
-        for id in ids {
-            let slot = id.raw() as usize;
+        // Callbacks cannot add or crash processes, so the live slots
+        // are fixed for the round: walk them directly, in id order.
+        for slot in 0..self.procs.len() {
+            if self.procs[slot].is_none() {
+                continue;
+            }
+            let id = ProcessId::from_raw(slot as u64);
             // Deliver last round's messages. The buffer is swapped out
             // locally so effects can enqueue into `self` while
             // delivery walks it; it returns cleared, capacity intact.
@@ -358,36 +376,19 @@ impl<P: Process> RoundNetwork<P> {
                 let mut deliveries = std::mem::take(&mut self.scratch[slot]);
                 for (from, msg) in deliveries.drain(..) {
                     Self::settle_tag(&mut self.metrics, &msg);
-                    if !self.is_alive(id) {
-                        self.metrics.record_to_dead();
-                        continue;
-                    }
                     self.metrics.record_delivered();
-                    let mut ctx = Context::new(id, self.round, &mut self.rng);
-                    let proc = self.procs[slot].as_mut().expect("checked above");
-                    proc.on_message(from, msg, &mut ctx);
-                    let (outbox, timers) = ctx.into_effects();
-                    self.apply_effects(id, outbox, timers);
+                    self.call(slot, |proc, ctx| proc.on_message(from, msg, ctx));
                 }
                 self.scratch[slot] = deliveries;
             }
-            // One-shot timers due this round.
-            for (at, timer) in due_timers.iter().filter(|(at, _)| *at == id) {
-                if let Some(proc) = self.procs[slot].as_mut() {
-                    let mut ctx = Context::new(id, self.round, &mut self.rng);
-                    proc.on_timer(timer.clone(), &mut ctx);
-                    let (outbox, timers) = ctx.into_effects();
-                    self.apply_effects(*at, outbox, timers);
-                }
+            // One-shot timers due this round (in most rounds none are,
+            // and the scan is over an empty list).
+            for (_, timer) in due_timers.iter().filter(|(at, _)| *at == id) {
+                self.call(slot, |proc, ctx| proc.on_timer(timer.clone(), ctx));
             }
             // Periodic tick (the synchronous daemon).
             if let Some(tick) = self.tick.clone() {
-                if let Some(proc) = self.procs[slot].as_mut() {
-                    let mut ctx = Context::new(id, self.round, &mut self.rng);
-                    proc.on_timer(tick, &mut ctx);
-                    let (outbox, timers) = ctx.into_effects();
-                    self.apply_effects(id, outbox, timers);
-                }
+                self.call(slot, |proc, ctx| proc.on_timer(tick, ctx));
             }
         }
         // Anything still sitting in the delivery buffers was addressed
@@ -430,6 +431,16 @@ impl<P: Process> RoundNetwork<P> {
         self.procs.get(id.raw() as usize).and_then(Option::as_ref)
     }
 
+    /// Runs one callback of the live process in `slot` on the engine's
+    /// effect buffers, then applies what it sent and armed.
+    fn call(&mut self, slot: usize, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg, P::Timer>)) {
+        let id = ProcessId::from_raw(slot as u64);
+        let proc = self.procs[slot].as_mut().expect("live slot");
+        let mut ctx = Context::new(id, self.round, &mut self.rng, &mut self.effects);
+        f(proc, &mut ctx);
+        self.apply_effects(id);
+    }
+
     /// A tagged message left the network (delivered or discarded).
     fn settle_tag(metrics: &mut Metrics, msg: &P::Msg) {
         if let Some(tag) = msg.tag() {
@@ -467,13 +478,10 @@ impl<P: Process> RoundNetwork<P> {
         p > 0.0 && self.rng.gen_bool(p.min(1.0))
     }
 
-    fn apply_effects(
-        &mut self,
-        from: ProcessId,
-        outbox: Vec<(ProcessId, P::Msg)>,
-        timer_requests: Vec<(u64, P::Timer)>,
-    ) {
-        for (to, msg) in outbox {
+    /// Applies and empties the effect buffers `from`'s callback filled.
+    fn apply_effects(&mut self, from: ProcessId) {
+        let (mut outbox, mut timer_requests) = std::mem::take(&mut self.effects);
+        for (to, msg) in outbox.drain(..) {
             self.metrics.record_sent(msg.label());
             if let Some(tag) = msg.tag() {
                 self.metrics.record_tag_sent(tag);
@@ -501,33 +509,13 @@ impl<P: Process> RoundNetwork<P> {
             }
             self.route(from, to, msg);
         }
-        for (delay, timer) in timer_requests {
+        for (delay, timer) in timer_requests.drain(..) {
             self.timers
                 .entry(self.round + delay)
                 .or_default()
                 .push((from, timer));
         }
-    }
-}
-
-impl<P: Process + Clone> Clone for RoundNetwork<P> {
-    fn clone(&self) -> Self {
-        Self {
-            procs: self.procs.clone(),
-            live: self.live,
-            inboxes: self.inboxes.clone(),
-            scratch: self.scratch.clone(),
-            overflow: self.overflow.clone(),
-            timers: self.timers.clone(),
-            tick: self.tick.clone(),
-            round: self.round,
-            rng: self.rng.clone(),
-            metrics: self.metrics.clone(),
-            blocked: self.blocked.clone(),
-            partition_links: self.partition_links.clone(),
-            faults: self.faults,
-            delayed: self.delayed.clone(),
-        }
+        self.effects = (outbox, timer_requests);
     }
 }
 
