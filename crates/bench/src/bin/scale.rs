@@ -1283,17 +1283,17 @@ fn multipub_run(
     rects: &[Rect<2>],
     publishers: usize,
     seed: u64,
-    body: impl Fn(usize, &drtree_pubsub::PublisherHandle<2>) + Sync,
+    body: impl Fn(usize, &drtree_pubsub::PublisherHandle<2>, u64) + Sync,
 ) -> (f64, u64, LatencySummary, f64) {
     const QUEUE_CAPACITY: usize = 32;
     const MAX_BATCH: usize = 512;
     let schema = Schema::new(["x", "y"]);
-    let (mut broker, _ids) =
+    // The broker disseminates every batch at full pipeline depth, so
+    // the committed batch depth (queue backlog aggregated across
+    // publishers) is the only thing that varies with the publisher
+    // count.
+    let (broker, _ids) =
         Broker::build_bulk(schema, DrTreeConfig::default(), seed, rects).expect("2d schema");
-    // Pin the overlay window at its maximum: the committed batch depth
-    // (queue backlog aggregated across publishers) is then the only
-    // thing that varies with the publisher count.
-    broker.set_publish_window(256);
     let multi = MultiBroker::new(
         broker,
         IngressConfig {
@@ -1312,11 +1312,15 @@ fn multipub_run(
             multi.add_publisher(r)
         })
         .collect();
+    // The ingress clock has been running since `MultiBroker::new`,
+    // through every publisher's join: schedules start from here, or
+    // the set-up is billed to the first events as latency.
+    let start_ns = multi.now_ns();
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for (i, handle) in handles.iter().enumerate() {
             let body = &body;
-            s.spawn(move || body(i, handle));
+            s.spawn(move || body(i, handle, start_ns));
         }
     });
     multi.drain();
@@ -1366,7 +1370,7 @@ fn multipub_ingress(out_path: &str, check: Option<f64>) {
         // moment each publish was issued (blocking wait included).
         let per_pub = TOTAL_EVENTS / publishers;
         let (elapsed, committed, closed_lat, mean_batch) =
-            multipub_run(&rects, publishers, 8_900, |i, handle| {
+            multipub_run(&rects, publishers, 8_900, |i, handle, _| {
                 for point in script(i, per_pub, 8_950) {
                     handle.publish(point).expect("ingress open");
                 }
@@ -1389,11 +1393,12 @@ fn multipub_ingress(out_path: &str, check: Option<f64>) {
         let offered = base_tput * 0.5;
         let mean_gap_ns = (1e9 / offered) as u64;
         let arrivals = ArrivalSchedule::Poisson { mean_gap_ns }.generate(OPEN_EVENTS, 8_970);
-        let (_, committed, open_lat, _) = multipub_run(&rects, publishers, 9_000, |i, handle| {
+        let run = |i: usize, handle: &drtree_pubsub::PublisherHandle<2>, start_ns: u64| {
             let points = script(i, OPEN_EVENTS, 9_050);
             // Round-robin split of the shared schedule: publisher i
             // serves events i, i+P, i+2P, …
             for (&at, point) in arrivals.iter().zip(points).skip(i).step_by(publishers) {
+                let at = start_ns + at;
                 // Pace to the schedule, then bill from it.
                 loop {
                     let now = handle.now_ns();
@@ -1409,7 +1414,8 @@ fn multipub_ingress(out_path: &str, check: Option<f64>) {
                 }
                 handle.publish_at(point, at).expect("ingress open");
             }
-        });
+        };
+        let (_, committed, open_lat, _) = multipub_run(&rects, publishers, 9_000, run);
         assert_eq!(committed as usize, OPEN_EVENTS);
         println!(
             "| {publishers} | open @{offered:.0}/s | - | - | {:.2}ms | {:.2}ms | {:.2}ms |",
@@ -1440,7 +1446,7 @@ fn multipub_ingress(out_path: &str, check: Option<f64>) {
         .field(
             "workload",
             "uniform 2d, extents 1-10, world scaled to ~10 matches per point query; \
-             bulk-built 2048-subscriber broker, overlay window pinned at 256; events at \
+             bulk-built 2048-subscriber broker, overlay at full pipeline depth (512); events at \
              subscription centers; bounded ingress queues (capacity 32, fair budget 32, \
              max batch 512) drained round-robin by the commit loop",
         )

@@ -58,41 +58,17 @@ pub struct PublishReport {
 }
 
 impl PublishReport {
-    /// Accounts one completed event over the live `nodes`: who received
-    /// it and who should have (the publisher excluded).
-    pub(crate) fn account<'a, const D: usize>(
-        nodes: impl Iterator<Item = (ProcessId, &'a DrtNode<D>)>,
-        (publisher, point): (ProcessId, Point<D>),
-        event_id: u64,
-        messages: u64,
-        rounds: u64,
-    ) -> Self {
-        let mut report = Self {
+    /// The report of an event whose dissemination is still running.
+    fn pending(event_id: u64) -> Self {
+        Self {
             event_id,
             receivers: Vec::new(),
             matching: Vec::new(),
             false_positives: Vec::new(),
             false_negatives: Vec::new(),
-            messages,
-            rounds,
-        };
-        for (id, node) in nodes.filter(|&(id, _)| id != publisher) {
-            let received = node.pubsub().has_seen(event_id);
-            let matches = node.filter().contains_point(&point);
-            if received {
-                report.receivers.push(id);
-            }
-            if matches {
-                report.matching.push(id);
-            }
-            if received && !matches {
-                report.false_positives.push(id);
-            }
-            if matches && !received {
-                report.false_negatives.push(id);
-            }
+            messages: 0,
+            rounds: 0,
         }
-        report
     }
 
     /// False-positive rate among receivers (0 when nobody received).
@@ -102,6 +78,106 @@ impl PublishReport {
         }
         self.false_positives.len() as f64 / self.receivers.len() as f64
     }
+}
+
+/// Delivery accounting of the publish call in progress — the one
+/// routine behind `publish_from` and `publish_pipeline_from` of both
+/// harnesses. What an event costs here is its receivers: deliveries are
+/// booked from the engine's mark log as they happen
+/// ([`drtree_sim::Context::mark`]), never by probing every node.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Accounting {
+    /// One report per event of the call, in input order. A call's event
+    /// ids are consecutive, so `reports[i]` belongs to event
+    /// `first_event + i`. Empty between calls.
+    reports: Vec<PublishReport>,
+    first_event: u64,
+}
+
+impl Accounting {
+    /// Opens the accounts of a call about to inject `events` events
+    /// under the ids `first_event..`.
+    pub(crate) fn open(&mut self, first_event: u64, events: usize) {
+        self.first_event = first_event;
+        self.reports = (first_event..)
+            .take(events)
+            .map(PublishReport::pending)
+            .collect();
+    }
+
+    /// Books the deliveries the engine logged since the last call.
+    /// Marks of events outside the open call — background traffic
+    /// nobody accounts, stragglers of a force-finalized event — are
+    /// dropped, so nothing accumulates.
+    pub(crate) fn absorb(&mut self, marks: impl Iterator<Item = (u64, ProcessId)>) {
+        for (event_id, receiver) in marks {
+            let index = usize::try_from(event_id.wrapping_sub(self.first_event));
+            if let Some(report) = index.ok().and_then(|i| self.reports.get_mut(i)) {
+                report.receivers.push(receiver);
+            }
+        }
+    }
+
+    /// Event `index` of the call went quiescent (or was force-
+    /// finalized): records its message bill and dissemination span.
+    pub(crate) fn settle(&mut self, index: usize, messages: u64, rounds: u64) {
+        let report = &mut self.reports[index];
+        report.messages = messages;
+        report.rounds = rounds;
+    }
+
+    /// Closes the call over the live `nodes` (ascending ids) and
+    /// `events`, the call's input: who should have received each event
+    /// — one pass over the nodes, each filter read once and tested
+    /// against the call's points — and, against the booked receivers,
+    /// who wrongly did or did not. Every list ascends by id.
+    pub(crate) fn close<'a, const D: usize>(
+        &mut self,
+        nodes: impl Iterator<Item = (ProcessId, &'a DrtNode<D>)>,
+        events: &[(ProcessId, Point<D>)],
+    ) -> Vec<PublishReport> {
+        let mut reports = std::mem::take(&mut self.reports);
+        // The call's events by their first coordinate: a filter is
+        // tested against the run of events its extent on that axis
+        // admits, not against every point of the call.
+        let mut by_x: Vec<(f64, usize)> = events
+            .iter()
+            .enumerate()
+            .map(|(i, (_, point))| (point.coord(0), i))
+            .collect();
+        by_x.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        for (id, node) in nodes {
+            let filter = node.filter();
+            let from = by_x.partition_point(|&(x, _)| x < filter.lo(0));
+            for &(_, i) in by_x[from..].iter().take_while(|&&(x, _)| x <= filter.hi(0)) {
+                let (publisher, point) = events[i];
+                if filter.contains_point(&point) && id != publisher {
+                    reports[i].matching.push(id);
+                }
+            }
+        }
+        for report in &mut reports {
+            // A corrupted overlay can route an event back to a node
+            // whose ring already forgot it: one delivery all the same.
+            report.receivers.sort_unstable();
+            report.receivers.dedup();
+            report.false_positives = difference(&report.receivers, &report.matching);
+            report.false_negatives = difference(&report.matching, &report.receivers);
+        }
+        reports
+    }
+}
+
+/// `a \ b`; all three ascend by id.
+fn difference(a: &[ProcessId], b: &[ProcessId]) -> Vec<ProcessId> {
+    let mut b = b.iter().peekable();
+    a.iter()
+        .copied()
+        .filter(|&id| {
+            while b.next_if(|&&other| other < id).is_some() {}
+            b.peek() != Some(&&id)
+        })
+        .collect()
 }
 
 /// A complete simulated DR-tree overlay (round-based engine).
@@ -160,17 +236,24 @@ pub struct DrTreeCluster<const D: usize> {
     all_ids: Vec<ProcessId>,
     /// Scratch of the per-round contact computation.
     oracle: ContactOracle,
+    accounting: Accounting,
 }
 
 impl<const D: usize> DrTreeCluster<D> {
-    /// Upper bound on the [`DrTreeCluster::publish_pipeline`] window.
+    /// Upper bound on the [`DrTreeCluster::publish_pipeline`] window:
+    /// half the capacity of a node's recently-seen ring.
     ///
-    /// Delivery accounting reads each node's recently-seen event ring
-    /// at quiescence time; a busy interior node (the root sees every
-    /// event) observes up to roughly three windows of newer events
-    /// before the oldest in-flight event is accounted, so the window
-    /// must stay well below the ring capacity (1024 entries).
-    pub const MAX_PUBLISH_WINDOW: usize = 256;
+    /// Deliveries are accounted from the engine's mark log, so the ring
+    /// no longer has to remember an event until its report is written;
+    /// what is left is its job as the routing-loop guard of a corrupted
+    /// overlay. A node on a forged cycle sees every event in flight, at
+    /// most one window of them at a time; with the window at half the
+    /// ring it still recognises a circulating event after a whole
+    /// second window has passed through it. Termination never rests on
+    /// the ring — the call's deadline force-finalizes what still
+    /// circulates — and the default ingress sweep (8 queues × 64) fits
+    /// in one fill.
+    pub const MAX_PUBLISH_WINDOW: usize = crate::protocol::node::RECENT_EVENTS / 2;
 
     /// Creates an empty overlay with deterministic seed.
     pub fn new(config: DrTreeConfig, seed: u64) -> Self {
@@ -180,6 +263,7 @@ impl<const D: usize> DrTreeCluster<D> {
             next_event_id: 0,
             all_ids: Vec::new(),
             oracle: ContactOracle::default(),
+            accounting: Accounting::default(),
         }
     }
 
@@ -336,6 +420,7 @@ impl<const D: usize> DrTreeCluster<D> {
             n.set_contact_hint(contact.or(Some(id)));
         }
         self.net.run_round();
+        self.accounting.absorb(self.net.drain_marks());
     }
 
     /// [`DrTreeCluster::contact`] on the cluster's reused scratch.
@@ -513,17 +598,21 @@ impl<const D: usize> DrTreeCluster<D> {
     /// (exactly this event's `PubUp`/`PubDown` sends), so it stays
     /// correct even if traffic of an earlier event is still in flight.
     pub fn publish_from(&mut self, publisher: ProcessId, point: Point<D>) -> PublishReport {
+        self.accounting.open(self.next_event_id, 1);
         let event_id = self.inject(publisher, point);
         // Injection leaves node state alone: round one reuses the answer.
         let contact = self.fresh_contact();
         let rounds = 2 * (u64::from(self.height_under(contact)) + 2) + 2;
         self.run_round_with(contact);
         self.run_rounds(rounds - 1);
-        let report = self.finalize(publisher, point, event_id, rounds);
+        self.settle(0, event_id, rounds);
         // If the drain budget did not suffice (corrupted overlays),
         // retire the id so late traffic cannot re-create counters.
         self.net.retire_tags_below(self.next_event_id);
-        report
+        self.accounting
+            .close(self.net.iter(), &[(publisher, point)])
+            .pop()
+            .expect("one event, one report")
     }
 
     /// Publishes a stream of events through a sliding window of
@@ -566,8 +655,7 @@ impl<const D: usize> DrTreeCluster<D> {
         window: usize,
     ) -> Vec<PublishReport> {
         let window = window.clamp(1, Self::MAX_PUBLISH_WINDOW);
-        let mut reports: Vec<Option<PublishReport>> = Vec::new();
-        reports.resize_with(events.len(), || None);
+        self.accounting.open(self.next_event_id, events.len());
         // (input index, event id, injection round) per in-flight event.
         let mut live: Vec<(usize, u64, u64)> = Vec::with_capacity(window);
         let mut next = 0usize;
@@ -600,9 +688,7 @@ impl<const D: usize> DrTreeCluster<D> {
                     i += 1;
                     continue;
                 }
-                let (publisher, point) = events[idx];
-                let rounds = self.round() - injected;
-                reports[idx] = Some(self.finalize(publisher, point, event_id, rounds));
+                self.settle(idx, event_id, self.round() - injected);
                 live.swap_remove(i);
             }
         }
@@ -611,10 +697,7 @@ impl<const D: usize> DrTreeCluster<D> {
         // circulates in a corrupted overlay from re-creating per-tag
         // counter entries nobody would ever clear.
         self.net.retire_tags_below(self.next_event_id);
-        reports
-            .into_iter()
-            .map(|r| r.expect("every event finalized"))
-            .collect()
+        self.accounting.close(self.net.iter(), events)
     }
 
     /// Allocates an event id and injects the publish request. Crate-
@@ -633,24 +716,12 @@ impl<const D: usize> DrTreeCluster<D> {
         event_id
     }
 
-    /// Accounts one completed event: who received it, who should have,
-    /// and its tag-scoped message bill (the tag is then forgotten).
-    fn finalize(
-        &mut self,
-        publisher: ProcessId,
-        point: Point<D>,
-        event_id: u64,
-        rounds: u64,
-    ) -> PublishReport {
+    /// Event `index` of the open call is done: books its tag-scoped
+    /// message bill (the tag is then forgotten) and its span.
+    fn settle(&mut self, index: usize, event_id: u64, rounds: u64) {
         let messages = self.net.metrics().tag_count(event_id);
         self.net.clear_tag(event_id);
-        PublishReport::account(
-            self.net.iter(),
-            (publisher, point),
-            event_id,
-            messages,
-            rounds,
-        )
+        self.accounting.settle(index, messages, rounds);
     }
 
     /// Maximum and mean per-process memory entries (Lemma 3.1's

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use drtree_sim::{EventNetwork, Metrics, NetConfig, ProcessId};
 use drtree_spatial::{Point, Rect};
 
-use crate::cluster::PublishReport;
+use crate::cluster::{Accounting, PublishReport};
 use crate::config::DrTreeConfig;
 use crate::contact::ContactOracle;
 use crate::corruption::CorruptionKind;
@@ -59,6 +59,7 @@ pub struct AsyncDrTreeCluster<const D: usize> {
     config: DrTreeConfig,
     next_event_id: u64,
     all_ids: Vec<ProcessId>,
+    accounting: Accounting,
 }
 
 impl<const D: usize> AsyncDrTreeCluster<D> {
@@ -78,6 +79,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
             config,
             next_event_id: 0,
             all_ids: Vec::new(),
+            accounting: Accounting::default(),
         }
     }
 
@@ -178,6 +180,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
             let next = (self.net.now() + step).min(deadline);
             self.refresh_hints();
             self.net.run_until(next);
+            self.accounting.absorb(self.net.drain_marks());
         }
     }
 
@@ -283,14 +286,18 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
     /// intervals. The message bill is tag-scoped (exactly this event's
     /// `PubUp`/`PubDown` sends), like the round harness's.
     pub fn publish_from(&mut self, publisher: ProcessId, point: Point<D>) -> PublishReport {
+        self.accounting.open(self.next_event_id, 1);
         let event_id = self.inject(publisher, point);
         let duration = 2 * (u64::from(self.height()) + 2) * self.config.tick_interval;
         self.run_for(duration);
-        let report = self.finalize(publisher, point, event_id, duration);
+        self.settle(0, event_id, duration);
         // If the drain budget did not suffice (loss, corruption),
         // retire the id so late traffic cannot re-create counters.
         self.net.retire_tags_below(self.next_event_id);
-        report
+        self.accounting
+            .close(self.net.iter(), &[(publisher, point)])
+            .pop()
+            .expect("one event, one report")
     }
 
     /// Publishes a stream of events from one publisher through a
@@ -324,8 +331,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         window: usize,
     ) -> Vec<PublishReport> {
         let window = window.clamp(1, crate::DrTreeCluster::<D>::MAX_PUBLISH_WINDOW);
-        let mut reports: Vec<Option<PublishReport>> = Vec::new();
-        reports.resize_with(events.len(), || None);
+        self.accounting.open(self.next_event_id, events.len());
         let mut live: Vec<(usize, u64, u64)> = Vec::with_capacity(window);
         let mut next = 0usize;
         let step = self.config.tick_interval.max(1);
@@ -349,9 +355,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
                     i += 1;
                     continue;
                 }
-                let (publisher, point) = events[idx];
-                let elapsed = self.now() - injected;
-                reports[idx] = Some(self.finalize(publisher, point, event_id, elapsed));
+                self.settle(idx, event_id, self.now() - injected);
                 live.swap_remove(i);
             }
         }
@@ -359,10 +363,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         // range keeps traffic of force-finalized events that still
         // circulates from re-creating per-tag counter entries.
         self.net.retire_tags_below(self.next_event_id);
-        reports
-            .into_iter()
-            .map(|r| r.expect("every event finalized"))
-            .collect()
+        self.accounting.close(self.net.iter(), events)
     }
 
     /// Allocates an event id and injects the publish request.
@@ -379,23 +380,12 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         event_id
     }
 
-    /// Accounts one completed event and forgets its tag.
-    fn finalize(
-        &mut self,
-        publisher: ProcessId,
-        point: Point<D>,
-        event_id: u64,
-        rounds: u64,
-    ) -> PublishReport {
+    /// Event `index` of the open call is done: books its message bill
+    /// and span, and forgets its tag.
+    fn settle(&mut self, index: usize, event_id: u64, elapsed: u64) {
         let messages = self.metrics().tag_count(event_id);
         self.net.clear_tag(event_id);
-        PublishReport::account(
-            self.net.iter(),
-            (publisher, point),
-            event_id,
-            messages,
-            rounds,
-        )
+        self.accounting.settle(index, messages, elapsed);
     }
 
     fn refresh_hints(&mut self) {

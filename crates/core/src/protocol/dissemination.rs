@@ -43,7 +43,7 @@ impl<const D: usize> DrtNode<D> {
         level: Level,
         ctx: &mut Ctx<'_, D>,
     ) {
-        if !self.receive_event(&event) {
+        if !self.receive_event(&event, ctx) {
             return;
         }
         let level = level.min(self.top());
@@ -59,7 +59,7 @@ impl<const D: usize> DrtNode<D> {
         child_level: Level,
         ctx: &mut Ctx<'_, D>,
     ) {
-        if !self.receive_event(&event) {
+        if !self.receive_event(&event, ctx) {
             return;
         }
         let at = child_level + 1;
@@ -118,7 +118,7 @@ impl<const D: usize> DrtNode<D> {
     /// child whose MBR contains the event (never to the own chain,
     /// which is handled locally, nor to `exclude`).
     fn forward_to_matching_children(
-        &mut self,
+        &self,
         level: Level,
         exclude: &[ProcessId],
         event: &PubEvent<D>,
@@ -127,22 +127,16 @@ impl<const D: usize> DrtNode<D> {
         let Some(inst) = self.state.level(level) else {
             return;
         };
-        let targets: Vec<ProcessId> = inst
-            .children
-            .iter()
-            .filter(|(&c, info)| {
-                c != self.id && !exclude.contains(&c) && info.mbr.contains_point(&event.point)
-            })
-            .map(|(&c, _)| c)
-            .collect();
-        for c in targets {
-            ctx.send(
-                c,
-                DrtMessage::PubDown {
-                    event: *event,
-                    level: level - 1,
-                },
-            );
+        for (&c, info) in &inst.children {
+            if c != self.id && !exclude.contains(&c) && info.mbr.contains_point(&event.point) {
+                ctx.send(
+                    c,
+                    DrtMessage::PubDown {
+                        event: *event,
+                        level: level - 1,
+                    },
+                );
+            }
         }
     }
 

@@ -14,14 +14,11 @@ use crate::state::{ChildInfo, Level, LevelState, NodeState};
 /// Shorthand for the context type every handler receives.
 pub(crate) type Ctx<'a, const D: usize> = Context<'a, DrtMessage<D>, DrtTimer>;
 
-/// Capacity of the recently-seen event ring (routing-loop guard while
-/// the overlay is corrupted, and the delivery-accounting horizon of the
-/// pipelined publish path). Must stay comfortably above the maximum
-/// pipeline window ([`crate::DrTreeCluster::MAX_PUBLISH_WINDOW`]): a
-/// busy interior node sees every in-flight event, and an event's
-/// receipt must still be in the ring when the harness accounts its
-/// deliveries at quiescence (at most ~3 windows of newer events later).
-const RECENT_EVENTS: usize = 1024;
+/// Capacity of the recently-seen event ring: the routing-loop guard
+/// while the overlay is corrupted (deliveries are accounted from the
+/// engine's mark log, not from this ring). It bounds the pipeline
+/// depth — see [`crate::DrTreeCluster::MAX_PUBLISH_WINDOW`].
+pub(crate) const RECENT_EVENTS: usize = 1024;
 
 /// Hasher of the seen-event set. Event ids are sequential `u64`s the
 /// harness allocates (never outside input, so no collision attack to
@@ -481,8 +478,10 @@ impl<const D: usize> DrtNode<D> {
 
     /// Mark receipt of `event`, updating delivery and false-positive
     /// accounting. Returns `false` if the event was already seen (the
-    /// caller must stop routing it).
-    pub(crate) fn receive_event(&mut self, event: &PubEvent<D>) -> bool {
+    /// caller must stop routing it). A first receipt anywhere but at
+    /// the publisher is a delivery: it is marked on the engine's log,
+    /// which is what the harness accounts the event from.
+    pub(crate) fn receive_event(&mut self, event: &PubEvent<D>, ctx: &mut Ctx<'_, D>) -> bool {
         if self.pubsub.has_seen(event.id) {
             return false;
         }
@@ -490,6 +489,7 @@ impl<const D: usize> DrtNode<D> {
         if event.publisher == self.id {
             return true;
         }
+        ctx.mark(event.id);
         self.pubsub.received_total += 1;
         let matched = self.state.filter.contains_point(&event.point);
         if !matched {

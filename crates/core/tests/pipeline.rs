@@ -6,7 +6,10 @@
 //! bills at every window size — overlap may only change *when* events
 //! disseminate, never *what* they deliver or charge.
 
-use drtree_core::{AsyncDrTreeCluster, DrTreeCluster, DrTreeConfig, ProcessId, PublishReport};
+use drtree_core::{
+    run_convergence, AsyncDrTreeCluster, ConvergenceConfig, DrTreeCluster, DrTreeConfig,
+    FaultSchedule, ProcessId, PublishReport,
+};
 use drtree_sim::{LatencyModel, NetConfig};
 use drtree_spatial::{Point, Rect};
 use drtree_workloads::EventWorkload;
@@ -15,7 +18,10 @@ use proptest::strategy::Just;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const WINDOWS: [usize; 3] = [1, 7, 32];
+/// The deepest window the overlay accounts exactly.
+const CAP: usize = DrTreeCluster::<2>::MAX_PUBLISH_WINDOW;
+
+const WINDOWS: [usize; 4] = [1, 7, 32, CAP];
 
 fn arb_filter() -> impl Strategy<Value = Rect<2>> {
     (0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0, 2.0f64..25.0)
@@ -219,4 +225,139 @@ fn window_one_preserves_order_and_ids() {
         assert!(r.false_negatives.is_empty());
         assert!(r.rounds >= 1, "quiescence takes at least one round");
     }
+}
+
+fn grid_filters(n: u32) -> Vec<Rect<2>> {
+    (0..n)
+        .map(|i| {
+            let x = f64::from(i % 6) * 14.0;
+            let y = f64::from(i / 6) * 14.0;
+            Rect::new([x, y], [x + 19.0, y + 19.0])
+        })
+        .collect()
+}
+
+/// Two fills and one event more than the cap, at the cap and beyond it
+/// (clamped): the pipeline slides a full-depth window over a batch it
+/// cannot swallow whole, on both engines, and every report still equals
+/// the sequential one.
+#[test]
+fn batches_beyond_the_cap_match_sequential_on_both_engines() {
+    let n_events = 2 * CAP + 1;
+    let filters = grid_filters(30);
+
+    let base = DrTreeCluster::build_bulk(DrTreeConfig::default(), 5, &filters);
+    let events = events_for(EventWorkload::Uniform, n_events, &base.ids(), 0xca9);
+    let mut sequential = base.clone();
+    let reference: Vec<_> = events
+        .iter()
+        .map(|&(publisher, point)| fingerprint(&sequential.publish_from(publisher, point)))
+        .collect();
+    for window in [CAP, usize::MAX] {
+        let mut pipelined = base.clone();
+        let before = pipelined.round();
+        let reports = pipelined.publish_pipeline_from(&events, window);
+        let got: Vec<_> = reports.iter().map(fingerprint).collect();
+        assert_eq!(got, reference, "round engine, window {window}");
+        assert!(
+            pipelined.round() - before < 4 * reports[0].rounds,
+            "a batch of two fills and a bit rides a few disseminations' rounds, not one per event"
+        );
+    }
+
+    let net = NetConfig {
+        latency: LatencyModel::Fixed(1),
+        ..NetConfig::default()
+    };
+    let config = DrTreeConfig {
+        tick_interval: 4,
+        failure_timeout: 8,
+        ..DrTreeConfig::default()
+    };
+    let build = || AsyncDrTreeCluster::<2>::build_bulk(config, net, 5, &filters[..12]);
+    let mut sequential = build();
+    let events = events_for(EventWorkload::Uniform, n_events, &sequential.ids(), 0xca9);
+    let reference: Vec<_> = events
+        .iter()
+        .map(|&(publisher, point)| fingerprint(&sequential.publish_from(publisher, point)))
+        .collect();
+    let got: Vec<_> = build()
+        .publish_pipeline_from(&events, CAP)
+        .iter()
+        .map(fingerprint)
+        .collect();
+    assert_eq!(got, reference, "event engine, window {CAP}");
+}
+
+/// Accounting no longer reads the nodes' recently-seen rings: the root
+/// receives every event of a call longer than its ring, forgets the
+/// first ones before the call ends, and every report is exact all the
+/// same — receivers, matching set (against a scan of the filters) and
+/// the two differences.
+#[test]
+fn reports_stay_exact_when_a_node_outlives_its_seen_ring() {
+    let filters = grid_filters(30);
+    let mut cluster = DrTreeCluster::build_bulk(DrTreeConfig::default(), 9, &filters);
+    let ids = cluster.ids();
+    let root = cluster.root().expect("a built overlay has a root");
+    let publishers: Vec<ProcessId> = ids.iter().copied().filter(|&id| id != root).collect();
+    let events = events_for(EventWorkload::Uniform, 3 * CAP, &publishers, 0x51);
+
+    let seen_before = cluster.node(root).unwrap().pubsub().received_total;
+    let reports = cluster.publish_pipeline_from(&events, CAP);
+    let seen = cluster.node(root).unwrap().pubsub().received_total - seen_before;
+    assert_eq!(seen, events.len() as u64, "the root receives every event");
+    assert!(
+        !cluster
+            .node(root)
+            .unwrap()
+            .pubsub()
+            .has_seen(reports[0].event_id),
+        "the call outran the root's ring: a scan of the rings would miss this receipt"
+    );
+
+    for (report, &(publisher, point)) in reports.iter().zip(&events) {
+        assert!(report.receivers.contains(&root));
+        assert!(report.receivers.windows(2).all(|w| w[0] < w[1]));
+        let matching: Vec<ProcessId> = ids
+            .iter()
+            .zip(&filters)
+            .filter(|&(&id, f)| id != publisher && f.contains_point(&point))
+            .map(|(&id, _)| id)
+            .collect();
+        assert_eq!(report.matching, matching);
+        assert!(report.false_negatives.is_empty());
+        let false_positives: Vec<ProcessId> = report
+            .receivers
+            .iter()
+            .copied()
+            .filter(|id| !matching.contains(id))
+            .collect();
+        assert_eq!(report.false_positives, false_positives);
+        assert_eq!(
+            report.receivers.len(),
+            matching.len() + false_positives.len()
+        );
+    }
+}
+
+/// Receipts of events nobody will account — the background traffic
+/// `run_convergence` injects and follows by tag only — are dropped
+/// round by round: the mark log is empty afterwards, and between publish
+/// calls.
+#[test]
+fn unaccounted_events_leave_no_receipts_behind() {
+    let world = Rect::new([0.0, 0.0], [100.0, 100.0]);
+    let mut cluster = DrTreeCluster::build_bulk(DrTreeConfig::default(), 13, &grid_filters(36));
+    for schedule in FaultSchedule::canonical(&world, 36) {
+        let report = run_convergence(&mut cluster, &schedule, &ConvergenceConfig::default());
+        assert!(report.fault_latency.samples > 0, "background events ran");
+        assert!(cluster.metrics().marks().is_empty(), "{}", schedule.name);
+    }
+    cluster.stabilize(10_000).expect("restabilizes");
+    let ids = cluster.ids();
+    let events = events_for(EventWorkload::Uniform, 40, &ids, 0x77);
+    let reports = cluster.publish_pipeline_from(&events, 8);
+    assert!(reports.iter().any(|r| !r.receivers.is_empty()));
+    assert!(cluster.metrics().marks().is_empty());
 }

@@ -1,6 +1,5 @@
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use drtree_core::{DrTreeCluster, DrTreeConfig, ProcessId, PublishReport};
@@ -10,34 +9,6 @@ use drtree_spatial::{Event, FilterExpr, Point, Rect, Schema};
 
 use crate::shard::{BatchMatches, CompactionMode, OracleSnapshot, ShardedOracle};
 use crate::stats::RoutingStats;
-
-/// A lock-free `f64` cell for the adaptive-window EMA.
-///
-/// The EMA used to be a plain `f64` field, which was fine while
-/// exactly one caller owned the broker — but the concurrent ingress
-/// path wants the signal readable from *outside* the commit loop
-/// (monitoring, the shared stats mirror) while the loop keeps folding
-/// new observations in. The cell makes that split explicit:
-/// **one** writer (whoever holds `&mut Broker` — the commit loop under
-/// [`crate::MultiBroker`]) folds observations, any number of readers
-/// load a consistent bit pattern. Loads can never tear or observe a
-/// half-written value: the full `f64` is stored as one atomic `u64`.
-#[derive(Debug)]
-pub(crate) struct EmaCell(AtomicU64);
-
-impl EmaCell {
-    pub(crate) fn new(value: f64) -> Self {
-        Self(AtomicU64::new(value.to_bits()))
-    }
-
-    pub(crate) fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Acquire))
-    }
-
-    pub(crate) fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Release);
-    }
-}
 
 /// Errors surfaced by the [`Broker`].
 #[derive(Debug, Clone, PartialEq)]
@@ -103,18 +74,6 @@ pub struct Broker<const D: usize> {
     /// and are not listed here.
     sets: BTreeMap<ProcessId, Vec<Rect<D>>>,
     stats: RoutingStats,
-    /// Overlay dissemination window of [`Broker::publish_batch`]: how
-    /// many events of a batch disseminate concurrently.
-    publish_window: usize,
-    /// When set, [`Broker::publish_batch`] re-derives `publish_window`
-    /// from `rounds_ema` after every batch instead of holding the
-    /// configured constant.
-    adaptive_window: bool,
-    /// Exponential moving average of observed per-event
-    /// injection-to-quiescence rounds (0.0 until the first publish).
-    /// Atomic so concurrent-ingress readers can poll the signal
-    /// tear-free while the commit loop owns the updates ([`EmaCell`]).
-    rounds_ema: EmaCell,
     /// Reused single-publish matching buffer (sorted, deduplicated,
     /// publisher still included).
     match_buf: Vec<ProcessId>,
@@ -170,9 +129,6 @@ impl<const D: usize> Broker<D> {
             subscriptions: BTreeMap::new(),
             sets: BTreeMap::new(),
             stats: RoutingStats::default(),
-            publish_window: Self::DEFAULT_PUBLISH_WINDOW,
-            adaptive_window: false,
-            rounds_ema: EmaCell::new(0.0),
             match_buf: Vec::new(),
             batch_buf: BatchMatches::new(),
             multi_points: Vec::new(),
@@ -212,84 +168,17 @@ impl<const D: usize> Broker<D> {
         Ok((broker, ids))
     }
 
-    /// Default overlay dissemination window of
-    /// [`Broker::publish_batch`].
-    pub const DEFAULT_PUBLISH_WINDOW: usize = 32;
+    /// How many events of a [`Broker::publish_batch`] call disseminate
+    /// through the overlay concurrently: as many as the overlay can
+    /// account exactly ([`DrTreeCluster::MAX_PUBLISH_WINDOW`]), so a
+    /// committed batch costs one pipeline fill — the rounds of one
+    /// dissemination, shared by every event of the batch.
+    pub const DEFAULT_PUBLISH_WINDOW: usize = DrTreeCluster::<D>::MAX_PUBLISH_WINDOW;
 
-    /// EMA smoothing of the observed rounds-per-event signal driving
-    /// the adaptive window: new observations carry a quarter of the
-    /// weight, so one anomalous batch cannot whipsaw the window while
-    /// a genuine workload shift converges within a handful of batches.
-    const WINDOW_EMA_ALPHA: f64 = 0.25;
-
-    /// Adaptive window sizing: events overlapping in flight should
-    /// cover a few dissemination depths, so each round is shared by
-    /// many events without flooding the network far past the point of
-    /// diminishing returns.
-    const WINDOW_ROUNDS_FACTOR: f64 = 4.0;
-
-    /// Sets how many events of a batch disseminate through the overlay
-    /// concurrently (clamped to
-    /// `1..=`[`DrTreeCluster::MAX_PUBLISH_WINDOW`]). `1` restores the
-    /// sequential drain-per-event behavior. Also turns adaptive
-    /// sizing off — an explicit window is a pin.
-    pub fn set_publish_window(&mut self, window: usize) {
-        self.publish_window = window.clamp(1, DrTreeCluster::<D>::MAX_PUBLISH_WINDOW);
-        self.adaptive_window = false;
-    }
-
-    /// The current overlay dissemination window.
+    /// The overlay dissemination window
+    /// ([`Broker::DEFAULT_PUBLISH_WINDOW`]; not configurable).
     pub fn publish_window(&self) -> usize {
-        self.publish_window
-    }
-
-    /// Turns adaptive window sizing on or off. When on, every
-    /// [`Broker::publish_batch`] re-derives the dissemination window
-    /// from an exponential moving average of the observed per-event
-    /// rounds ([`Broker::rounds_ema`]) — roughly
-    /// `4 × rounds-per-event`, clamped like
-    /// [`Broker::set_publish_window`] — instead of holding the fixed
-    /// default. Deep overlays (more rounds per event) thus get wider
-    /// windows to amortize their rounds across, shallow ones stay
-    /// narrow, with no per-deployment tuning.
-    pub fn set_adaptive_window(&mut self, adaptive: bool) {
-        self.adaptive_window = adaptive;
-    }
-
-    /// `true` when the publish window is sized adaptively.
-    pub fn adaptive_window(&self) -> bool {
-        self.adaptive_window
-    }
-
-    /// The exponential moving average of observed per-event
-    /// dissemination rounds (0.0 before the first publish) — the
-    /// signal behind [`Broker::set_adaptive_window`].
-    pub fn rounds_ema(&self) -> f64 {
-        self.rounds_ema.get()
-    }
-
-    /// Folds one publish's observed per-event rounds into the EMA and,
-    /// when adaptive, re-derives the window. The fold is a
-    /// read-modify-write on the [`EmaCell`], race-free because updates
-    /// only ever happen under `&mut self` — under concurrent ingress
-    /// that is the commit loop, the cell's single writer — while
-    /// readers go through the atomic [`Broker::rounds_ema`].
-    fn observe_rounds(&mut self, reports: &[PublishReport]) {
-        if reports.is_empty() {
-            return;
-        }
-        let mean = reports.iter().map(|r| r.rounds).sum::<u64>() as f64 / reports.len() as f64;
-        let prev = self.rounds_ema.get();
-        let next = if prev == 0.0 {
-            mean
-        } else {
-            Self::WINDOW_EMA_ALPHA * mean + (1.0 - Self::WINDOW_EMA_ALPHA) * prev
-        };
-        self.rounds_ema.set(next);
-        if self.adaptive_window {
-            let window = (Self::WINDOW_ROUNDS_FACTOR * next).round() as usize;
-            self.publish_window = window.clamp(1, DrTreeCluster::<D>::MAX_PUBLISH_WINDOW);
-        }
+        Self::DEFAULT_PUBLISH_WINDOW
     }
 
     /// Number of shards the oracle fans publishes across.
@@ -324,9 +213,11 @@ impl<const D: usize> Broker<D> {
         Ok(self.subscribe_rect(rect))
     }
 
-    /// Registers a subscription directly as a rectangle.
+    /// Registers a subscription directly as a rectangle. Returns once
+    /// the overlay is back in a legitimate configuration, not merely
+    /// once the joiner is attached.
     pub fn subscribe_rect(&mut self, rect: Rect<D>) -> ProcessId {
-        let id = self.cluster.add_subscriber_stable(rect);
+        let id = self.join(rect);
         self.subscriptions.insert(id, rect);
         self.oracle.insert(id, rect);
         id
@@ -356,7 +247,7 @@ impl<const D: usize> Broker<D> {
                 "empty subscription set".into(),
             )));
         };
-        let id = self.cluster.add_subscriber_stable(mbr);
+        let id = self.join(mbr);
         self.subscriptions.insert(id, mbr);
         for r in &members {
             self.oracle.insert(id, *r);
@@ -463,12 +354,29 @@ impl<const D: usize> Broker<D> {
         let alive = self.cluster.move_subscriber(id, rect);
         debug_assert!(alive, "subscription map lists a dead subscriber {id}");
         // The move invalidates ancestor MBR/filter caches up the leaf's
-        // root path; converge the repair before the next publish so
-        // delivery stays exact (the per-publish oracle audit enforces
-        // this in debug builds).
+        // root path.
+        self.converge();
+        Ok(())
+    }
+
+    /// Joins a subscriber with overlay filter `rect`.
+    fn join(&mut self, rect: Rect<D>) -> ProcessId {
+        let id = self.cluster.add_subscriber_stable(rect);
+        // The joiner is attached, not settled: the splits its arrival
+        // set off may still be running up the root path.
+        self.converge();
+        id
+    }
+
+    /// Runs the overlay back to a legitimate configuration after a
+    /// structural command, so the next publish — a whole batch deep in
+    /// the pipeline under [`crate::MultiBroker`] — never disseminates
+    /// through a half-repaired overlay, which costs false negatives
+    /// (the per-publish oracle audit enforces this in debug builds).
+    /// The budget is a few root-path traversals.
+    fn converge(&mut self) {
         let rounds = 8 * (u64::from(self.cluster.height()) + 2);
         self.cluster.stabilize(rounds);
-        Ok(())
     }
 
     /// Publishes `event` from subscriber `publisher`, auditing the
@@ -518,7 +426,6 @@ impl<const D: usize> Broker<D> {
             self.classify(publisher, &point, &match_buf, &mut report);
         }
         self.stats.absorb(&report);
-        self.observe_rounds(std::slice::from_ref(&report));
         self.match_buf = match_buf;
         Ok(report)
     }
@@ -553,16 +460,15 @@ impl<const D: usize> Broker<D> {
         if needs_oracle {
             self.oracle.match_batch_into(points, &mut batch_buf);
         }
-        let mut reports = self
-            .cluster
-            .publish_pipeline(publisher, points, self.publish_window);
+        let mut reports =
+            self.cluster
+                .publish_pipeline(publisher, points, Self::DEFAULT_PUBLISH_WINDOW);
         for (i, (point, report)) in points.iter().zip(&mut reports).enumerate() {
             if needs_oracle {
                 self.classify(publisher, point, batch_buf.matches(i), report);
             }
             self.stats.absorb(report);
         }
-        self.observe_rounds(&reports);
         self.batch_buf = batch_buf;
         Ok(reports)
     }
@@ -613,14 +519,13 @@ impl<const D: usize> Broker<D> {
         }
         let mut reports = self
             .cluster
-            .publish_pipeline_from(events, self.publish_window);
+            .publish_pipeline_from(events, Self::DEFAULT_PUBLISH_WINDOW);
         for (i, (&(publisher, point), report)) in events.iter().zip(&mut reports).enumerate() {
             if needs_oracle {
                 self.classify(publisher, &point, batch_buf.matches(i), report);
             }
             self.stats.absorb(report);
         }
-        self.observe_rounds(&reports);
         self.batch_buf = batch_buf;
         self.multi_points = points;
         Ok(reports)
@@ -791,72 +696,5 @@ impl<const D: usize> fmt::Debug for Broker<D> {
             .field("subscriptions", &self.subscriptions.len())
             .field("stats", &self.stats)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ema_cell_loads_never_tear_under_a_concurrent_writer() {
-        // The regression the cell exists for: a reader polling the EMA
-        // while the commit loop folds observations must only ever see
-        // values that were actually stored — never an interleaving of
-        // two writes' bit halves.
-        let cell = std::sync::Arc::new(EmaCell::new(0.0));
-        // Values chosen so any torn lo/hi word mix is outside the set.
-        let stored: Vec<f64> = (0..1000).map(|i| 1.0 + i as f64 * 1e-3).collect();
-        let writer = {
-            let cell = std::sync::Arc::clone(&cell);
-            let stored = stored.clone();
-            std::thread::spawn(move || {
-                for &v in &stored {
-                    cell.set(v);
-                }
-            })
-        };
-        let mut seen = Vec::new();
-        loop {
-            let v = cell.get();
-            seen.push(v);
-            if writer.is_finished() {
-                break;
-            }
-        }
-        writer.join().unwrap();
-        for v in seen {
-            assert!(
-                v == 0.0
-                    || stored
-                        .binary_search_by(|s| s.partial_cmp(&v).unwrap())
-                        .is_ok(),
-                "observed a value never stored: {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn ema_fold_is_deterministic_through_the_cell() {
-        // The cell must not change the EMA arithmetic: replaying the
-        // same per-batch means through a plain f64 gives bit-identical
-        // results.
-        let cell = EmaCell::new(0.0);
-        let mut plain = 0.0f64;
-        for mean in [3.0, 5.0, 4.0, 4.0, 7.5, 2.25] {
-            let prev = cell.get();
-            let next = if prev == 0.0 {
-                mean
-            } else {
-                0.25 * mean + 0.75 * prev
-            };
-            cell.set(next);
-            plain = if plain == 0.0 {
-                mean
-            } else {
-                0.25 * mean + 0.75 * plain
-            };
-            assert_eq!(cell.get().to_bits(), plain.to_bits());
-        }
     }
 }

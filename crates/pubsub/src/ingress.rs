@@ -472,9 +472,6 @@ struct Shared<const D: usize> {
     drain_scheduled: AtomicBool,
     /// The latest published oracle snapshot (refreshed per commit).
     snapshot: Mutex<Arc<OracleSnapshot<D>>>,
-    /// Mirror of the broker's adaptive-window EMA, republished after
-    /// each commit so monitors read it without a control round-trip.
-    rounds_ema_bits: AtomicU64,
 }
 
 impl<const D: usize> Shared<D> {
@@ -569,7 +566,7 @@ impl<const D: usize> CommitState<D> {
 
     /// Commits the swept batch through the broker and does the
     /// post-commit bookkeeping: latency billing from scheduled
-    /// arrival, rate metering, audit, snapshot + EMA republication.
+    /// arrival, rate metering, audit, snapshot republication.
     fn commit(&mut self) -> usize {
         let events = std::mem::take(&mut self.events);
         let reports = self
@@ -607,9 +604,6 @@ impl<const D: usize> CommitState<D> {
             let snap = Arc::new(self.broker.oracle_snapshot());
             *self.shared.snapshot.lock().expect("snapshot lock") = snap;
         }
-        self.shared
-            .rounds_ema_bits
-            .store(self.broker.rounds_ema().to_bits(), Ordering::Release);
         self.events = events;
         committed
     }
@@ -848,7 +842,6 @@ impl<const D: usize> MultiBroker<D> {
             epoch: Instant::now(),
             drain_scheduled: AtomicBool::new(false),
             snapshot: Mutex::new(Arc::new(broker.oracle_snapshot())),
-            rounds_ema_bits: AtomicU64::new(broker.rounds_ema().to_bits()),
         });
         let state = CommitState {
             broker,
@@ -893,7 +886,10 @@ impl<const D: usize> MultiBroker<D> {
     }
 
     /// Registers a subscription rectangle (joins the overlay), in FIFO
-    /// order with every other control operation and commit.
+    /// order with every other control operation and commit. The command
+    /// completes in a legitimate configuration
+    /// ([`Broker::subscribe_rect`]), so the batch committed right after
+    /// a racing join misses nobody.
     pub fn subscribe_rect(&self, rect: Rect<D>) -> ProcessId {
         self.call(move |state| {
             let id = state.broker.subscribe_rect(rect);
@@ -1032,12 +1028,6 @@ impl<const D: usize> MultiBroker<D> {
     /// [`PublisherHandle::publish_at`].
     pub fn now_ns(&self) -> u64 {
         self.shared.now_ns()
-    }
-
-    /// The broker's adaptive-window EMA, mirrored lock-free after each
-    /// commit (see [`Broker::rounds_ema`]).
-    pub fn rounds_ema(&self) -> f64 {
-        f64::from_bits(self.shared.rounds_ema_bits.load(Ordering::Acquire))
     }
 
     /// How many batches the commit loop has committed so far —

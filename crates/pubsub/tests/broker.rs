@@ -313,77 +313,46 @@ fn flush_oracle_moves_rebuild_cost_off_the_publish_path() {
     assert_eq!(broker.flush_oracle(), std::time::Duration::ZERO);
 }
 
-/// Drives `batches` publish batches of `events_per_batch` events drawn
-/// by `event_at` through an adaptive-window broker and returns the
-/// window after each batch.
-fn window_trajectory(
-    seed: u64,
-    batches: usize,
-    event_at: impl Fn(&mut StdRng) -> [f64; 2],
-) -> Vec<usize> {
-    let mut broker: Broker<2> = Broker::new(schema(), DrTreeConfig::default(), seed).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ids = Vec::new();
-    for _ in 0..150 {
-        let x = rng.gen_range(0.0..90.0);
-        let y = rng.gen_range(0.0..90.0);
-        ids.push(broker.subscribe_rect(Rect::new([x, y], [x + 8.0, y + 8.0])));
-    }
-    broker.set_adaptive_window(true);
-    let mut trajectory = Vec::new();
-    for b in 0..batches {
-        let publisher = ids[b % ids.len()];
-        let points: Vec<drtree_spatial::Point<2>> = (0..24)
-            .map(|_| drtree_spatial::Point::new(event_at(&mut rng)))
-            .collect();
-        broker.publish_batch(publisher, &points).unwrap();
-        trajectory.push(broker.publish_window());
-    }
-    trajectory
-}
-
+/// The root cause of the multi-publisher exactness flake, without a
+/// thread in sight: a join returns once the joiner is *attached*, the
+/// splits its arrival set off may still be running, and a batch
+/// committed into them misses matching subscribers. Every seed below
+/// yields a false negative within its first two joins when
+/// `subscribe_rect` returns straight after the attach.
 #[test]
-fn adaptive_window_converges_on_uniform_and_hotspot_streams() {
-    // Uniform stream: events scattered across the world.
-    let uniform = window_trajectory(31, 12, |rng| {
-        [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]
-    });
-    // Hotspot stream: every event at one spot (worst-case fan-in).
-    let hotspot = window_trajectory(32, 12, |_| [42.0, 42.0]);
-
-    for (name, trajectory) in [("uniform", &uniform), ("hotspot", &hotspot)] {
-        // The window must leave the fixed default and then settle: the
-        // EMA damps batch-to-batch jitter, so the tail of the
-        // trajectory varies by at most a couple of slots.
-        let tail = &trajectory[trajectory.len() - 4..];
-        let (lo, hi) = (
-            *tail.iter().min().unwrap() as f64,
-            *tail.iter().max().unwrap() as f64,
-        );
-        assert!(
-            hi - lo <= (0.1 * hi).max(2.0),
-            "{name} window did not converge: {trajectory:?}"
-        );
-        assert!(
-            tail.iter().all(|&w| (1..=256).contains(&w)),
-            "{name} window outside the legal clamp: {trajectory:?}"
-        );
-        // The adaptive signal is live, not stuck at the default.
-        assert!(
-            trajectory
-                .iter()
-                .any(|&w| w != Broker::<2>::DEFAULT_PUBLISH_WINDOW),
-            "{name} window never adapted: {trajectory:?}"
-        );
+fn batch_committed_right_after_a_join_misses_nobody() {
+    for seed in [30u64, 116, 137, 145] {
+        let mut broker: Broker<2> = Broker::new(schema(), DrTreeConfig::default(), seed).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let rect = |rng: &mut StdRng| {
+            let (x, y) = (rng.gen_range(0.0..90.0), rng.gen_range(0.0..90.0));
+            let (w, h) = (rng.gen_range(2.0..10.0), rng.gen_range(2.0..10.0));
+            Rect::new([x, y], [x + w, y + h])
+        };
+        let mut ids: Vec<_> = (0..16)
+            .map(|_| broker.subscribe_rect(rect(&mut rng)))
+            .collect();
+        for join in 0..12 {
+            ids.push(broker.subscribe_rect(rect(&mut rng)));
+            assert!(
+                broker.cluster().check_legal().is_ok(),
+                "seed {seed}: join {join} returned from an illegitimate configuration"
+            );
+            let events: Vec<_> = (0..16)
+                .map(|i| {
+                    let point = [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)];
+                    (ids[i % 4], drtree_spatial::Point::new(point))
+                })
+                .collect();
+            for report in broker.publish_batch_multi(&events).unwrap() {
+                assert!(
+                    report.false_negatives.is_empty(),
+                    "seed {seed}: the batch after join {join} missed {:?}",
+                    report.false_negatives
+                );
+            }
+        }
     }
-
-    // An explicit window pins: adaptation turns off.
-    let mut broker: Broker<2> = Broker::new(schema(), DrTreeConfig::default(), 33).unwrap();
-    broker.set_adaptive_window(true);
-    assert!(broker.adaptive_window());
-    broker.set_publish_window(16);
-    assert!(!broker.adaptive_window(), "explicit window pins the size");
-    assert_eq!(broker.publish_window(), 16);
 }
 
 #[test]

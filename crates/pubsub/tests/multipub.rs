@@ -34,61 +34,109 @@ fn seeded_point(rng: &mut StdRng) -> Point<2> {
     Point::new([rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)])
 }
 
-/// Replays `audit` on a fresh sequential broker with the same seed and
-/// asserts op-for-op equality: same assigned ids, same per-event
-/// delivery sets, zero false negatives. Returns the commit count.
+/// Replays `audit` on two fresh brokers with the same seed and asserts
+/// op-for-op equality on both: same assigned ids, same per-event
+/// delivery sets, zero false negatives. `sequential` publishes every
+/// commit on its own (`publish_point`, each event drained before the
+/// next); `batched` re-commits each recorded batch whole
+/// (`publish_batch_multi`), which is what the commit loop executed, so
+/// there the dissemination rounds must agree as well. Returns the
+/// commit count.
 fn replay_and_check(audit: &[AuditRecord<2>], seed: u64) -> u64 {
-    let mut reference: Broker<2> = Broker::new(schema(), DrTreeConfig::default(), seed).unwrap();
+    let fresh = || Broker::<2>::new(schema(), DrTreeConfig::default(), seed).unwrap();
+    let (mut sequential, mut batched) = (fresh(), fresh());
     let mut commits = 0u64;
-    for record in audit {
+    let mut records = audit.iter().peekable();
+    while let Some(record) = records.next() {
         match record {
             AuditRecord::Subscribe { id, rect } => {
-                assert_eq!(
-                    reference.subscribe_rect(*rect),
-                    *id,
-                    "replay assigns the same subscriber id"
-                );
+                for reference in [&mut sequential, &mut batched] {
+                    assert_eq!(
+                        reference.subscribe_rect(*rect),
+                        *id,
+                        "replay assigns the same subscriber id"
+                    );
+                }
             }
             AuditRecord::Unsubscribe { id } => {
-                reference
-                    .unsubscribe(*id)
-                    .expect("replayed unsubscribe targets a live id");
+                for reference in [&mut sequential, &mut batched] {
+                    reference
+                        .unsubscribe(*id)
+                        .expect("replayed unsubscribe targets a live id");
+                }
             }
             AuditRecord::Stabilize { max_rounds } => {
-                reference
-                    .stabilize(*max_rounds)
-                    .expect("reference overlay stabilizes within the audited budget");
+                for reference in [&mut sequential, &mut batched] {
+                    reference
+                        .stabilize(*max_rounds)
+                        .expect("reference overlay stabilizes within the audited budget");
+                }
             }
             AuditRecord::Move { id, rect } => {
-                reference
-                    .move_subscription_rect(*id, *rect)
-                    .expect("replayed move targets a live singleton subscriber");
+                for reference in [&mut sequential, &mut batched] {
+                    reference
+                        .move_subscription_rect(*id, *rect)
+                        .expect("replayed move targets a live singleton subscriber");
+                }
             }
-            AuditRecord::Commit {
-                publisher,
-                point,
-                receivers,
-                ..
-            } => {
-                let report = reference
-                    .publish_point(*publisher, *point)
-                    .expect("replayed publisher is live");
-                let mut got = report.receivers.clone();
-                got.sort_unstable();
-                assert_eq!(
-                    &got, receivers,
-                    "concurrent and sequential delivery sets diverge at commit {commits}"
-                );
-                assert!(
-                    report.false_negatives.is_empty(),
-                    "false negatives at commit {commits}: {:?}",
-                    report.false_negatives
-                );
-                commits += 1;
+            AuditRecord::Commit { batch, .. } => {
+                // The whole recorded batch: this commit and every
+                // following one carrying the same batch number.
+                let mut recorded = vec![commit_of(record).expect("a commit")];
+                while let Some(next) =
+                    records.next_if(|r| commit_of(r).is_some_and(|c| c.0 == *batch))
+                {
+                    recorded.push(commit_of(next).expect("a commit"));
+                }
+                let events: Vec<(ProcessId, Point<2>)> =
+                    recorded.iter().map(|c| (c.1, c.2)).collect();
+                let whole = batched
+                    .publish_batch_multi(&events)
+                    .expect("replayed publishers are live");
+                for (&(_, publisher, point, receivers, rounds), whole) in
+                    recorded.iter().zip(&whole)
+                {
+                    let single = sequential
+                        .publish_point(publisher, point)
+                        .expect("replayed publisher is live");
+                    for (replay, report) in [("sequential", &single), ("batched", whole)] {
+                        let mut got = report.receivers.clone();
+                        got.sort_unstable();
+                        assert_eq!(
+                            got, receivers,
+                            "concurrent and {replay} delivery sets diverge at commit {commits}"
+                        );
+                        assert!(
+                            report.false_negatives.is_empty(),
+                            "{replay} false negatives at commit {commits}: {:?}",
+                            report.false_negatives
+                        );
+                    }
+                    assert_eq!(
+                        whole.rounds, rounds,
+                        "batched replay rode different rounds at commit {commits}"
+                    );
+                    commits += 1;
+                }
             }
         }
     }
     commits
+}
+
+/// `(batch, publisher, point, receivers, rounds)` of a commit record.
+fn commit_of(record: &AuditRecord<2>) -> Option<(u64, ProcessId, Point<2>, &[ProcessId], u64)> {
+    match record {
+        AuditRecord::Commit {
+            batch,
+            publisher,
+            point,
+            receivers,
+            rounds,
+            ..
+        } => Some((*batch, *publisher, *point, receivers, *rounds)),
+        _ => None,
+    }
 }
 
 /// Asserts the audit log preserves every publisher's queue order: the
@@ -165,9 +213,10 @@ fn run_concurrent_scenario(publishers: usize, seed: u64, auto_drain: bool) {
                     }
                 });
             }
-            // A subscriber join racing the publish stream (stable
-            // joins leave the overlay legitimate, so this is safe to
-            // interleave with commits at any point).
+            // A subscriber join racing the publish stream: the
+            // serialized join command returns only from a legitimate
+            // configuration, so the batch committed right after it
+            // disseminates through a settled overlay.
             let rect = racing_join_rects[phase];
             let multi_ref = &multi;
             s.spawn(move || {
@@ -269,79 +318,4 @@ fn explicit_drain_mode_commit_order_is_reproducible() {
         audit
     };
     assert_eq!(run(77), run(77));
-}
-
-#[test]
-fn ema_survives_concurrent_ingress_and_replays_deterministically() {
-    // Regression for the adaptive-window EMA data race: the cell is
-    // written only by the commit loop, and an audit replay folding the
-    // same per-batch round means reproduces the same adaptive state.
-    let seed = 55;
-    let broker: Broker<2> = Broker::new(schema(), DrTreeConfig::default(), seed).unwrap();
-    let multi = MultiBroker::new(
-        broker,
-        IngressConfig {
-            audit_log: true,
-            refresh_snapshots: false,
-            ..IngressConfig::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..10 {
-        multi.subscribe_rect(seeded_rect(&mut rng));
-    }
-    let handles: Vec<_> = (0..4)
-        .map(|_| multi.add_publisher(seeded_rect(&mut rng)))
-        .collect();
-    let scripts: Vec<Vec<Point<2>>> = (0..4)
-        .map(|_| (0..25).map(|_| seeded_point(&mut rng)).collect())
-        .collect();
-    thread::scope(|s| {
-        for (handle, points) in handles.iter().zip(&scripts) {
-            s.spawn(move || {
-                for point in points {
-                    handle.publish(*point).expect("ingress open");
-                }
-            });
-        }
-    });
-    multi.drain();
-    // The mirrored EMA converged to something positive and finite, and
-    // matches the broker's own cell exactly after quiescence.
-    let mirrored = multi.rounds_ema();
-    assert!(mirrored.is_finite() && mirrored > 0.0);
-    let audit = multi.take_audit();
-    let broker = multi.finish();
-    assert_eq!(broker.rounds_ema(), mirrored, "mirror tracks the cell");
-
-    // Replaying the audited batches through publish_batch_multi on a
-    // fresh broker reproduces the EMA bit-for-bit: the adaptive state
-    // is a pure fold over the committed batch structure.
-    let mut reference: Broker<2> = Broker::new(schema(), DrTreeConfig::default(), seed).unwrap();
-    let mut batch_events: BTreeMap<u64, Vec<(ProcessId, Point<2>)>> = BTreeMap::new();
-    for record in &audit {
-        match record {
-            AuditRecord::Subscribe { rect, .. } => {
-                reference.subscribe_rect(*rect);
-            }
-            AuditRecord::Commit {
-                batch,
-                publisher,
-                point,
-                ..
-            } => batch_events
-                .entry(*batch)
-                .or_default()
-                .push((*publisher, *point)),
-            _ => {}
-        }
-    }
-    for events in batch_events.values() {
-        reference.publish_batch_multi(events).unwrap();
-    }
-    assert_eq!(
-        reference.rounds_ema(),
-        mirrored,
-        "EMA fold diverged from the concurrent run"
-    );
 }

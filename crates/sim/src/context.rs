@@ -3,9 +3,10 @@ use rand::rngs::StdRng;
 use crate::ProcessId;
 
 /// The effect buffers a callback fills — messages to send, timers to
-/// arm. Each engine owns one pair and lends it to every [`Context`], so
-/// a callback allocates only while the buffers still grow.
-pub(crate) type Effects<M, T> = (Vec<(ProcessId, M)>, Vec<(u64, T)>);
+/// arm, tags to mark. Each engine owns one set and lends it to every
+/// [`Context`], so a callback allocates only while the buffers still
+/// grow.
+pub(crate) type Effects<M, T> = (Vec<(ProcessId, M)>, Vec<(u64, T)>, Vec<u64>);
 
 /// The interface a [`Process`](crate::Process) uses to act on the world
 /// from inside a callback.
@@ -20,6 +21,7 @@ pub struct Context<'a, M, T> {
     rng: &'a mut StdRng,
     pub(crate) outbox: &'a mut Vec<(ProcessId, M)>,
     pub(crate) timer_requests: &'a mut Vec<(u64, T)>,
+    marks: &'a mut Vec<u64>,
 }
 
 impl<'a, M, T> Context<'a, M, T> {
@@ -31,13 +33,14 @@ impl<'a, M, T> Context<'a, M, T> {
         rng: &'a mut StdRng,
         effects: &'a mut Effects<M, T>,
     ) -> Self {
-        let (outbox, timer_requests) = effects;
+        let (outbox, timer_requests, marks) = effects;
         Self {
             id,
             now,
             rng,
             outbox,
             timer_requests,
+            marks,
         }
     }
 
@@ -65,6 +68,15 @@ impl<'a, M, T> Context<'a, M, T> {
         self.timer_requests.push((delay.max(1), timer));
     }
 
+    /// Marks that this process reached tagged operation `tag` (see
+    /// [`MsgTag`](crate::MsgTag)) — e.g. its first receipt of an event.
+    /// The engine logs `(tag, process)` in one place
+    /// ([`crate::Metrics::marks`]), so a harness accounts an operation
+    /// at the cost of its marks, not of a visit to every process.
+    pub fn mark(&mut self, tag: u64) {
+        self.marks.push(tag);
+    }
+
     /// Deterministic per-network randomness.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
@@ -87,8 +99,10 @@ mod tests {
         ctx.send(ProcessId::from_raw(4), "hello");
         ctx.set_timer(0, 1); // promoted to 1
         ctx.set_timer(5, 2);
+        ctx.mark(41);
         let _: u32 = ctx.rng().gen();
         assert_eq!(ctx.outbox.len(), 1);
         assert_eq!(*ctx.timer_requests, vec![(1, 1), (5, 2)]);
+        assert_eq!(*ctx.marks, vec![41]);
     }
 }

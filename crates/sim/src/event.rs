@@ -393,6 +393,12 @@ impl<P: Process> EventNetwork<P> {
         );
     }
 
+    /// Hands the harness every mark made since the last drain (see
+    /// [`Metrics::marks`]) and empties the log, capacity kept.
+    pub fn drain_marks(&mut self) -> std::vec::Drain<'_, (u64, ProcessId)> {
+        self.metrics.drain_marks()
+    }
+
     /// Forgets a tag's message counters (see [`Metrics::clear_tag`]).
     pub fn clear_tag(&mut self, tag: u64) {
         self.metrics.clear_tag(tag);
@@ -467,7 +473,9 @@ impl<P: Process> EventNetwork<P> {
 
     /// Applies and empties the effect buffers `from`'s callback filled.
     fn apply_effects(&mut self, from: ProcessId) {
-        let (mut outbox, mut timer_requests) = std::mem::take(&mut self.effects);
+        self.metrics.record_marks(from, &mut self.effects.2);
+        let mut outbox = std::mem::take(&mut self.effects.0);
+        let mut timer_requests = std::mem::take(&mut self.effects.1);
         for (to, msg) in outbox.drain(..) {
             self.metrics.record_sent(msg.label());
             if let Some(tag) = msg.tag() {
@@ -516,7 +524,7 @@ impl<P: Process> EventNetwork<P> {
         for (delay, timer) in timer_requests.drain(..) {
             self.push(self.time + delay, EventKind::Fire { at: from, timer });
         }
-        self.effects = (outbox, timer_requests);
+        (self.effects.0, self.effects.1) = (outbox, timer_requests);
     }
 
     /// One fault-knob Bernoulli draw; never touches the RNG for an

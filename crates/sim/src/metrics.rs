@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::process::MsgTag;
+use crate::process::{MsgTag, ProcessId};
 
 /// Message-level counters collected by both engines.
 ///
@@ -33,6 +33,9 @@ pub struct Metrics {
     /// Tags below this are retired (see [`Metrics::retire_tags_below`]):
     /// their counters are purged and late traffic is not re-tracked.
     tag_floor: u64,
+    /// `(tag, process)` marks made through [`crate::Context::mark`] and
+    /// not yet drained by the harness, in callback order.
+    marks: Vec<(u64, ProcessId)>,
 }
 
 impl Metrics {
@@ -103,6 +106,13 @@ impl Metrics {
         self.tag_inflight.get(&tag).copied().unwrap_or(0)
     }
 
+    /// The `(tag, process)` marks processes made through
+    /// [`crate::Context::mark`] since the harness last drained them
+    /// (`drain_marks` on either engine), in callback order.
+    pub fn marks(&self) -> &[(u64, ProcessId)] {
+        &self.marks
+    }
+
     /// Forgets a tag's counters once its report is finalized, so maps
     /// do not grow with the event history.
     pub fn clear_tag(&mut self, tag: u64) {
@@ -130,6 +140,19 @@ impl Metrics {
     /// must not reset while tagged operations are still in flight.
     pub fn reset(&mut self) {
         *self = Self::default();
+    }
+
+    /// Logs the tags `process` marked in one callback, emptying `tags`
+    /// (almost always empty already: this runs after every callback).
+    #[inline]
+    pub(crate) fn record_marks(&mut self, process: ProcessId, tags: &mut Vec<u64>) {
+        if !tags.is_empty() {
+            self.marks.extend(tags.drain(..).map(|tag| (tag, process)));
+        }
+    }
+
+    pub(crate) fn drain_marks(&mut self) -> std::vec::Drain<'_, (u64, ProcessId)> {
+        self.marks.drain(..)
     }
 
     pub(crate) fn record_sent(&mut self, label: &'static str) {

@@ -325,6 +325,12 @@ impl<P: Process> RoundNetwork<P> {
         self.enqueue(to, to, msg);
     }
 
+    /// Hands the harness every mark made since the last drain (see
+    /// [`Metrics::marks`]) and empties the log, capacity kept.
+    pub fn drain_marks(&mut self) -> std::vec::Drain<'_, (u64, ProcessId)> {
+        self.metrics.drain_marks()
+    }
+
     /// Forgets a tag's message counters (see [`Metrics::clear_tag`]).
     pub fn clear_tag(&mut self, tag: u64) {
         self.metrics.clear_tag(tag);
@@ -480,7 +486,9 @@ impl<P: Process> RoundNetwork<P> {
 
     /// Applies and empties the effect buffers `from`'s callback filled.
     fn apply_effects(&mut self, from: ProcessId) {
-        let (mut outbox, mut timer_requests) = std::mem::take(&mut self.effects);
+        self.metrics.record_marks(from, &mut self.effects.2);
+        let mut outbox = std::mem::take(&mut self.effects.0);
+        let mut timer_requests = std::mem::take(&mut self.effects.1);
         for (to, msg) in outbox.drain(..) {
             self.metrics.record_sent(msg.label());
             if let Some(tag) = msg.tag() {
@@ -515,7 +523,7 @@ impl<P: Process> RoundNetwork<P> {
                 .or_default()
                 .push((from, timer));
         }
-        self.effects = (outbox, timer_requests);
+        (self.effects.0, self.effects.1) = (outbox, timer_requests);
     }
 }
 
@@ -695,6 +703,7 @@ mod tests {
         type Timer = ();
 
         fn on_message(&mut self, _from: ProcessId, msg: Hop, ctx: &mut Context<'_, Hop, ()>) {
+            ctx.mark(msg.tag);
             if msg.hops > 0 {
                 if let Some(next) = self.next {
                     ctx.send(
@@ -738,6 +747,19 @@ mod tests {
         assert_eq!(net.metrics().tag_count(1), 4, "injection + 3 relays");
         net.clear_tag(1);
         assert_eq!(net.metrics().tag_count(1), 0);
+    }
+
+    #[test]
+    fn marks_log_who_reached_which_tag_until_drained() {
+        let (mut net, a, b) = relay_pair();
+        net.send_external(a, Hop { tag: 7, hops: 2 });
+        net.send_external(b, Hop { tag: 8, hops: 0 });
+        net.run_rounds(2);
+        // Callback order: round 1 in id order, then round 2.
+        assert_eq!(net.metrics().marks(), [(7, a), (8, b), (7, b)]);
+        assert_eq!(net.drain_marks().count(), 3);
+        net.run_rounds(1);
+        assert_eq!(net.metrics().marks(), [(7, a)], "drained marks are gone");
     }
 
     #[test]
