@@ -276,6 +276,29 @@ fn parse_out_and_check(args: &[String], default_out: &str) -> (String, Option<f6
     (out, check)
 }
 
+/// Writes a mode's document to `out_path`, stamped with the host that
+/// measured it: the timings are wall-clock, and the ratios built on
+/// them mean nothing beside numbers from a machine with another core
+/// count or CPU.
+fn write_bench(out_path: &str, json: Json) {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let host = Json::object()
+        .field(
+            "logical_cores",
+            std::thread::available_parallelism().map_or(0, usize::from),
+        )
+        .field("cpu_model", cpu_model);
+    std::fs::write(out_path, json.field("host", host).render())
+        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    println!("wrote {out_path}");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -550,8 +573,7 @@ fn rtree_backends(out_path: &str, check: Option<f64>) {
                 .field("build_vs_str", Json::fixed(vs_str_build, 2))
                 .field("query_vs_str", Json::fixed(vs_str_query, 2)),
         );
-    std::fs::write(out_path, json.render()).expect("write BENCH_rtree.json");
-    println!("wrote {out_path}");
+    write_bench(out_path, json);
 
     if let Some(threshold) = check {
         if vs_str_build < threshold || vs_str_query < threshold {
@@ -710,8 +732,7 @@ fn shard_oracle(out_path: &str, check: Option<f64>) {
         )
         .field("sizes", sizes)
         .field("batch4_vs_single1_at_100k", Json::fixed(speedup, 2));
-    std::fs::write(out_path, json.render()).expect("write BENCH_shard.json");
-    println!("wrote {out_path}");
+    write_bench(out_path, json);
 
     if let Some(threshold) = check {
         if speedup < threshold {
@@ -1074,8 +1095,7 @@ fn churn_throughput(out_path: &str, check: Option<f64>) {
             "concurrent_vs_sync_throughput_at_250k",
             Json::fixed(throughput_ratio, 2),
         );
-    std::fs::write(out_path, json.render()).expect("write BENCH_churn.json");
-    println!("wrote {out_path}");
+    write_bench(out_path, json);
 
     if let Some(threshold) = check {
         let mut failed = false;
@@ -1260,8 +1280,7 @@ fn pipeline_dissemination(out_path: &str, check: Option<f64>) {
         )
         .field("sizes", sizes)
         .field("pipeline_vs_sequential_at_16k_w32", Json::fixed(speedup, 2));
-    std::fs::write(out_path, json.render()).expect("write BENCH_pipeline.json");
-    println!("wrote {out_path}");
+    write_bench(out_path, json);
 
     if let Some(threshold) = check {
         if speedup < threshold {
@@ -1481,8 +1500,7 @@ fn multipub_ingress(out_path: &str, check: Option<f64>) {
             ),
         )
         .field("throughput_16pub_vs_1pub", Json::fixed(scaling, 2));
-    std::fs::write(out_path, json.render()).expect("write BENCH_multipub.json");
-    println!("wrote {out_path}");
+    write_bench(out_path, json);
 
     if let Some(threshold) = check {
         if scaling < threshold {
@@ -1678,8 +1696,7 @@ fn fault_schedules(out_path: &str, check: Option<f64>) {
             },
         )
         .field("all_exact", u64::from(all_exact));
-    std::fs::write(out_path, json.render()).expect("write BENCH_faults.json");
-    println!("wrote {out_path}");
+    write_bench(out_path, json);
 
     if let Some(threshold) = check {
         let mut failed = false;
@@ -1851,8 +1868,7 @@ fn federated_fabric(out_path: &str, check: Option<f64>) {
             },
         )
         .field("all_exact", u64::from(all_exact));
-    std::fs::write(out_path, json.render()).expect("write BENCH_federate.json");
-    println!("wrote {out_path}");
+    write_bench(out_path, json);
 
     if let Some(threshold) = check {
         let mut failed = false;
@@ -2172,8 +2188,7 @@ fn mobility_moves(out_path: &str, check: Option<f64>) {
         )
         .field("sizes", sizes)
         .field("update_vs_reinsert_at_100k", Json::fixed(speedup, 2));
-    std::fs::write(out_path, json.render()).expect("write BENCH_mobility.json");
-    println!("wrote {out_path}");
+    write_bench(out_path, json);
 
     if let Some(threshold) = check {
         if speedup < threshold {

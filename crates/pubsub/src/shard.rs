@@ -40,9 +40,7 @@ use std::time::{Duration, Instant};
 
 use drtree_core::ProcessId;
 use drtree_rtree::bytes::{self, AlignedBytes};
-use drtree_rtree::{
-    parallel, DeltaRemoval, EntryUpdate, FrozenShard, PackedRTree, SnapshotError, SnapshotOptions,
-};
+use drtree_rtree::{parallel, DeltaRemoval, EntryUpdate, FrozenShard, PackedRTree, SnapshotError};
 use drtree_spatial::hilbert::{GridMapper, ShardMap};
 use drtree_spatial::{Point, Rect};
 
@@ -1151,28 +1149,20 @@ impl<const D: usize> ShardedOracle<D> {
 
     /// Serializes the whole oracle — every shard's packed core, delta
     /// layer and tombstones, plus the [`ShardMap`] boundaries — into
-    /// one flat, versioned, checksummed buffer in the default (exact
-    /// `f64`) layout. See [`ShardedOracle::restore_bytes`] for the
-    /// wire format and the restore path.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        self.snapshot_bytes_with(SnapshotOptions::default())
-    }
-
-    /// [`ShardedOracle::snapshot_bytes`] with an explicit hot-layout
-    /// choice for the per-shard tree buffers (`f32`-quantized interior
-    /// MBRs, cache-line-aligned fanout — see
-    /// [`drtree_rtree::SnapshotOptions`]).
+    /// one flat, versioned, checksummed buffer. See
+    /// [`ShardedOracle::restore_bytes`] for the wire format and the
+    /// restore path.
     ///
     /// Safe at any point in the mutation stream: mid-churn deltas and
     /// tombstones serialize with their shards, and mid-compaction
     /// shards serialize their *live logical view* (the frozen core
     /// plus surviving staged entries).
-    pub fn snapshot_bytes_with(&self, options: SnapshotOptions) -> Vec<u8> {
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
         let k = self.shards.len();
         let shard_bufs: Vec<Vec<u8>> = self
             .shards
             .iter()
-            .map(|s| s.packed.save_with(options, |id| id.raw()))
+            .map(|s| s.packed.save_with(|id| id.raw()))
             .collect();
         let mut out = vec![0u8; ORACLE_HEADER_LEN];
         // Meta section: world + boundaries (when a map exists), then
@@ -2985,26 +2975,18 @@ mod tests {
 
         let probes: Vec<Point<2>> = (0..256).map(|i| grid_rect(i).center()).collect();
         let want = answers(&mut oracle, &probes);
-        for options in [
-            SnapshotOptions::default(),
-            SnapshotOptions {
-                quantize_interior: true,
-                aligned_fanout: true,
-            },
-        ] {
-            let bytes = oracle.snapshot_bytes_with(options);
-            let mut restored = ShardedOracle::restore_bytes(bytes).expect("restores");
-            assert_eq!(restored.len(), oracle.len());
-            assert_eq!(restored.shard_count(), oracle.shard_count());
-            restored.verify_snapshot().expect("bulk checksums hold");
-            assert_eq!(answers(&mut restored, &probes), want, "{options:?}");
-            // The restored oracle keeps mutating like the original.
-            restored.insert(pid(900), grid_rect(11));
-            assert!(restored.remove(pid(40), &grid_rect(40)));
-            let mut hits = Vec::new();
-            restored.match_point_into(&grid_rect(11).center(), &mut hits);
-            assert!(hits.contains(&pid(900)), "{options:?}");
-        }
+        let bytes = oracle.snapshot_bytes();
+        let mut restored = ShardedOracle::restore_bytes(bytes).expect("restores");
+        assert_eq!(restored.len(), oracle.len());
+        assert_eq!(restored.shard_count(), oracle.shard_count());
+        restored.verify_snapshot().expect("bulk checksums hold");
+        assert_eq!(answers(&mut restored, &probes), want);
+        // The restored oracle keeps mutating like the original.
+        restored.insert(pid(900), grid_rect(11));
+        assert!(restored.remove(pid(40), &grid_rect(40)));
+        let mut hits = Vec::new();
+        restored.match_point_into(&grid_rect(11).center(), &mut hits);
+        assert!(hits.contains(&pid(900)));
     }
 
     #[test]

@@ -322,12 +322,7 @@ fn checked_restore_accepts_matching_map_and_rejects_moved_boundaries() {
     // Spread entries so every shard is populated and the first
     // boundary sits well above the key floor (shiftable downward).
     for i in 0..300u64 {
-        let x = (i % 20) as f64 * 19.0;
-        let y = (i / 20) as f64 * 24.0;
-        oracle.insert(
-            ProcessId::from_raw(i),
-            Rect::new([x, y], [x + 5.0, y + 5.0]),
-        );
+        oracle.insert(ProcessId::from_raw(i), lattice_rect(i));
     }
     oracle.flush();
     let expected: ShardMap<2> = oracle
@@ -400,4 +395,190 @@ fn checked_restore_rejects_maplessness() {
         }
         other => panic!("mapless snapshot must be rejected, got {other:?}"),
     }
+}
+
+/// Disjoint 5×5 boxes on a 20-wide lattice: a probe at a box's center
+/// hits that box only, so answers attribute to exactly one shard.
+fn lattice_rect(i: u64) -> Rect<2> {
+    let x = (i % 20) as f64 * 19.0;
+    let y = (i / 20) as f64 * 24.0;
+    Rect::new([x, y], [x + 5.0, y + 5.0])
+}
+
+/// `lattice_rect(i)` widened by 1.5 on every side — overlaps the box it
+/// grew from, reaches no other box's center.
+fn grown_rect(i: u64) -> Rect<2> {
+    let r = lattice_rect(i);
+    Rect::new(
+        [r.lo(0) - 1.5, r.lo(1) - 1.5],
+        [r.hi(0) + 1.5, r.hi(1) + 1.5],
+    )
+}
+
+/// A deterministic mid-churn 4-shard oracle: 400 lattice boxes packed
+/// across the shards, then a live delta of staged inserts (one under a
+/// duplicate id), a staged removal and a band of tombstones.
+fn mid_churn_oracle() -> ShardedOracle<2> {
+    let mut oracle: ShardedOracle<2> = ShardedOracle::new(4);
+    for i in 0..400 {
+        oracle.insert(ProcessId::from_raw(i), lattice_rect(i));
+    }
+    oracle.flush();
+    for i in 0..24 {
+        oracle.insert(ProcessId::from_raw(1_000 + i), grown_rect(i * 13 % 400));
+    }
+    oracle.insert(ProcessId::from_raw(40), lattice_rect(7));
+    assert!(oracle.remove(ProcessId::from_raw(1_005), &grown_rect(65)));
+    for i in (0..400).step_by(11) {
+        assert!(oracle.remove(ProcessId::from_raw(i), &lattice_rect(i)));
+    }
+    oracle
+}
+
+fn batch_answers(oracle: &mut ShardedOracle<2>, probes: &[Point<2>]) -> Vec<Vec<ProcessId>> {
+    let mut batch = BatchMatches::new();
+    oracle.match_batch_into(probes, &mut batch);
+    (0..probes.len())
+        .map(|i| batch.matches(i).to_vec())
+        .collect()
+}
+
+/// Length and `drtree_rtree::bytes::checksum` of
+/// `mid_churn_oracle().snapshot_bytes()`, captured at the commit before
+/// the snapshot layout flags were retired: the one layout left must
+/// keep writing exactly these bytes.
+const PINNED_ORACLE_LEN: usize = 21_888;
+const PINNED_ORACLE_DIGEST: u64 = 5_284_150_828_768_739_670;
+
+#[test]
+fn oracle_snapshot_bytes_match_the_pinned_digest_and_resave_identically() {
+    use drtree_rtree::bytes::checksum;
+
+    let bytes = mid_churn_oracle().snapshot_bytes();
+    assert_eq!(
+        (bytes.len(), checksum(&bytes)),
+        (PINNED_ORACLE_LEN, PINNED_ORACLE_DIGEST),
+        "snapshot_bytes() no longer writes the bytes it always wrote"
+    );
+    let restored = ShardedOracle::<2>::restore_bytes(bytes.clone()).expect("restores");
+    restored.verify_snapshot().expect("bulk checksums hold");
+    let resaved = restored.snapshot_bytes();
+    assert_eq!(resaved, bytes, "restore → snapshot must be the identity");
+    let again = ShardedOracle::<2>::restore_bytes(resaved)
+        .expect("restores")
+        .snapshot_bytes();
+    assert_eq!(again, bytes);
+}
+
+/// A `DRTC` core header whose flags word carries one of the retired
+/// layout bits (`quantize_interior` = 1, `aligned_fanout` = 2) is what
+/// a checkpoint cut by an older build with those options looks like;
+/// `restore_bytes` must refuse it with a typed error, in whichever
+/// shard it sits.
+#[test]
+fn oracle_restore_refuses_retired_layout_flags() {
+    use drtree_rtree::SnapshotError;
+
+    let good = mid_churn_oracle().snapshot_bytes();
+    // Every section starts on a 64-byte line; the shard cores are the
+    // lines that open with the core magic.
+    let cores: Vec<usize> = (0..good.len())
+        .step_by(64)
+        .filter(|&at| &good[at..at + 4] == b"DRTC")
+        .collect();
+    assert_eq!(cores.len(), 4, "one core per shard");
+    for &core in &cores {
+        for bits in [1u8, 2, 3] {
+            let mut stamped = good.clone();
+            stamped[core + 6] = bits;
+            match ShardedOracle::<2>::restore_bytes(stamped) {
+                Err(SnapshotError::Corrupt("unknown layout flags")) => {}
+                Err(other) => panic!("core at {core}, flags {bits}: wrong error {other:?}"),
+                Ok(_) => panic!("core at {core}, flags {bits}: a retired layout was served"),
+            }
+        }
+    }
+    assert!(ShardedOracle::<2>::restore_bytes(good).is_ok());
+}
+
+/// Four restored shards serve off one shared buffer; writing inside
+/// one of them (an in-place move, a compaction) must copy that shard's
+/// columns out and leave everything else — the other shards' answers,
+/// the buffer's stored checksums, a reader snapshot taken earlier —
+/// exactly as it was.
+#[test]
+fn restored_shards_copy_on_write_in_isolation() {
+    let mut source = mid_churn_oracle();
+    let mut restored =
+        ShardedOracle::<2>::restore_bytes(source.snapshot_bytes()).expect("restores");
+    let first = restored.flush(); // rebuilds the derived structures only
+    assert_eq!(
+        first.compacted_shards, 0,
+        "the restored delta is under budget"
+    );
+
+    // Every live entry with the shard it restored into.
+    let live: Vec<(ProcessId, Rect<2>, usize)> = source
+        .entries()
+        .into_iter()
+        .map(|(id, rect)| {
+            let shard = restored.shard_of(&rect).expect("restored with its map");
+            (id, rect, shard)
+        })
+        .collect();
+    let mover = *live
+        .iter()
+        .find(|&&(id, _, shard)| id.raw() < 400 && shard == 0)
+        .expect("shard 0 is populated");
+    let shard_one: Vec<Rect<2>> = live
+        .iter()
+        .filter(|&&(id, _, shard)| id.raw() < 400 && shard == 1)
+        .map(|&(_, rect, _)| rect)
+        .collect();
+    assert!(shard_one.len() > 50, "shard 1 is populated");
+    let untouched: Vec<Point<2>> = live
+        .iter()
+        .filter(|&&(_, _, shard)| shard >= 2)
+        .map(|(_, rect, _)| rect.center())
+        .collect();
+    assert!(untouched.len() > 50, "shards 2 and 3 are populated");
+    let all_probes: Vec<Point<2>> = live.iter().map(|(_, rect, _)| rect.center()).collect();
+
+    let want_untouched = batch_answers(&mut restored, &untouched);
+    let reader = restored.snapshot();
+    let want_reader: Vec<Vec<ProcessId>> =
+        all_probes.iter().map(|p| reader.match_point(p)).collect();
+
+    // Write inside shard 0: a nudge that stays in the entry's leaf
+    // region, so the packed slot is rewritten in place.
+    let (lo, hi) = (
+        [mover.1.lo(0), mover.1.lo(1)],
+        [mover.1.hi(0), mover.1.hi(1)],
+    );
+    let nudged = Rect::new([lo[0] + 0.25, lo[1] + 0.25], [hi[0] - 0.25, hi[1] - 0.25]);
+    let in_place_before = restored.moved_in_place_total();
+    assert!(restored.move_entry(mover.0, &mover.1, nudged));
+    // Compact shard 1 alone: newcomers over rectangles it already
+    // holds push its delta, and nobody else's, past the budget.
+    for (i, rect) in shard_one.iter().take(40).enumerate() {
+        restored.insert(ProcessId::from_raw(5_000 + i as u64), *rect);
+    }
+    let flush = restored.flush();
+    assert!(!flush.rebalanced, "the writes stayed inside the world");
+    assert_eq!(flush.compacted_shards, 1);
+    assert_eq!(restored.moved_in_place_total(), in_place_before + 1);
+
+    assert_eq!(batch_answers(&mut restored, &untouched), want_untouched);
+    restored
+        .verify_snapshot()
+        .expect("the shared buffer still matches its stored checksums");
+    let got_reader: Vec<Vec<ProcessId>> =
+        all_probes.iter().map(|p| reader.match_point(p)).collect();
+    assert_eq!(
+        got_reader, want_reader,
+        "the reader answers as of its snapshot"
+    );
+    let mut hits = Vec::new();
+    restored.match_point_into(&shard_one[0].center(), &mut hits);
+    assert!(hits.contains(&ProcessId::from_raw(5_000)));
 }

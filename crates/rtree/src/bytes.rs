@@ -6,7 +6,9 @@
 //! as little-endian machine words at 64-byte-aligned offsets, so a
 //! loaded buffer can serve queries *in place*: no per-node
 //! deserialization, just reinterpreting byte ranges as typed slices.
-//! This module is the only place that reinterpretation happens.
+//! This module is the only place that reinterpretation happens, and
+//! `Col` — the column type the packed core is made of — is the only
+//! place that knows whether a column is such a view or a vector.
 //!
 //! # Safety boundary
 //!
@@ -32,8 +34,6 @@
 //! `align_offset`/`split_at` only.
 
 use std::sync::Arc;
-
-use drtree_spatial::{Point, Rect};
 
 /// Alignment every typed section of a snapshot buffer needs at
 /// minimum: the widest scalar stored is an `f64`/`u64` (8 bytes).
@@ -99,108 +99,9 @@ mod sealed {
     // branchless masks) and the snapshot checksum rejects such buffers
     // before they are served.
     unsafe impl<const D: usize> Pod for drtree_spatial::Rect<D> {}
-
-    // SAFETY: same argument with f32 fields, alignment 4, no padding.
-    unsafe impl<const D: usize> Pod for super::QRect<D> {}
 }
 
 pub(crate) use sealed::Pod;
-
-/// An f32-quantized rectangle — the storage type of a snapshot's
-/// interior node MBRs when the `QUANTIZED` layout flag is set. Half
-/// the bytes per node of the exact representation, so twice the MBRs
-/// per cache line in the branchless bitmask descent.
-///
-/// Quantization rounds **outward** ([`QRect::quantize`]): the f32 box
-/// always contains the exact f64 box, so pruning against it stays
-/// conservative — a node is never skipped while covering a hit.
-/// Exactness of results is untouched because entry (leaf) rectangles
-/// stay f64 and every emission tests the exact rectangle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(C)]
-pub(crate) struct QRect<const D: usize> {
-    lo: [f32; D],
-    hi: [f32; D],
-}
-
-/// Largest f32 not exceeding `x` (outward rounding of a lower bound).
-fn f32_down(x: f64) -> f32 {
-    let f = x as f32; // rounds to nearest, saturating to ±∞
-    if f64::from(f) > x {
-        f.next_down()
-    } else {
-        f
-    }
-}
-
-/// Smallest f32 not below `x` (outward rounding of an upper bound).
-fn f32_up(x: f64) -> f32 {
-    let f = x as f32;
-    if f64::from(f) < x {
-        f.next_up()
-    } else {
-        f
-    }
-}
-
-impl<const D: usize> QRect<D> {
-    /// The conservative (outward-rounded) f32 cover of `rect`.
-    pub(crate) fn quantize(rect: &Rect<D>) -> Self {
-        let mut lo = [0.0f32; D];
-        let mut hi = [0.0f32; D];
-        for d in 0..D {
-            lo[d] = f32_down(rect.lo(d));
-            hi[d] = f32_up(rect.hi(d));
-        }
-        Self { lo, hi }
-    }
-
-    /// A rectangle no point ever hits — what aligned-fanout padding
-    /// slots are filled with (never exposed to a mask scan; defense in
-    /// depth only).
-    pub(crate) fn sentinel() -> Self {
-        Self {
-            lo: [f32::INFINITY; D],
-            hi: [f32::NEG_INFINITY; D],
-        }
-    }
-
-    /// Lower bound along dimension `d`, widened exactly to f64.
-    #[inline]
-    pub(crate) fn lo(&self, d: usize) -> f64 {
-        f64::from(self.lo[d])
-    }
-
-    /// Upper bound along dimension `d`, widened exactly to f64.
-    #[inline]
-    pub(crate) fn hi(&self, d: usize) -> f64 {
-        f64::from(self.hi[d])
-    }
-
-    /// Branchless closed-bounds containment of `point`.
-    #[inline]
-    pub(crate) fn contains_point_branchless(&self, point: &Point<D>) -> bool {
-        let mut hit = true;
-        for d in 0..D {
-            let c = point.coord(d);
-            hit &= (self.lo(d) <= c) & (c <= self.hi(d));
-        }
-        hit
-    }
-
-    /// The exact f64 rectangle this quantized box covers. Widening is
-    /// exact (every f32 is an f64), so the result still contains the
-    /// original rectangle.
-    pub(crate) fn widen(&self) -> Rect<D> {
-        let mut lo = [0.0f64; D];
-        let mut hi = [0.0f64; D];
-        for d in 0..D {
-            lo[d] = self.lo(d);
-            hi[d] = self.hi(d);
-        }
-        Rect::new(lo, hi)
-    }
-}
 
 /// Views `bytes` as a slice of `T`, checking alignment and length.
 /// Zero-copy: the returned slice borrows `bytes`.
@@ -314,6 +215,88 @@ impl AlignedBytes {
     }
 }
 
+/// One POD column of the packed tier: a `[T]` that lives either in a
+/// `Vec<T>` of its own (what bulk loads and merges build) or in a
+/// checked range of a shared snapshot buffer (what a load produces —
+/// zero-copy, many columns and many cores over one allocation).
+/// Readers [`Deref`](std::ops::Deref) to the slice and never learn
+/// which; the few writers call [`Col::to_mut`], which first copies a
+/// viewed column out of the buffer — copy-on-write, so the buffer and
+/// everything else viewing it stay as loaded.
+#[derive(Debug, Clone)]
+pub(crate) struct Col<T: Pod>(Repr<T>);
+
+#[derive(Debug, Clone)]
+enum Repr<T> {
+    Owned(Vec<T>),
+    /// Bytes `off .. off + len` of `buf`, proven castable to `[T]` by
+    /// [`Col::view`].
+    View {
+        buf: Arc<AlignedBytes>,
+        off: usize,
+        len: usize,
+    },
+}
+
+impl<T: Pod> Col<T> {
+    /// Views `count` values of `T` at byte `off` of `buf`, zero-copy.
+    /// The cast is checked here, once; reads afterwards cannot fail.
+    ///
+    /// # Errors
+    ///
+    /// [`CastError`] when the range is misaligned for `T`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range does not lie inside `buf` — callers derive
+    /// it from a layout already checked against the buffer's length.
+    pub(crate) fn view(
+        buf: &Arc<AlignedBytes>,
+        off: usize,
+        count: usize,
+    ) -> Result<Self, CastError> {
+        let len = count * std::mem::size_of::<T>();
+        cast_slice::<T>(&buf.as_slice()[off..off + len])?;
+        Ok(Self(Repr::View {
+            buf: Arc::clone(buf),
+            off,
+            len,
+        }))
+    }
+
+    /// The column as a growable vector, copied out of the shared
+    /// buffer first if that is where it still lives.
+    pub(crate) fn to_mut(&mut self) -> &mut Vec<T> {
+        if let Repr::View { .. } = self.0 {
+            self.0 = Repr::Owned(self.to_vec());
+        }
+        match &mut self.0 {
+            Repr::Owned(values) => values,
+            Repr::View { .. } => unreachable!("copied out above"),
+        }
+    }
+}
+
+impl<T: Pod> std::ops::Deref for Col<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Owned(values) => values,
+            Repr::View { buf, off, len } => {
+                cast_slice(&buf.as_slice()[*off..*off + *len]).expect("checked by Col::view")
+            }
+        }
+    }
+}
+
+impl<T: Pod> From<Vec<T>> for Col<T> {
+    fn from(values: Vec<T>) -> Self {
+        Self(Repr::Owned(values))
+    }
+}
+
 /// Rounds `offset` up to the next multiple of [`SECTION_ALIGN`].
 pub fn align_up(offset: usize) -> usize {
     offset.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
@@ -397,6 +380,7 @@ pub fn read_f64(bytes: &[u8], offset: usize) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drtree_spatial::Rect;
 
     #[test]
     fn cast_roundtrips_f64() {
@@ -472,48 +456,28 @@ mod tests {
             .collect();
         let back: &[Rect<2>] = cast_slice(as_bytes(&rects)).unwrap();
         assert_eq!(back, rects.as_slice());
-        let qrects: Vec<QRect<3>> = (0..5)
-            .map(|i| QRect::quantize(&Rect::new([f64::from(i); 3], [f64::from(i) + 1.0; 3])))
-            .collect();
-        let back: &[QRect<3>] = cast_slice(as_bytes(&qrects)).unwrap();
-        assert_eq!(back, qrects.as_slice());
     }
 
     #[test]
-    fn quantization_rounds_outward() {
-        // 0.1 and 1/3 are inexact in both widths; π-scaled values
-        // exercise rounding in both directions.
-        let tricky = [
-            0.1,
-            -0.1,
-            1.0 / 3.0,
-            -1.0 / 3.0,
-            std::f64::consts::PI * 1e30,
-            -std::f64::consts::PI * 1e30,
-            1e300,  // beyond f32::MAX: as-lo rounds down to f32::MAX, as-hi saturates to +∞
-            -1e300, // beyond -f32::MAX: mirror image
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-        ];
-        for &lo in &tricky {
-            for &hi in &tricky {
-                if lo > hi {
-                    continue;
-                }
-                let rect: Rect<1> = Rect::new([lo], [hi]);
-                let q = QRect::quantize(&rect);
-                assert!(q.lo(0) <= lo, "lo {lo} rounded inward to {}", q.lo(0));
-                assert!(q.hi(0) >= hi, "hi {hi} rounded inward to {}", q.hi(0));
-                assert!(q.widen().contains_rect(&rect));
-            }
-        }
-        // Containment is preserved for interior points.
-        let rect: Rect<2> = Rect::new([0.1, 0.2], [0.3, 0.4]);
-        let q = QRect::quantize(&rect);
-        assert!(q.contains_point_branchless(&Point::new([0.2, 0.3])));
-        assert!(!QRect::<2>::sentinel().contains_point_branchless(&Point::new([0.0, 0.0])));
+    fn col_views_in_place_and_copies_on_write() {
+        let values: Vec<u64> = (0..24).collect();
+        let buf = AlignedBytes::adopt(as_bytes(&values).to_vec());
+        let mut a: Col<u32> = Col::view(&buf, 64, 8).unwrap();
+        let b = a.clone();
+        assert_eq!(&*a, cast_slice::<u32>(&buf.as_slice()[64..96]).unwrap());
+        assert_eq!(a.as_ptr().cast::<u8>(), buf.as_slice()[64..].as_ptr());
+        assert_eq!(
+            Col::<u64>::view(&buf, 4, 2).err(),
+            Some(CastError::Misaligned)
+        );
+        // The first write copies the column out; the buffer and the
+        // other view of it keep the loaded values.
+        a.to_mut()[0] = 99;
+        a.to_mut().push(7);
+        assert_eq!((a[0], a.len()), (99, 9));
+        assert_eq!((b[0], b.len()), (8, 8));
+        assert_eq!(buf.as_slice(), as_bytes(&values));
+        assert_eq!(&*Col::from(vec![1u32, 2]), &[1, 2]);
     }
 
     #[test]

@@ -4,7 +4,10 @@ use drtree_spatial::{Point, Rect};
 
 /// A key type storable in a flat-buffer index snapshot
 /// ([`crate::PackedRTree::save`] / [`crate::PackedRTree::load`]): the
-/// key round-trips losslessly through a `u64` word.
+/// key round-trips losslessly through a `u64` word. Keys are the one
+/// column of a loaded tree that is not served in place — the buffer
+/// holds the `u64` words, and the typed keys are decoded from them on
+/// the first query.
 ///
 /// Implemented for the unsigned/signed machine integers. Foreign key
 /// types (newtypes the orphan rule keeps out of this impl list) use

@@ -10,7 +10,12 @@
 //! * [`PackedRTree`] — a flat, cache-friendly tree: all node MBRs in
 //!   contiguous per-level arrays, built bottom-up from a Hilbert-curve
 //!   sort of entry centers, with iterative searches and `O(log N)`
-//!   in-place entry updates;
+//!   in-place entry updates. [`PackedRTree::save`] writes those arrays
+//!   as they sit in memory — one layout, format version 1 — and
+//!   [`PackedRTree::load`] serves queries straight off the loaded
+//!   buffer: a built tree and a restored one are the same structure,
+//!   whose columns are vectors in one case and zero-copy views in the
+//!   other (copied out on first write);
 //! * [`SpatialIndex`] — the common read interface (visitor-based, so
 //!   hot paths allocate nothing per result), including a batched probe
 //!   visitor that the packed backend answers with one joint descent
@@ -28,7 +33,8 @@
 //!
 //! | | [`RTree`] | [`PackedRTree`] |
 //! |---|---|---|
-//! | layout | one heap `Box` per node | flat `Vec` per level |
+//! | layout | one heap `Box` per node | one flat array per level (a `Vec`, or a view of a loaded snapshot) |
+//! | persistence | none | [`PackedRTree::save`] / zero-copy [`PackedRTree::load`] |
 //! | build | incremental inserts, or STR [`RTree::bulk_load`] | Hilbert [`PackedRTree::bulk_load`] only |
 //! | insert/remove | yes, self-balancing | delta layer: [`PackedRTree::stage_insert`] / [`PackedRTree::remove_entry`] (tombstones), folded in by [`PackedRTree::compact`] |
 //! | move an entry | remove + insert | [`PackedRTree::update`] refit, `O(log N)`, allocation-free |
@@ -88,7 +94,7 @@ pub use config::{ConfigError, RTreeConfig};
 pub use index::{SnapshotKey, SpatialIndex};
 pub use packed::{
     DeltaCompaction, DeltaRemoval, EntryUpdate, FrozenShard, PackedRTree, PackedValidationError,
-    SnapshotOptions, DEFAULT_DELTA_FRACTION, DEFAULT_NODE_SIZE,
+    DEFAULT_DELTA_FRACTION, DEFAULT_NODE_SIZE,
 };
 pub use split::SplitMethod;
 pub use tree::RTree;

@@ -1,12 +1,13 @@
 //! The packed, cache-friendly R-tree backend.
 //!
-//! [`PackedRTree`] stores the whole index in contiguous `Vec`-backed
-//! level arrays — no per-node boxes, no pointer chasing. It is built
-//! bottom-up in one pass: entries are sorted by the Hilbert index of
-//! their center ([`drtree_spatial::hilbert`]), tiled into nodes of
-//! `node_size` consecutive entries, and parent levels pack the level
-//! below the same way until a single root remains (the flatbush /
-//! geo-index construction).
+//! [`PackedRTree`] stores the whole index in contiguous level arrays
+//! — vectors when built, views of the snapshot buffer when loaded, one
+//! structure either way — no per-node boxes, no pointer chasing. It
+//! is built bottom-up in one pass: entries are sorted by the Hilbert
+//! index of their center ([`drtree_spatial::hilbert`]), tiled into
+//! nodes of `node_size` consecutive entries, and parent levels pack
+//! the level below the same way until a single root remains (the
+//! flatbush / geo-index construction).
 //!
 //! Topology is implicit: node `j` of level `l` always covers children
 //! `j·B .. min((j+1)·B, len(l−1))` of the level below, so the only
@@ -64,7 +65,7 @@ use std::sync::{Arc, OnceLock};
 use drtree_spatial::hilbert::GridMapper;
 use drtree_spatial::{Point, Rect};
 
-use crate::bytes::{self, AlignedBytes, QRect};
+use crate::bytes::{self, AlignedBytes, Col};
 use crate::index::{SnapshotKey, SpatialIndex};
 use crate::validate::SnapshotError;
 
@@ -161,20 +162,6 @@ fn mask_containing<const D: usize>(rects: &[Rect<D>], point: &Point<D>) -> u32 {
     mask
 }
 
-/// [`mask_containing`] over quantized node MBRs. The f32 bounds widen
-/// exactly to f64, so the comparisons run in f64 like the exact path;
-/// quantization only ever rounds outward, keeping the mask
-/// conservative.
-#[inline]
-fn mask_containing_q<const D: usize>(rects: &[QRect<D>], point: &Point<D>) -> u32 {
-    debug_assert!(rects.len() <= MAX_NODE_SIZE);
-    let mut mask = 0u32;
-    for (i, r) in rects.iter().enumerate() {
-        mask |= u32::from(r.contains_point_branchless(point)) << i;
-    }
-    mask
-}
-
 /// Bitmask of rectangles in `rects` (≤ 32 of them) intersecting
 /// `window`; branchless like [`mask_containing`].
 #[inline]
@@ -191,28 +178,12 @@ fn mask_intersecting<const D: usize>(rects: &[Rect<D>], window: &Rect<D>) -> u32
     mask
 }
 
-/// [`mask_intersecting`] over quantized node MBRs.
-#[inline]
-fn mask_intersecting_q<const D: usize>(rects: &[QRect<D>], window: &Rect<D>) -> u32 {
-    debug_assert!(rects.len() <= MAX_NODE_SIZE);
-    let mut mask = 0u32;
-    for (i, r) in rects.iter().enumerate() {
-        let mut hit = true;
-        for d in 0..D {
-            hit &= (r.lo(d) <= window.hi(d)) & (window.lo(d) <= r.hi(d));
-        }
-        mask |= u32::from(hit) << i;
-    }
-    mask
-}
-
-/// A node-mask predicate: maps a block of ≤ 32 stored node MBRs —
-/// exact *or* quantized — to a hit bitmask. One static trait instead
-/// of a closure, so the single traversal kernel serves both stored
-/// layouts with no dynamic dispatch and no duplicated walkers.
+/// A node-mask predicate: maps a block of ≤ 32 rectangles — stored
+/// node MBRs or entries — to a hit bitmask. A static trait rather than
+/// a closure, so the single traversal kernel serves point and window
+/// queries with no dynamic dispatch and no duplicated walkers.
 trait MaskOf<const D: usize> {
     fn mask(&self, rects: &[Rect<D>]) -> u32;
-    fn mask_q(&self, rects: &[QRect<D>]) -> u32;
 }
 
 /// The point-containment predicate of [`PackedRTree::for_each_containing`].
@@ -222,10 +193,6 @@ impl<const D: usize> MaskOf<D> for ContainsPoint<'_, D> {
     #[inline]
     fn mask(&self, rects: &[Rect<D>]) -> u32 {
         mask_containing(rects, self.0)
-    }
-    #[inline]
-    fn mask_q(&self, rects: &[QRect<D>]) -> u32 {
-        mask_containing_q(rects, self.0)
     }
 }
 
@@ -237,10 +204,6 @@ impl<const D: usize> MaskOf<D> for IntersectsRect<'_, D> {
     fn mask(&self, rects: &[Rect<D>]) -> u32 {
         mask_intersecting(rects, self.0)
     }
-    #[inline]
-    fn mask_q(&self, rects: &[QRect<D>]) -> u32 {
-        mask_intersecting_q(rects, self.0)
-    }
 }
 
 /// Iterative pruned descent over a packed core, emitting live slot
@@ -249,10 +212,6 @@ impl<const D: usize> MaskOf<D> for IntersectsRect<'_, D> {
 /// the same `Arc`-shared core plus their own tombstone copy). The
 /// explicit stack is a fixed array ([`STACK_CAPACITY`] frames bounds
 /// every legal tree), so a query performs no heap allocation at all.
-/// Serves owned and flat-buffer cores alike: interior masks run over
-/// whichever representation is stored ([`LevelSlice`]), while leaf
-/// emission always tests the exact f64 entry rectangles — quantized
-/// interior MBRs cost pruning quality at worst, never exactness.
 /// Returns `false` when the visitor aborted.
 fn traverse_core_while<K, const D: usize>(
     core: &PackedCore<K, D>,
@@ -260,15 +219,16 @@ fn traverse_core_while<K, const D: usize>(
     mask_of: &impl MaskOf<D>,
     emit: &mut impl FnMut(usize) -> bool,
 ) -> bool {
-    let num_levels = core.num_levels();
-    if num_levels == 0 {
-        return true;
-    }
-    if core.level_group(num_levels - 1, 0).mask(mask_of) == 0 {
+    let num_levels = core.levels.len();
+    if core
+        .levels
+        .last()
+        .is_none_or(|root| mask_of.mask(root) == 0)
+    {
         return true;
     }
     let node_size = core.node_size;
-    let entry_rects = core.rects();
+    let entry_rects: &[Rect<D>] = &core.rects;
     let mut stack = [(0u32, 0u32); STACK_CAPACITY];
     let mut top = 1usize;
     stack[0] = (num_levels as u32 - 1, 0);
@@ -287,9 +247,7 @@ fn traverse_core_while<K, const D: usize>(
                 mask &= mask - 1;
             }
         } else {
-            let mut mask = core
-                .level_group(level as usize - 1, node as usize)
-                .mask(mask_of);
+            let mut mask = mask_of.mask(core.children(level as usize - 1, node as usize));
             while mask != 0 {
                 let child = lo as u32 + mask.trailing_zeros();
                 debug_assert!(top < STACK_CAPACITY);
@@ -378,16 +336,15 @@ struct LeaseRecord<K, const D: usize> {
     deadline: u64,
 }
 
-/// The immutable packed tier: slot-ordered entry arrays plus the
+/// The immutable packed tier: slot-ordered entry columns plus the
 /// implicit-topology level MBRs. Shared by [`Arc`] between a live
 /// [`PackedRTree`] and its frozen compaction snapshots, so freezing is
 /// a reference-count bump, not a copy.
 ///
-/// The columns live in one of two representations ([`Cols`]): native
-/// `Vec`s (what bulk loads build), or typed views into one flat,
-/// versioned, 64-byte-aligned snapshot buffer ([`FlatCols`]) — the
-/// zero-copy restore path, serving queries directly off the loaded
-/// bytes with no per-node deserialization.
+/// One shape whatever its origin: a bulk load or merge fills the
+/// columns with vectors it built, a snapshot load points them into the
+/// loaded buffer ([`Col`] hides which), and every reader — traversal,
+/// merge, validation, save — sees plain slices.
 #[derive(Debug, Clone)]
 struct PackedCore<K, const D: usize> {
     node_size: usize,
@@ -395,252 +352,105 @@ struct PackedCore<K, const D: usize> {
     /// against — what [`FrozenShard::merge`] compares to decide
     /// whether the sorted-splice fast path applies.
     world: Option<Rect<D>>,
-    /// The column storage, owned or flat-buffer-backed.
-    cols: Cols<K, D>,
-}
-
-/// The two storage modes of a [`PackedCore`]'s columns.
-#[derive(Debug, Clone)]
-enum Cols<K, const D: usize> {
-    /// Native `Vec`-backed columns — what bulk loads construct and
-    /// what every mutating path operates on ([`PackedCore::make_owned`]
-    /// converts on demand).
-    Owned {
-        /// Entry keys in slot (Hilbert) order, parallel to `rects`: a
-        /// hit at `slot` reads `keys[slot]` directly, and because
-        /// search results come out as runs of nearby slots, those
-        /// reads stay on the same cache lines instead of bouncing
-        /// through a permutation array.
-        keys: Vec<K>,
-        /// Entry rectangles in slot (Hilbert) order — the contiguous
-        /// array the leaf-level mask scans run over.
-        rects: Vec<Rect<D>>,
-        /// Per-slot Hilbert curve keys, parallel to `rects`, kept for
-        /// `D ≤ 2` (where a key fits 32 bits; empty otherwise). They
-        /// make a compaction merge an `O(N + S log S)` sorted splice
-        /// instead of an `O(N log N)` re-sort. Key *quality* (not
-        /// correctness — searches never depend on entry order)
-        /// degrades with [`PackedRTree::update`] drift, exactly like
-        /// the node MBRs do.
-        curve_keys: Vec<u32>,
-        /// `levels[0]` holds the leaf-node MBRs, each covering
-        /// `node_size` consecutive entries; each further level packs
-        /// the one below; the last level is the root (length 1).
-        /// Empty iff the packed tier is empty.
-        levels: Vec<Vec<Rect<D>>>,
-    },
-    /// Columns served directly out of a loaded snapshot buffer.
-    Flat(FlatCols<K, D>),
-}
-
-impl<K, const D: usize> Cols<K, D> {
-    fn empty_owned() -> Self {
-        Cols::Owned {
-            keys: Vec::new(),
-            rects: Vec::new(),
-            curve_keys: Vec::new(),
-            levels: Vec::new(),
-        }
-    }
-}
-
-/// Byte-range bookkeeping of one level inside a flat snapshot buffer.
-#[derive(Debug, Clone, Copy)]
-struct FlatLevel {
-    /// Absolute byte offset of the level's MBR array (64-byte-aligned).
-    off: usize,
-    /// Logical node count (what the implicit topology addresses).
-    nodes: usize,
-    /// Physical MBR slots stored — `nodes` plus aligned-fanout padding
-    /// sentinels, when the `ALIGNED_FANOUT` layout flag is set.
-    phys: usize,
-    /// Physical slots per parent's child block: `node_size` normally,
-    /// rounded up so each block spans whole cache lines under
-    /// aligned fanout. Logical node `c` lives in physical slot
-    /// `(c / node_size) · group + c % node_size`.
-    group: usize,
-}
-
-/// Columns backed by one shared, immutable, checksummed snapshot
-/// buffer — the zero-copy restore representation. All spans are
-/// absolute `(offset, byte_len)` ranges into `buf`, validated (bounds,
-/// alignment, structural consistency) once at load, so accessors can
-/// cast without re-checking.
-struct FlatCols<K, const D: usize> {
-    /// The snapshot buffer; one oracle-level buffer can back many
-    /// shard cores, so restores share a single allocation.
-    buf: Arc<AlignedBytes>,
-    num_entries: usize,
-    rects: (usize, usize),
-    raw_keys: (usize, usize),
-    curve_keys: (usize, usize),
-    levels: Vec<FlatLevel>,
-    /// Interior node MBRs are stored as outward-rounded [`QRect`]s.
-    quantized: bool,
-    /// Stored checksum over the bulk sections (entry rects, raw keys,
-    /// curve keys), verified on demand by
-    /// [`PackedRTree::verify_snapshot`] — loading verifies the header
-    /// and the small structural sections eagerly and defers this
-    /// multi-megabyte scan, which is what makes restore a
+    /// Entry keys in slot (Hilbert) order, parallel to `rects`: a hit
+    /// at `slot` reads `keys[slot]` directly, and because search
+    /// results come out as runs of nearby slots, those reads stay on
+    /// the same cache lines instead of bouncing through a permutation
+    /// array.
+    keys: KeyCol<K>,
+    /// Entry rectangles in slot (Hilbert) order — the contiguous array
+    /// the leaf-level mask scans run over.
+    rects: Col<Rect<D>>,
+    /// Per-slot Hilbert curve keys, parallel to `rects`, kept for
+    /// `D ≤ 2` (where a key fits 32 bits; empty otherwise). They make
+    /// a compaction merge an `O(N + S log S)` sorted splice instead of
+    /// an `O(N log N)` re-sort. Key *quality* (not correctness —
+    /// searches never depend on entry order) degrades with
+    /// [`PackedRTree::update`] drift, exactly like the node MBRs do.
+    curve_keys: Col<u32>,
+    /// `levels[0]` holds the leaf-node MBRs, each covering `node_size`
+    /// consecutive entries; each further level packs the one below;
+    /// the last level is the root (length 1). Empty iff the packed
+    /// tier is empty.
+    levels: Vec<Col<Rect<D>>>,
+    /// The checksum a loaded buffer's header stored over its bulk
+    /// sections (entry rects, raw keys, curve keys), verified on
+    /// demand by [`PackedRTree::verify_snapshot`] — loading verifies
+    /// the header and the small structural sections eagerly and defers
+    /// this multi-megabyte scan, which is what makes restore a
     /// memory-bandwidth-free constant instead of a full-buffer pass.
-    bulk_checksum: u64,
-    /// Typed keys, materialized from `raw_keys` on first access — the
-    /// one column queries need that cannot be served as a byte view
-    /// for arbitrary `K`. (`K = u64` still skips any copy until a
-    /// query actually emits.)
-    keys: OnceLock<Vec<K>>,
-    /// The wire-to-key converter the buffer was loaded with.
-    from_raw: Arc<dyn Fn(u64) -> K + Send + Sync>,
+    /// `None` for built cores, and once a write has copied a bulk
+    /// column out of the buffer ([`PackedCore::bulk_mut`]).
+    bulk_checksum: Option<u64>,
 }
 
-impl<K, const D: usize> Clone for FlatCols<K, D>
-where
-    K: Clone,
-{
-    fn clone(&self) -> Self {
-        Self {
-            buf: Arc::clone(&self.buf),
-            num_entries: self.num_entries,
-            rects: self.rects,
-            raw_keys: self.raw_keys,
-            curve_keys: self.curve_keys,
-            levels: self.levels.clone(),
-            quantized: self.quantized,
-            bulk_checksum: self.bulk_checksum,
-            keys: self.keys.clone(),
-            from_raw: Arc::clone(&self.from_raw),
-        }
-    }
+/// The wire-to-key converter a buffer was loaded with.
+type KeyDecoder<K> = Arc<dyn Fn(u64) -> K + Send + Sync>;
+
+/// The key column. `K` is arbitrary, so unlike the POD columns it can
+/// never be a byte view: a loaded core keeps the buffer's raw `u64`
+/// column with its decoder and materializes the typed keys on first
+/// read, so the cost lands on the first query after a restore, not on
+/// the restore itself.
+#[derive(Clone)]
+struct KeyCol<K> {
+    typed: OnceLock<Vec<K>>,
+    /// The raw column `typed` decodes from; `None` for built cores,
+    /// which are born with their typed keys.
+    wire: Option<(Col<u64>, KeyDecoder<K>)>,
 }
 
-impl<K, const D: usize> std::fmt::Debug for FlatCols<K, D> {
+impl<K> std::fmt::Debug for KeyCol<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlatCols")
-            .field("num_entries", &self.num_entries)
-            .field("rects", &self.rects)
-            .field("raw_keys", &self.raw_keys)
-            .field("curve_keys", &self.curve_keys)
-            .field("levels", &self.levels)
-            .field("quantized", &self.quantized)
-            .field("bulk_checksum", &self.bulk_checksum)
-            .finish_non_exhaustive()
+        f.debug_struct("KeyCol")
+            .field("materialized", &self.typed.get().is_some())
+            .field("wire", &self.wire.as_ref().map(|(raw, _)| raw))
+            .finish()
     }
 }
 
-impl<K, const D: usize> FlatCols<K, D> {
-    fn span(&self, (off, len): (usize, usize)) -> &[u8] {
-        &self.buf.as_slice()[off..off + len]
-    }
-
-    fn rects(&self) -> &[Rect<D>] {
-        bytes::cast_slice(self.span(self.rects)).expect("rect section verified at load")
-    }
-
-    fn raw_keys(&self) -> &[u64] {
-        bytes::cast_slice(self.span(self.raw_keys)).expect("key section verified at load")
-    }
-
-    fn raw_key_bytes(&self) -> &[u8] {
-        self.span(self.raw_keys)
-    }
-
-    fn curve_keys(&self) -> &[u32] {
-        bytes::cast_slice(self.span(self.curve_keys)).expect("curve section verified at load")
-    }
-
-    fn keys(&self) -> &[K] {
-        self.keys.get_or_init(|| {
-            self.raw_keys()
-                .iter()
-                .map(|&raw| (self.from_raw)(raw))
-                .collect()
+impl<K> KeyCol<K> {
+    fn get(&self) -> &[K] {
+        self.typed.get_or_init(|| {
+            let (raw, decode) = self.wire.as_ref().expect("built cores hold typed keys");
+            raw.iter().map(|&word| decode(word)).collect()
         })
     }
 
-    fn rect_bytes(&self) -> usize {
-        if self.quantized {
-            std::mem::size_of::<QRect<D>>()
-        } else {
-            std::mem::size_of::<Rect<D>>()
+    fn into_vec(mut self) -> Vec<K> {
+        self.get();
+        self.typed.take().expect("materialized above")
+    }
+
+    /// Appends the column's `u64` wire form to `out`. A loaded column
+    /// ships its raw words verbatim — no key materialization on a
+    /// load→save round trip; a built one encodes through `to_raw`.
+    fn write_wire(&self, out: &mut Vec<u8>, to_raw: &dyn Fn(&K) -> u64) {
+        match &self.wire {
+            Some((raw, _)) => out.extend_from_slice(bytes::as_bytes(raw)),
+            None => {
+                for key in self.get() {
+                    out.extend_from_slice(&to_raw(key).to_le_bytes());
+                }
+            }
         }
     }
 
-    /// `count` stored MBRs of `level` starting at physical slot
-    /// `phys_lo` (the caller guarantees the range stays inside one
-    /// parent's block, so it is physically contiguous).
-    fn level_slice(&self, level: usize, phys_lo: usize, count: usize) -> LevelSlice<'_, D> {
-        let fl = &self.levels[level];
-        debug_assert!(phys_lo + count <= fl.phys);
-        let rb = self.rect_bytes();
-        let raw = &self.buf.as_slice()[fl.off + phys_lo * rb..fl.off + (phys_lo + count) * rb];
-        if self.quantized {
-            LevelSlice::Quant(bytes::cast_slice(raw).expect("level section verified at load"))
-        } else {
-            LevelSlice::Exact(bytes::cast_slice(raw).expect("level section verified at load"))
-        }
-    }
-
-    /// Recomputes the bulk-section checksum and compares it to the
-    /// stored one — the deferred half of load-time verification.
-    fn verify_bulk(&self) -> Result<(), SnapshotError> {
-        let found = combine_checksums(
-            [self.rects, self.raw_keys, self.curve_keys]
-                .into_iter()
-                .map(|span| bytes::checksum(self.span(span))),
-        );
-        if found == self.bulk_checksum {
-            Ok(())
-        } else {
-            Err(SnapshotError::ChecksumMismatch)
-        }
-    }
-}
-
-/// A block of stored node MBRs, in whichever representation the core
-/// holds — what [`PackedCore::level_group`] hands the traversal.
-enum LevelSlice<'a, const D: usize> {
-    Exact(&'a [Rect<D>]),
-    Quant(&'a [QRect<D>]),
-}
-
-impl<const D: usize> LevelSlice<'_, D> {
-    fn len(&self) -> usize {
-        match self {
-            LevelSlice::Exact(rects) => rects.len(),
-            LevelSlice::Quant(rects) => rects.len(),
-        }
-    }
-
-    fn mask(&self, mask_of: &impl MaskOf<D>) -> u32 {
-        match self {
-            LevelSlice::Exact(rects) => mask_of.mask(rects),
-            LevelSlice::Quant(rects) => mask_of.mask_q(rects),
-        }
-    }
-
-    fn contains_point(&self, i: usize, point: &Point<D>) -> bool {
-        match self {
-            LevelSlice::Exact(rects) => rects[i].contains_point_branchless(point),
-            LevelSlice::Quant(rects) => rects[i].contains_point_branchless(point),
-        }
-    }
-
-    /// The union of the block in f64 — exact for exact storage; for
-    /// quantized storage the widened union (widening is exact, so this
-    /// equals the f32-domain union).
-    fn union_widened(&self) -> Option<Rect<D>> {
-        match self {
-            LevelSlice::Exact(rects) => Rect::union_all(rects.iter()),
-            LevelSlice::Quant(rects) => rects.iter().map(QRect::widen).reduce(|a, b| a.union(&b)),
-        }
+    /// The raw column as loaded — empty for built cores.
+    fn wire_bytes(&self) -> &[u8] {
+        self.wire
+            .as_ref()
+            .map_or(&[], |(raw, _)| bytes::as_bytes(raw))
     }
 }
 
 /// Packs `rects` bottom-up into implicit-topology level MBR arrays
-/// until a single root remains — the construction tail shared by the
-/// full Hilbert bulk-load and the sorted-splice merge.
-fn pack_levels<const D: usize>(rects: &[Rect<D>], node_size: usize) -> Vec<Vec<Rect<D>>> {
-    let mut levels: Vec<Vec<Rect<D>>> = Vec::new();
+/// until a single root remains.
+fn pack_levels<const D: usize>(rects: &[Rect<D>], node_size: usize) -> Vec<Col<Rect<D>>> {
+    let mut levels: Vec<Col<Rect<D>>> = Vec::new();
+    if rects.is_empty() {
+        return levels;
+    }
     let mut below: &[Rect<D>] = rects;
     loop {
         let level: Vec<Rect<D>> = below
@@ -648,7 +458,7 @@ fn pack_levels<const D: usize>(rects: &[Rect<D>], node_size: usize) -> Vec<Vec<R
             .map(|chunk| Rect::union_all(chunk.iter()).expect("chunks are non-empty"))
             .collect();
         let done = level.len() == 1;
-        levels.push(level);
+        levels.push(level.into());
         if done {
             return levels;
         }
@@ -657,167 +467,99 @@ fn pack_levels<const D: usize>(rects: &[Rect<D>], node_size: usize) -> Vec<Vec<R
 }
 
 impl<K, const D: usize> PackedCore<K, D> {
+    /// A core over slot-ordered columns, level MBRs packed here — the
+    /// construction tail shared by the full Hilbert bulk-load and the
+    /// sorted-splice merge.
+    fn pack(
+        node_size: usize,
+        world: Option<Rect<D>>,
+        keys: Vec<K>,
+        rects: Vec<Rect<D>>,
+        curve_keys: Vec<u32>,
+    ) -> Self {
+        Self {
+            node_size,
+            world,
+            keys: KeyCol {
+                typed: OnceLock::from(keys),
+                wire: None,
+            },
+            levels: pack_levels(&rects, node_size),
+            rects: rects.into(),
+            curve_keys: curve_keys.into(),
+            bulk_checksum: None,
+        }
+    }
+
+    fn empty(node_size: usize) -> Self {
+        Self::pack(node_size, None, Vec::new(), Vec::new(), Vec::new())
+    }
+
     /// Number of packed entries (tombstoned or not).
     fn len(&self) -> usize {
-        match &self.cols {
-            Cols::Owned { rects, .. } => rects.len(),
-            Cols::Flat(flat) => flat.num_entries,
-        }
+        self.rects.len()
     }
 
-    /// Entry keys in slot order. Flat cores materialize the typed keys
-    /// from the raw `u64` column on first call (then cache them), so
-    /// the cost lands on the first query after a restore, not on the
-    /// restore itself.
+    /// Entry keys in slot order (materialized on first call after a
+    /// load, see [`KeyCol`]).
     fn keys(&self) -> &[K] {
-        match &self.cols {
-            Cols::Owned { keys, .. } => keys,
-            Cols::Flat(flat) => flat.keys(),
-        }
+        self.keys.get()
     }
 
-    /// Entry rectangles in slot order — always exact f64, whatever the
-    /// interior-MBR representation.
-    fn rects(&self) -> &[Rect<D>] {
-        match &self.cols {
-            Cols::Owned { rects, .. } => rects,
-            Cols::Flat(flat) => flat.rects(),
-        }
-    }
-
-    /// Per-slot Hilbert curve keys (empty when not retained).
-    fn curve_keys(&self) -> &[u32] {
-        match &self.cols {
-            Cols::Owned { curve_keys, .. } => curve_keys,
-            Cols::Flat(flat) => flat.curve_keys(),
-        }
-    }
-
-    fn num_levels(&self) -> usize {
-        match &self.cols {
-            Cols::Owned { levels, .. } => levels.len(),
-            Cols::Flat(flat) => flat.levels.len(),
-        }
-    }
-
-    fn level_nodes(&self, level: usize) -> usize {
-        match &self.cols {
-            Cols::Owned { levels, .. } => levels[level].len(),
-            Cols::Flat(flat) => flat.levels[level].nodes,
-        }
-    }
-
-    /// The children block of `parent` at `level` (logical nodes
-    /// `parent·B .. min((parent+1)·B, len(level))`), in stored form.
-    /// Padding sentinels of an aligned-fanout layout are never part of
-    /// the returned block — the count clamps to logical nodes.
-    fn level_group(&self, level: usize, parent: usize) -> LevelSlice<'_, D> {
+    /// The stored MBRs of `parent`'s children at `level`: nodes
+    /// `parent·B .. min((parent+1)·B, len(level))`.
+    #[inline]
+    fn children(&self, level: usize, parent: usize) -> &[Rect<D>] {
+        let nodes = &self.levels[level];
         let lo = parent * self.node_size;
-        match &self.cols {
-            Cols::Owned { levels, .. } => {
-                let nodes = &levels[level];
-                let hi = (lo + self.node_size).min(nodes.len());
-                LevelSlice::Exact(&nodes[lo..hi])
-            }
-            Cols::Flat(flat) => {
-                let fl = &flat.levels[level];
-                let count = (lo + self.node_size).min(fl.nodes) - lo;
-                flat.level_slice(level, parent * fl.group, count)
-            }
-        }
-    }
-
-    /// One node's stored MBR in f64 (quantized storage widens — the
-    /// result only ever over-covers).
-    fn node_mbr(&self, level: usize, node: usize) -> Rect<D> {
-        match &self.cols {
-            Cols::Owned { levels, .. } => levels[level][node],
-            Cols::Flat(flat) => {
-                let fl = &flat.levels[level];
-                let phys = (node / self.node_size) * fl.group + node % self.node_size;
-                match flat.level_slice(level, phys, 1) {
-                    LevelSlice::Exact(rects) => rects[0],
-                    LevelSlice::Quant(rects) => rects[0].widen(),
-                }
-            }
-        }
+        &nodes[lo..(lo + self.node_size).min(nodes.len())]
     }
 
     /// The root MBR, if the packed tier is non-empty.
     fn root_mbr(&self) -> Option<Rect<D>> {
-        let top = self.num_levels().checked_sub(1)?;
-        Some(self.node_mbr(top, 0))
-    }
-
-    /// `true` when the interior MBRs are stored f32-quantized.
-    fn is_quantized(&self) -> bool {
-        matches!(&self.cols, Cols::Flat(flat) if flat.quantized)
-    }
-
-    /// Converts flat-buffer columns back into owned `Vec`s in place —
-    /// the escape hatch of every mutating path. Quantized interior
-    /// MBRs are re-derived *exactly* from the (always-f64) entry
-    /// rectangles, so a restored-then-mutated tree is
-    /// indistinguishable from a built one. No-op for owned cores.
-    fn make_owned(&mut self) {
-        let node_size = self.node_size;
-        let Cols::Flat(flat) = &mut self.cols else {
-            return;
-        };
-        let keys: Vec<K> = match flat.keys.take() {
-            Some(keys) => keys,
-            None => flat
-                .raw_keys()
-                .iter()
-                .map(|&raw| (flat.from_raw)(raw))
-                .collect(),
-        };
-        let rects: Vec<Rect<D>> = flat.rects().to_vec();
-        let curve_keys: Vec<u32> = flat.curve_keys().to_vec();
-        let levels: Vec<Vec<Rect<D>>> = if rects.is_empty() {
-            Vec::new()
-        } else if flat.quantized {
-            pack_levels(&rects, node_size)
-        } else {
-            (0..flat.levels.len())
-                .map(|level| {
-                    let fl = flat.levels[level];
-                    (0..fl.nodes)
-                        .map(|node| {
-                            let phys = (node / node_size) * fl.group + node % node_size;
-                            match flat.level_slice(level, phys, 1) {
-                                LevelSlice::Exact(rects) => rects[0],
-                                LevelSlice::Quant(_) => unreachable!("exact layout"),
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        self.cols = Cols::Owned {
-            keys,
-            rects,
-            curve_keys,
-            levels,
-        };
+        self.levels.last().map(|root| root[0])
     }
 
     /// The exact union of everything node `(level, node)` covers.
-    /// Owned columns only (mutating paths call
-    /// [`PackedCore::make_owned`] first).
     fn covered_union(&self, level: usize, node: usize) -> Option<Rect<D>> {
-        let (rects, levels) = match &self.cols {
-            Cols::Owned { rects, levels, .. } => (rects, levels),
-            Cols::Flat(_) => unreachable!("covered_union runs on owned columns"),
-        };
         let lo = node * self.node_size;
         let below: &[Rect<D>] = if level == 0 {
-            rects
+            &self.rects
         } else {
-            &levels[level - 1]
+            &self.levels[level - 1]
         };
-        let hi = ((node + 1) * self.node_size).min(below.len());
+        let hi = (lo + self.node_size).min(below.len());
         Rect::union_all(below[lo..hi].iter())
+    }
+
+    /// The entry rectangles and curve keys, writable — copied out of a
+    /// loaded buffer on first use. The deferred checksum vouched for
+    /// the bytes as loaded, so it retires with the first write.
+    fn bulk_mut(&mut self) -> (&mut Vec<Rect<D>>, &mut Vec<u32>) {
+        self.bulk_checksum = None;
+        (self.rects.to_mut(), self.curve_keys.to_mut())
+    }
+
+    /// Recomputes the bulk-section checksum of a loaded core and
+    /// compares it to the stored one — the deferred half of load-time
+    /// verification. `Ok` when there is nothing left to vouch for.
+    fn verify_bulk(&self) -> Result<(), SnapshotError> {
+        let Some(stored) = self.bulk_checksum else {
+            return Ok(());
+        };
+        let found = combine_checksums(
+            [
+                bytes::as_bytes(&self.rects),
+                self.keys.wire_bytes(),
+                bytes::as_bytes(&self.curve_keys),
+            ]
+            .map(bytes::checksum),
+        );
+        if found == stored {
+            Ok(())
+        } else {
+            Err(SnapshotError::ChecksumMismatch)
+        }
     }
 }
 
@@ -833,126 +575,82 @@ const TREE_MAGIC: u32 = u32::from_le_bytes(*b"DRTT");
 /// The one format version this build writes and reads.
 const SNAPSHOT_VERSION: u16 = 1;
 
-/// Core header flag: interior MBRs stored as f32 [`QRect`]s.
-const FLAG_QUANTIZED: u16 = 1;
-
-/// Core header flag: per-parent child blocks padded to whole cache
-/// lines ([`fanout_group`]).
-const FLAG_ALIGNED_FANOUT: u16 = 1 << 1;
-
 /// Fixed header size of both the core and the tree format, one cache
 /// line each.
 const HEADER_LEN: usize = 64;
 
-/// Layout knobs of the snapshot hot path, recorded in the buffer
-/// header — a reader never guesses the layout.
-///
-/// Both default to off, which reproduces the in-memory layout
-/// byte-for-byte. They are *experiments* the bench suite compares; the
-/// format carries them so the winning layout needs no format bump.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotOptions {
-    /// Store interior (non-leaf) node MBRs as outward-rounded `f32`
-    /// pairs: half the bytes per node, twice the MBRs per cache line
-    /// in the mask descent. Conservative by construction — the f32 box
-    /// always contains the f64 box — and **exactness-preserving**:
-    /// entry (leaf) rectangles stay f64 and every emission tests the
-    /// exact rectangle, so result sets are identical; only pruning
-    /// sharpness can differ.
-    pub quantize_interior: bool,
-    /// Pad each parent's child block to a whole number of cache lines,
-    /// so no node's mask scan straddles a line it wouldn't at offset
-    /// zero. Padding slots hold unhittable sentinels and are never
-    /// exposed to traversal.
-    pub aligned_fanout: bool,
-}
-
-/// Byte layout of one serialized core: section spans (relative to the
-/// buffer start) derived from the counts in the header — the single
-/// source of truth shared by the writer and the parser, so they cannot
-/// drift apart.
+/// Byte layout of one serialized core: section spans `(offset, byte
+/// length)` relative to the buffer start, derived from the counts in
+/// the header — the single source of truth shared by the writer and
+/// the parser, so they cannot drift apart.
 struct CoreLayout {
     level_table: (usize, usize),
     world: (usize, usize),
     rects: (usize, usize),
     keys: (usize, usize),
     curve_keys: (usize, usize),
-    levels: Vec<FlatLevel>,
+    levels: Vec<(usize, usize)>,
     /// Total buffer length (64-byte multiple, so tree/oracle wrappers
     /// can embed cores back-to-back at aligned offsets).
     total: usize,
 }
 
-/// Smallest child-block stride `≥ node_size` whose byte size is a
-/// whole number of cache lines.
-fn fanout_group(node_size: usize, rect_bytes: usize) -> usize {
-    if rect_bytes == 0 {
-        return node_size;
+/// The node count of every level over `n` entries, bottom-up — fully
+/// determined by `(n, node_size)`.
+fn level_node_counts(n: usize, node_size: usize) -> Vec<usize> {
+    let mut counts = Vec::new();
+    let mut below = n;
+    while below > 0 {
+        let nodes = below.div_ceil(node_size);
+        counts.push(nodes);
+        if nodes == 1 {
+            break;
+        }
+        below = nodes;
     }
-    let mut group = node_size;
-    while !(group * rect_bytes).is_multiple_of(bytes::SECTION_ALIGN) {
-        group += 1;
-    }
-    group
+    counts
 }
 
 /// Computes every section span of a core with the given shape.
-/// `level_nodes` is the logical node count per level, bottom-up.
+/// `level_nodes` is the node count per level, bottom-up.
 fn core_layout<const D: usize>(
     n: usize,
-    node_size: usize,
     level_nodes: &[usize],
     has_world: bool,
     has_curve: bool,
-    quantized: bool,
-    aligned_fanout: bool,
 ) -> CoreLayout {
-    let rect_bytes = if quantized {
-        std::mem::size_of::<QRect<D>>()
-    } else {
-        std::mem::size_of::<Rect<D>>()
-    };
-    let group = if aligned_fanout {
-        fanout_group(node_size, rect_bytes)
-    } else {
-        node_size
-    };
+    let rect_bytes = std::mem::size_of::<Rect<D>>();
     let mut off = HEADER_LEN;
     let mut section = |len: usize| {
         let start = off;
         off = bytes::align_up(start + len);
         (start, len)
     };
-    let level_table = section(level_nodes.len() * 8);
-    let world = section(if has_world {
-        std::mem::size_of::<Rect<D>>()
-    } else {
-        0
-    });
-    let rects = section(n * std::mem::size_of::<Rect<D>>());
-    let keys = section(n * 8);
-    let curve_keys = section(if has_curve { n * 4 } else { 0 });
-    let mut levels = Vec::with_capacity(level_nodes.len());
-    for &nodes in level_nodes {
-        let parents = nodes.div_ceil(node_size);
-        let last = nodes - (parents - 1) * node_size;
-        let phys = (parents - 1) * group + last;
-        let (level_off, _) = section(phys * rect_bytes);
-        levels.push(FlatLevel {
-            off: level_off,
-            nodes,
-            phys,
-            group,
-        });
-    }
     CoreLayout {
-        level_table,
-        world,
-        rects,
-        keys,
-        curve_keys,
-        levels,
+        level_table: section(level_nodes.len() * 8),
+        world: section(if has_world { rect_bytes } else { 0 }),
+        rects: section(n * rect_bytes),
+        keys: section(n * 8),
+        curve_keys: section(if has_curve { n * 4 } else { 0 }),
+        levels: level_nodes
+            .iter()
+            .map(|&nodes| section(nodes * rect_bytes))
+            .collect(),
         total: off,
+    }
+}
+
+impl CoreLayout {
+    /// The checksum over the small structural sections (level table,
+    /// world, level MBR arrays) of a core laid out in `data` — what a
+    /// load verifies eagerly.
+    fn meta_checksum(&self, data: &[u8]) -> u64 {
+        combine_checksums(
+            [self.level_table, self.world]
+                .iter()
+                .chain(&self.levels)
+                .map(|&(off, len)| bytes::checksum(&data[off..off + len])),
+        )
     }
 }
 
@@ -980,7 +678,8 @@ fn write_u64(out: &mut [u8], off: usize, v: u64) {
 
 impl<K, const D: usize> PackedCore<K, D> {
     /// Serializes the core into one flat, versioned, little-endian,
-    /// 64-byte-aligned buffer in the layout `options` selects.
+    /// 64-byte-aligned buffer: every column is written as it sits in
+    /// memory, so a loaded buffer serves queries in place.
     ///
     /// Header (one cache line):
     ///
@@ -988,7 +687,7 @@ impl<K, const D: usize> PackedCore<K, D> {
     /// |----:|-------|-|----:|-------|
     /// | 0 | magic `"DRTC"` (u32) | | 24 | num_levels (u32) |
     /// | 4 | version (u16) | | 28 | has_world (u16) |
-    /// | 6 | layout flags (u16) | | 30 | has_curve_keys (u16) |
+    /// | 6 | layout flags (u16), always 0 | | 30 | has_curve_keys (u16) |
     /// | 8 | dims (u32) | | 32 | payload_len (u64) |
     /// | 12 | node_size (u32) | | 40 | meta checksum (u64) |
     /// | 16 | num_entries (u64) | | 48 | bulk checksum (u64) |
@@ -997,22 +696,12 @@ impl<K, const D: usize> PackedCore<K, D> {
     /// followed by the sections of [`core_layout`], each at a 64-byte
     /// boundary: level table, world, entry rects, raw keys, curve
     /// keys, then the level MBR arrays bottom-up.
-    fn to_bytes_with(&self, options: SnapshotOptions, to_raw: &dyn Fn(&K) -> u64) -> Vec<u8> {
+    fn to_bytes(&self, to_raw: &dyn Fn(&K) -> u64) -> Vec<u8> {
         let n = self.len();
-        let level_nodes: Vec<usize> = (0..self.num_levels())
-            .map(|l| self.level_nodes(l))
-            .collect();
+        let level_nodes: Vec<usize> = self.levels.iter().map(|level| level.len()).collect();
         let has_world = self.world.is_some();
-        let has_curve = !self.curve_keys().is_empty();
-        let layout = core_layout::<D>(
-            n,
-            self.node_size,
-            &level_nodes,
-            has_world,
-            has_curve,
-            options.quantize_interior,
-            options.aligned_fanout,
-        );
+        let has_curve = !self.curve_keys.is_empty();
+        let layout = core_layout::<D>(n, &level_nodes, has_world, has_curve);
         let mut out = Vec::with_capacity(layout.total);
         out.resize(HEADER_LEN, 0);
         for &nodes in &level_nodes {
@@ -1025,88 +714,29 @@ impl<K, const D: usize> PackedCore<K, D> {
             bytes::pad_to_section(&mut out);
         }
         debug_assert_eq!(out.len(), layout.rects.0);
-        out.extend_from_slice(bytes::as_bytes(self.rects()));
+        out.extend_from_slice(bytes::as_bytes(&self.rects));
         bytes::pad_to_section(&mut out);
-        match &self.cols {
-            // A flat source ships its raw key column verbatim — no
-            // key materialization on a load→save round trip.
-            Cols::Flat(flat) => out.extend_from_slice(flat.raw_key_bytes()),
-            Cols::Owned { keys, .. } => {
-                for key in keys {
-                    out.extend_from_slice(&to_raw(key).to_le_bytes());
-                }
-            }
-        }
+        self.keys.write_wire(&mut out, to_raw);
         bytes::pad_to_section(&mut out);
         if has_curve {
-            out.extend_from_slice(bytes::as_bytes(self.curve_keys()));
+            out.extend_from_slice(bytes::as_bytes(&self.curve_keys));
             bytes::pad_to_section(&mut out);
         }
-        // Exact MBRs cannot be recovered from a quantized source;
-        // re-derive them from the (always-exact) entry rectangles.
-        let recomputed: Option<Vec<Vec<Rect<D>>>> =
-            (n > 0 && !options.quantize_interior && self.is_quantized())
-                .then(|| pack_levels(self.rects(), self.node_size));
-        for (level, fl) in layout.levels.iter().enumerate() {
-            debug_assert_eq!(out.len(), fl.off);
-            if options.quantize_interior {
-                // quantize(widen(q)) == q, so a quantized source round
-                // trips exactly through the widened node_mbr.
-                let mut tmp = vec![QRect::<D>::sentinel(); fl.phys];
-                for node in 0..fl.nodes {
-                    let phys = (node / self.node_size) * fl.group + node % self.node_size;
-                    tmp[phys] = QRect::quantize(&self.node_mbr(level, node));
-                }
-                out.extend_from_slice(bytes::as_bytes(&tmp));
-            } else {
-                let pad = Rect::new([f64::INFINITY; D], [f64::INFINITY; D]);
-                let mut tmp = vec![pad; fl.phys];
-                for node in 0..fl.nodes {
-                    let phys = (node / self.node_size) * fl.group + node % self.node_size;
-                    tmp[phys] = match &recomputed {
-                        Some(levels) => levels[level][node],
-                        None => self.node_mbr(level, node),
-                    };
-                }
-                out.extend_from_slice(bytes::as_bytes(&tmp));
-            }
+        for (level, &(off, _)) in self.levels.iter().zip(&layout.levels) {
+            debug_assert_eq!(out.len(), off);
+            out.extend_from_slice(bytes::as_bytes(level));
             bytes::pad_to_section(&mut out);
         }
         debug_assert_eq!(out.len(), layout.total);
-        let rect_bytes = if options.quantize_interior {
-            std::mem::size_of::<QRect<D>>()
-        } else {
-            std::mem::size_of::<Rect<D>>()
-        };
-        let meta = combine_checksums(
-            [layout.level_table, layout.world]
-                .into_iter()
-                .map(|(off, len)| bytes::checksum(&out[off..off + len]))
-                .chain(
-                    layout
-                        .levels
-                        .iter()
-                        .map(|fl| bytes::checksum(&out[fl.off..fl.off + fl.phys * rect_bytes])),
-                )
-                .collect::<Vec<u64>>(),
-        );
+        let meta = layout.meta_checksum(&out);
         let bulk = combine_checksums(
             [layout.rects, layout.keys, layout.curve_keys]
-                .into_iter()
-                .map(|(off, len)| bytes::checksum(&out[off..off + len]))
-                .collect::<Vec<u64>>(),
+                .map(|(off, len)| bytes::checksum(&out[off..off + len])),
         );
-        let mut flags = 0u16;
-        if options.quantize_interior {
-            flags |= FLAG_QUANTIZED;
-        }
-        if options.aligned_fanout {
-            flags |= FLAG_ALIGNED_FANOUT;
-        }
         let header = &mut out[..HEADER_LEN];
         write_u32(header, 0, CORE_MAGIC);
         write_u16(header, 4, SNAPSHOT_VERSION);
-        write_u16(header, 6, flags);
+        write_u16(header, 6, 0);
         write_u32(header, 8, D as u32);
         write_u32(header, 12, self.node_size as u32);
         write_u64(header, 16, n as u64);
@@ -1120,15 +750,15 @@ impl<K, const D: usize> PackedCore<K, D> {
         out
     }
 
-    /// Parses `length` bytes at `start` of `buf` into a flat-backed
-    /// core, zero-copy: every section becomes a typed view into `buf`.
+    /// Parses `length` bytes at `start` of `buf` into a core whose
+    /// every column is a view into `buf` — zero-copy.
     ///
     /// Validation is structural and eager for everything cheap —
-    /// magic, version, dims, node size, entry/level counts, every
-    /// section bound, the meta checksum over the small sections (level
-    /// table, world, level MBR arrays) — and deferred for the bulk
-    /// checksum over the multi-megabyte entry sections
-    /// ([`FlatCols::verify_bulk`]). A corrupt or truncated buffer is
+    /// magic, version, layout flags, dims, node size, entry/level
+    /// counts, every section bound, the meta checksum over the small
+    /// sections (level table, world, level MBR arrays) — and deferred
+    /// for the bulk checksum over the multi-megabyte entry sections
+    /// ([`PackedCore::verify_bulk`]). A corrupt or truncated buffer is
     /// always a clean [`SnapshotError`], never a panic or an
     /// out-of-bounds view: offsets are re-derived from validated
     /// counts via [`core_layout`] and checked against the real length
@@ -1137,7 +767,7 @@ impl<K, const D: usize> PackedCore<K, D> {
         buf: &Arc<AlignedBytes>,
         start: usize,
         length: usize,
-        from_raw: &Arc<dyn Fn(u64) -> K + Send + Sync>,
+        from_raw: &KeyDecoder<K>,
     ) -> Result<Self, SnapshotError> {
         let whole = buf.as_slice();
         let end = start
@@ -1170,12 +800,13 @@ impl<K, const D: usize> PackedCore<K, D> {
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let flags = bytes::read_u16(data, 6).expect("header bounds checked");
-        if flags & !(FLAG_QUANTIZED | FLAG_ALIGNED_FANOUT) != 0 {
+        // Version 1 once defined two layout experiments here (bit 0:
+        // f32-quantized interior MBRs, bit 1: cache-line-padded
+        // fanout). Neither paid for itself and both are retired; a
+        // buffer written with one is refused, not misread.
+        if bytes::read_u16(data, 6).expect("header bounds checked") != 0 {
             return Err(SnapshotError::Corrupt("unknown layout flags"));
         }
-        let quantized = flags & FLAG_QUANTIZED != 0;
-        let aligned_fanout = flags & FLAG_ALIGNED_FANOUT != 0;
         let dims = bytes::read_u32(data, 8).expect("header bounds checked");
         if dims as usize != D {
             return Err(SnapshotError::WrongDims {
@@ -1208,32 +839,13 @@ impl<K, const D: usize> PackedCore<K, D> {
         let bulk_checksum = bytes::read_u64(data, 48).expect("header bounds checked");
         // The level structure is fully determined by (n, node_size);
         // the stored table must agree.
-        let mut expect: Vec<usize> = Vec::new();
-        if n > 0 {
-            let mut below = n;
-            loop {
-                let nodes = below.div_ceil(node_size);
-                expect.push(nodes);
-                if nodes == 1 {
-                    break;
-                }
-                below = nodes;
-            }
-        }
+        let expect = level_node_counts(n, node_size);
         if expect.len() != num_levels {
             return Err(SnapshotError::Corrupt(
                 "level count disagrees with entry count",
             ));
         }
-        let layout = core_layout::<D>(
-            n,
-            node_size,
-            &expect,
-            has_world,
-            has_curve,
-            quantized,
-            aligned_fanout,
-        );
+        let layout = core_layout::<D>(n, &expect, has_world, has_curve);
         if layout.total != data.len() {
             return Err(SnapshotError::Truncated {
                 needed: layout.total,
@@ -1245,24 +857,7 @@ impl<K, const D: usize> PackedCore<K, D> {
                 "payload length disagrees with layout",
             ));
         }
-        let rect_bytes = if quantized {
-            std::mem::size_of::<QRect<D>>()
-        } else {
-            std::mem::size_of::<Rect<D>>()
-        };
-        let meta = combine_checksums(
-            [layout.level_table, layout.world]
-                .into_iter()
-                .map(|(off, len)| bytes::checksum(&data[off..off + len]))
-                .chain(
-                    layout
-                        .levels
-                        .iter()
-                        .map(|fl| bytes::checksum(&data[fl.off..fl.off + fl.phys * rect_bytes])),
-                )
-                .collect::<Vec<u64>>(),
-        );
-        if meta != meta_checksum {
+        if layout.meta_checksum(data) != meta_checksum {
             return Err(SnapshotError::ChecksumMismatch);
         }
         for (level, &nodes) in expect.iter().enumerate() {
@@ -1288,58 +883,36 @@ impl<K, const D: usize> PackedCore<K, D> {
         } else {
             None
         };
-        if n == 0 {
-            return Ok(PackedCore {
-                node_size,
-                world,
-                cols: Cols::empty_owned(),
-            });
-        }
-        // Absolute spans, then one cast per section now so accessors
-        // never re-check (construction makes misalignment impossible;
-        // this is the load-time proof of that).
-        let abs = |(off, len): (usize, usize)| (start + off, len);
-        let rects_span = abs(layout.rects);
-        let keys_span = abs(layout.keys);
-        let curve_span = abs(layout.curve_keys);
-        let levels: Vec<FlatLevel> = layout
+        // One checked cast per section, here, so no read ever
+        // re-checks (construction makes misalignment impossible; this
+        // is the load-time proof of that).
+        let misaligned = |_| SnapshotError::Corrupt("misaligned section");
+        let levels = layout
             .levels
             .iter()
-            .map(|fl| FlatLevel {
-                off: start + fl.off,
-                ..*fl
-            })
-            .collect();
-        let misaligned = |_| SnapshotError::Corrupt("misaligned section");
-        bytes::cast_slice::<Rect<D>>(&whole[rects_span.0..rects_span.0 + rects_span.1])
+            .zip(&expect)
+            .map(|(&(off, _), &nodes)| Col::view(buf, start + off, nodes))
+            .collect::<Result<Vec<_>, _>>()
             .map_err(misaligned)?;
-        bytes::cast_slice::<u64>(&whole[keys_span.0..keys_span.0 + keys_span.1])
-            .map_err(misaligned)?;
-        bytes::cast_slice::<u32>(&whole[curve_span.0..curve_span.0 + curve_span.1])
-            .map_err(misaligned)?;
-        for fl in &levels {
-            let raw = &whole[fl.off..fl.off + fl.phys * rect_bytes];
-            if quantized {
-                bytes::cast_slice::<QRect<D>>(raw).map_err(misaligned)?;
-            } else {
-                bytes::cast_slice::<Rect<D>>(raw).map_err(misaligned)?;
-            }
-        }
         Ok(PackedCore {
             node_size,
             world,
-            cols: Cols::Flat(FlatCols {
-                buf: Arc::clone(buf),
-                num_entries: n,
-                rects: rects_span,
-                raw_keys: keys_span,
-                curve_keys: curve_span,
-                levels,
-                quantized,
-                bulk_checksum,
-                keys: OnceLock::new(),
-                from_raw: Arc::clone(from_raw),
-            }),
+            keys: KeyCol {
+                typed: OnceLock::new(),
+                wire: Some((
+                    Col::view(buf, start + layout.keys.0, n).map_err(misaligned)?,
+                    Arc::clone(from_raw),
+                )),
+            },
+            rects: Col::view(buf, start + layout.rects.0, n).map_err(misaligned)?,
+            curve_keys: Col::view(
+                buf,
+                start + layout.curve_keys.0,
+                if has_curve { n } else { 0 },
+            )
+            .map_err(misaligned)?,
+            levels,
+            bulk_checksum: Some(bulk_checksum),
         })
     }
 }
@@ -1431,7 +1004,7 @@ impl<K, const D: usize> FrozenShard<K, D> {
     {
         let mask_of = ContainsPoint(point);
         let keys = self.core.keys();
-        let rects = self.core.rects();
+        let rects = &*self.core.rects;
         let aborted = !traverse_core_while(&self.core, &self.tombstones, &mask_of, &mut |slot| {
             visit(&keys[slot], &rects[slot]);
             true
@@ -1470,8 +1043,8 @@ impl<K, const D: usize> FrozenShard<K, D> {
     {
         let core = &*self.core;
         let core_keys = core.keys();
-        let core_rects = core.rects();
-        let core_curve = core.curve_keys();
+        let core_rects = &*core.rects;
+        let core_curve = &*core.curve_keys;
         let is_live = |slot: usize| !bit_set(&self.tombstones, slot);
         let total = self.len();
         let live_rects = core_rects
@@ -1526,27 +1099,8 @@ impl<K, const D: usize> FrozenShard<K, D> {
                 si += 1;
             }
             debug_assert_eq!(keys.len(), total);
-            let levels = pack_levels(&rects, core.node_size);
-            return PackedRTree {
-                core: Arc::new(PackedCore {
-                    node_size: core.node_size,
-                    world: Some(world),
-                    cols: Cols::Owned {
-                        keys,
-                        rects,
-                        curve_keys,
-                        levels,
-                    },
-                }),
-                staged_keys: Vec::new(),
-                staged_rects: Vec::new(),
-                tombstones: Vec::new(),
-                tombstone_count: 0,
-                staged_mbr: None,
-                delta_fraction: self.delta_fraction,
-                epoch: None,
-                leases: Vec::new(),
-            };
+            let merged = PackedCore::pack(core.node_size, Some(world), keys, rects, curve_keys);
+            return PackedRTree::from_core(merged, self.delta_fraction);
         }
 
         let mut entries: Vec<(K, Rect<D>)> = Vec::with_capacity(total);
@@ -1731,21 +1285,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
             "packed tree is limited to 2^32 entries"
         );
         if n == 0 {
-            return Self {
-                core: Arc::new(PackedCore {
-                    node_size,
-                    world: None,
-                    cols: Cols::empty_owned(),
-                }),
-                staged_keys: Vec::new(),
-                staged_rects: Vec::new(),
-                tombstones: Vec::new(),
-                tombstone_count: 0,
-                staged_mbr: None,
-                delta_fraction: DEFAULT_DELTA_FRACTION,
-                epoch: None,
-                leases: Vec::new(),
-            };
+            return Self::from_core(PackedCore::empty(node_size), DEFAULT_DELTA_FRACTION);
         }
 
         // Order entries along the Hilbert curve of their centers. The
@@ -1766,26 +1306,20 @@ impl<K, const D: usize> PackedRTree<K, D> {
             .map(|&i| taken[i as usize].take().expect("order is a permutation"))
             .collect();
 
-        // Pack levels bottom-up until a single root remains.
-        let levels = pack_levels(&rects, node_size);
+        let core = PackedCore::pack(node_size, Some(world), keys, rects, curve_keys);
+        Self::from_core(core, DEFAULT_DELTA_FRACTION)
+    }
 
+    /// A tree over `core` with an empty delta layer.
+    fn from_core(core: PackedCore<K, D>, delta_fraction: f64) -> Self {
         Self {
-            core: Arc::new(PackedCore {
-                node_size,
-                world: Some(world),
-                cols: Cols::Owned {
-                    keys,
-                    rects,
-                    curve_keys,
-                    levels,
-                },
-            }),
+            core: Arc::new(core),
             staged_keys: Vec::new(),
             staged_rects: Vec::new(),
             tombstones: Vec::new(),
             tombstone_count: 0,
             staged_mbr: None,
-            delta_fraction: DEFAULT_DELTA_FRACTION,
+            delta_fraction,
             epoch: None,
             leases: Vec::new(),
         }
@@ -1818,7 +1352,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     /// Number of node levels, counting the leaf-node level as 1. An
     /// empty tree has height 1, mirroring [`crate::RTree::height`].
     pub fn height(&self) -> usize {
-        self.core.num_levels().max(1)
+        self.core.levels.len().max(1)
     }
 
     /// The MBR of the whole tree — packed root unioned with the staged
@@ -1840,7 +1374,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     ///
     /// Panics if `slot >= self.packed_len()`.
     pub fn entry(&self, slot: usize) -> (&K, &Rect<D>) {
-        (&self.core.keys()[slot], &self.core.rects()[slot])
+        (&self.core.keys()[slot], &self.core.rects[slot])
     }
 
     /// All packed entry keys in slot order — the raw column behind
@@ -1857,7 +1391,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     /// All packed entry rectangles in slot order (parallel to
     /// [`PackedRTree::keys`]).
     pub fn rects(&self) -> &[Rect<D>] {
-        self.core.rects()
+        &self.core.rects
     }
 
     /// All staged entry keys (delta layer, arbitrary order), parallel
@@ -1881,7 +1415,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
         self.core
             .keys()
             .iter()
-            .zip(self.core.rects().iter())
+            .zip(self.core.rects.iter())
             .enumerate()
             .filter(|&(slot, _)| self.is_live(slot))
             .map(|(slot, (k, r))| (slot, k, r))
@@ -1926,7 +1460,6 @@ impl<K, const D: usize> PackedRTree<K, D> {
             "update during an outstanding compaction snapshot"
         );
         let core = Arc::make_mut(&mut self.core);
-        core.make_owned();
         assert!(slot < core.len(), "slot {slot} out of bounds");
         debug_assert!(
             !bit_set(&self.tombstones, slot),
@@ -1939,9 +1472,9 @@ impl<K, const D: usize> PackedRTree<K, D> {
         // achieved by some *other* covered rect) and the incoming rect
         // stays inside that MBR, the leaf union — and therefore every
         // ancestor union — is provably unchanged: skip the refit walk.
-        let skip_refit = core.num_levels() > 0 && {
-            let mbr = core.node_mbr(0, slot / node_size);
-            let old = &core.rects()[slot];
+        let skip_refit = {
+            let mbr = core.levels[0][slot / node_size];
+            let old = &core.rects[slot];
             (0..D).all(|d| {
                 old.lo(d) > mbr.lo(d)
                     && old.hi(d) < mbr.hi(d)
@@ -1949,39 +1482,28 @@ impl<K, const D: usize> PackedRTree<K, D> {
                     && rect.hi(d) <= mbr.hi(d)
             })
         };
-        {
-            let Cols::Owned {
-                rects, curve_keys, ..
-            } = &mut core.cols
-            else {
-                unreachable!("make_owned above")
-            };
-            rects[slot] = rect;
-            // Keep the stored curve key in step so a later
-            // sorted-splice merge orders the moved entry by where it
-            // *is*, not where it was packed (quality only — order
-            // never affects correctness).
-            if !curve_keys.is_empty() {
-                if let Some(world) = &world {
-                    curve_keys[slot] = GridMapper::new(world).key(&rect) as u32;
-                }
+        let (rects, curve_keys) = core.bulk_mut();
+        rects[slot] = rect;
+        // Keep the stored curve key in step so a later sorted-splice
+        // merge orders the moved entry by where it *is*, not where it
+        // was packed (quality only — order never affects correctness).
+        if !curve_keys.is_empty() {
+            if let Some(world) = &world {
+                curve_keys[slot] = GridMapper::new(world).key(&rect) as u32;
             }
         }
         if skip_refit {
             return;
         }
         let mut node = slot / node_size;
-        for level in 0..core.num_levels() {
+        for level in 0..core.levels.len() {
             let exact = core
                 .covered_union(level, node)
                 .expect("covered range is non-empty");
-            if core.node_mbr(level, node) == exact {
+            if core.levels[level][node] == exact {
                 break; // ancestors above are unions of unchanged MBRs
             }
-            let Cols::Owned { levels, .. } = &mut core.cols else {
-                unreachable!("make_owned above")
-            };
-            levels[level][node] = exact;
+            core.levels[level].to_mut()[node] = exact;
             node /= node_size;
         }
     }
@@ -2116,7 +1638,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     {
         let mut found = None;
         let keys = self.core.keys();
-        let rects = self.core.rects();
+        let rects = &*self.core.rects;
         self.traverse_packed_while(&IntersectsRect(rect), &mut |slot| {
             if rects[slot] == *rect && keys[slot] == *key {
                 found = Some(slot);
@@ -2238,7 +1760,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     {
         if slot >= self.core.len()
             || bit_set(&self.tombstones, slot)
-            || self.core.rects()[slot] != *old
+            || self.core.rects[slot] != *old
             || self.core.keys()[slot] != *key
         {
             return None;
@@ -2279,13 +1801,13 @@ impl<K, const D: usize> PackedRTree<K, D> {
     /// leaf node under an unchanged subtree bound.
     fn stays_in_subtree(&self, slot: usize, rect: &Rect<D>) -> bool {
         let core = &*self.core;
-        let num_levels = core.num_levels();
+        let num_levels = core.levels.len();
         if num_levels == 0 {
             return false;
         }
         let level = 1.min(num_levels - 1);
         let node = slot / core.node_size.pow(level as u32 + 1);
-        core.node_mbr(level, node).contains_rect(rect)
+        core.levels[level][node].contains_rect(rect)
     }
 
     // ---- TTL leases --------------------------------------------------
@@ -2409,11 +1931,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     where
         K: Clone,
     {
-        let core = Arc::make_mut(&mut self.core);
-        core.make_owned();
-        let Cols::Owned { curve_keys, .. } = &mut core.cols else {
-            unreachable!("make_owned above")
-        };
+        let (_, curve_keys) = Arc::make_mut(&mut self.core).bulk_mut();
         if slot < curve_keys.len() {
             curve_keys[slot] ^= 1;
         }
@@ -2624,7 +2142,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
             self.tombstone_count - epoch.frozen_tombstone_count + epoch.staged_dead_count,
         );
         let core_keys = self.core.keys();
-        let core_rects = self.core.rects();
+        let core_rects = &*self.core.rects;
         for (w, &word) in self.tombstones.iter().enumerate() {
             let frozen = epoch.frozen_tombstones.get(w).copied().unwrap_or(0);
             let mut fresh = word & !frozen;
@@ -2710,22 +2228,9 @@ impl<K, const D: usize> PackedRTree<K, D> {
     {
         self.abort_compaction();
         let core = Arc::make_mut(&mut self.core);
-        core.make_owned();
-        let (keys, rects) = {
-            let Cols::Owned {
-                keys,
-                rects,
-                curve_keys,
-                levels,
-            } = &mut core.cols
-            else {
-                unreachable!("make_owned above")
-            };
-            levels.clear();
-            curve_keys.clear();
-            (std::mem::take(keys), std::mem::take(rects))
-        };
-        core.world = None;
+        let mut drained = std::mem::replace(core, PackedCore::empty(core.node_size));
+        let rects = std::mem::take(drained.rects.to_mut());
+        let keys = drained.keys.into_vec();
         let staged_keys = std::mem::take(&mut self.staged_keys);
         let staged_rects = std::mem::take(&mut self.staged_rects);
         let tombstones = std::mem::take(&mut self.tombstones);
@@ -2798,7 +2303,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
         mut emit: impl FnMut(&'a K, &'a Rect<D>) -> bool,
     ) {
         let keys = self.core.keys();
-        let rects = self.core.rects();
+        let rects = &*self.core.rects;
         if self.traverse_packed_while(mask_of, &mut |slot| emit(&keys[slot], &rects[slot])) {
             self.scan_staged_while(mask_of, &mut emit);
         }
@@ -2874,10 +2379,10 @@ impl<K, const D: usize> PackedRTree<K, D> {
                 .collect();
             if !active.is_empty() {
                 let keys = self.core.keys();
-                let rects = self.core.rects();
+                let rects = &*self.core.rects;
                 let mut pool: Vec<Vec<u32>> = Vec::new();
                 self.walk_batch(
-                    self.core.num_levels() - 1,
+                    self.core.levels.len() - 1,
                     0,
                     &active,
                     points,
@@ -2942,12 +2447,12 @@ impl<K, const D: usize> PackedRTree<K, D> {
                 }
             }
         } else {
-            let children = self.core.level_group(level - 1, node);
+            let children = self.core.children(level - 1, node);
             let mut subset = pool.pop().unwrap_or_default();
-            for ci in 0..children.len() {
+            for (ci, child) in children.iter().enumerate() {
                 subset.clear();
                 for &pi in active {
-                    if children.contains_point(ci, &points[pi as usize]) {
+                    if child.contains_point_branchless(&points[pi as usize]) {
                         subset.push(pi);
                     }
                 }
@@ -2987,16 +2492,14 @@ impl<K, const D: usize> PackedRTree<K, D> {
     /// Returns the first [`PackedValidationError`] found.
     pub fn validate(&self) -> Result<(), PackedValidationError> {
         let core = &*self.core;
-        if core.keys().len() != core.rects().len() {
+        if core.keys().len() != core.len() {
             return Err(PackedValidationError::Inconsistent);
         }
-        if !core.curve_keys().is_empty() && core.curve_keys().len() != core.len() {
+        if !core.curve_keys.is_empty() && core.curve_keys.len() != core.len() {
             return Err(PackedValidationError::Inconsistent);
         }
-        if let Cols::Flat(flat) = &core.cols {
-            if flat.verify_bulk().is_err() {
-                return Err(PackedValidationError::CorruptBuffer);
-            }
+        if core.verify_bulk().is_err() {
+            return Err(PackedValidationError::CorruptBuffer);
         }
         if self.staged_keys.len() != self.staged_rects.len() {
             return Err(PackedValidationError::DeltaInconsistent);
@@ -3052,57 +2555,30 @@ impl<K, const D: usize> PackedRTree<K, D> {
                 return Err(PackedValidationError::DeltaInconsistent);
             }
         }
-        if core.len() == 0 {
-            return if core.num_levels() == 0 {
-                Ok(())
-            } else {
-                Err(PackedValidationError::Inconsistent)
-            };
-        }
-        if core.num_levels() == 0 || core.level_nodes(core.num_levels() - 1) != 1 {
+        // Exactly one root over a non-empty tier, no level over an
+        // empty one.
+        let root_nodes = core.levels.last().map_or(0, |root| root.len());
+        if root_nodes != usize::from(core.len() > 0) {
             return Err(PackedValidationError::Inconsistent);
         }
-        // Per-node MBR exactness, checked in the *stored* domain: for
-        // an exact layout every node must equal the exact union of
-        // what it covers; for a quantized layout it must equal the
-        // outward-rounded f32 image of that union (quantization is
-        // monotone, so the f32 union of stored children matches the
-        // quantized exact union — no information is lost to check
-        // against).
+        // Every node must equal the exact union of what it covers.
         let node_size = core.node_size;
-        let entry_rects = core.rects();
         let mut below_len = core.len();
-        for level in 0..core.num_levels() {
+        for (level, nodes) in core.levels.iter().enumerate() {
             let expected_nodes = below_len.div_ceil(node_size);
-            let found = core.level_nodes(level);
-            if found != expected_nodes {
+            if nodes.len() != expected_nodes {
                 return Err(PackedValidationError::WrongLevelLength {
                     level,
-                    found,
+                    found: nodes.len(),
                     expected: expected_nodes,
                 });
             }
-            for node in 0..found {
-                let expected = if level == 0 {
-                    let lo = node * node_size;
-                    let hi = (lo + node_size).min(entry_rects.len());
-                    let exact = Rect::union_all(entry_rects[lo..hi].iter())
-                        .expect("covered range is non-empty");
-                    if core.is_quantized() {
-                        QRect::quantize(&exact).widen()
-                    } else {
-                        exact
-                    }
-                } else {
-                    core.level_group(level - 1, node)
-                        .union_widened()
-                        .expect("covered range is non-empty")
-                };
-                if core.node_mbr(level, node) != expected {
+            for (node, mbr) in nodes.iter().enumerate() {
+                if Some(*mbr) != core.covered_union(level, node) {
                     return Err(PackedValidationError::WrongMbr { level, node });
                 }
             }
-            below_len = found;
+            below_len = nodes.len();
         }
         // Retained curve keys must stay fresh for their slot's current
         // rectangle: bulk loads derive them at pack time and
@@ -3110,11 +2586,11 @@ impl<K, const D: usize> PackedRTree<K, D> {
         // so a mismatch means a move skipped its re-key and a later
         // sorted-splice merge would order the entry by a stale
         // position.
-        if !core.curve_keys().is_empty() {
+        if !core.curve_keys.is_empty() {
             if let Some(world) = &core.world {
                 let mapper = GridMapper::new(world);
-                for (slot, rect) in core.rects().iter().enumerate() {
-                    if core.curve_keys()[slot] != mapper.key(rect) as u32 {
+                for (slot, rect) in core.rects.iter().enumerate() {
+                    if core.curve_keys[slot] != mapper.key(rect) as u32 {
                         return Err(PackedValidationError::StaleCurveKey { slot });
                     }
                 }
@@ -3126,17 +2602,11 @@ impl<K, const D: usize> PackedRTree<K, D> {
 
 impl<K: SnapshotKey, const D: usize> PackedRTree<K, D> {
     /// Serializes the whole tree — packed core, live staged delta, and
-    /// tombstone bitmap — into one flat, versioned, checksummed buffer
-    /// ([`SnapshotOptions::default`] layout: exact f64 MBRs, natural
-    /// fanout). A mid-churn tree restores exactly: [`PackedRTree::load`]
+    /// tombstone bitmap — into one flat, versioned, checksummed
+    /// buffer. A mid-churn tree restores exactly: [`PackedRTree::load`]
     /// reproduces the live entry set, staged tier included.
     pub fn save(&self) -> Vec<u8> {
-        self.save_with_options(SnapshotOptions::default())
-    }
-
-    /// [`PackedRTree::save`] with an explicit hot-layout choice.
-    pub fn save_with_options(&self, options: SnapshotOptions) -> Vec<u8> {
-        self.save_with(options, |k| (*k).to_raw())
+        self.save_with(|k| (*k).to_raw())
     }
 
     /// Restores a tree from [`PackedRTree::save`] bytes, zero-copy:
@@ -3184,10 +2654,10 @@ impl<K, const D: usize> PackedRTree<K, D> {
     /// u16, dims u32, reserved u32, core length u64, staged count u64,
     /// tombstone words u64, tombstone count u64, delta checksum u64,
     /// delta fraction f64-bits — then the serialized core
-    /// (`PackedCore::to_bytes_with`), the live staged rectangles,
+    /// (`PackedCore::to_bytes`), the live staged rectangles,
     /// the staged raw keys, and the tombstone bitmap.
-    pub fn save_with(&self, options: SnapshotOptions, to_raw: impl Fn(&K) -> u64) -> Vec<u8> {
-        let core_bytes = self.core.to_bytes_with(options, &|k| to_raw(k));
+    pub fn save_with(&self, to_raw: impl Fn(&K) -> u64) -> Vec<u8> {
+        let core_bytes = self.core.to_bytes(&to_raw);
         debug_assert_eq!(core_bytes.len() % bytes::SECTION_ALIGN, 0);
         // Serialize the *live* logical view: retired frozen staged
         // entries are dropped, so the restored tree equals the live
@@ -3393,19 +2863,17 @@ impl<K, const D: usize> PackedRTree<K, D> {
         })
     }
 
-    /// Runs the deferred bulk-payload checksum of a flat-buffer core —
-    /// the integrity check [`PackedRTree::load`] postpones to keep
-    /// cold-start in budget. A no-op `Ok` on trees with owned columns.
+    /// Runs the deferred bulk-payload checksum of a loaded core — the
+    /// integrity check [`PackedRTree::load`] postpones to keep
+    /// cold-start in budget. A no-op `Ok` on built trees, and once a
+    /// write has copied the checksummed columns out of the buffer.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::ChecksumMismatch`] when the entry columns were
     /// corrupted after the save.
     pub fn verify_snapshot(&self) -> Result<(), SnapshotError> {
-        match &self.core.cols {
-            Cols::Flat(flat) => flat.verify_bulk(),
-            Cols::Owned { .. } => Ok(()),
-        }
+        self.core.verify_bulk()
     }
 
     /// Overwrites one stored node MBR, bypassing every invariant —
@@ -3415,12 +2883,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     where
         K: Clone,
     {
-        let core = Arc::make_mut(&mut self.core);
-        core.make_owned();
-        let Cols::Owned { levels, .. } = &mut core.cols else {
-            unreachable!("make_owned above")
-        };
-        levels[level][node] = rect;
+        Arc::make_mut(&mut self.core).levels[level].to_mut()[node] = rect;
     }
 }
 
@@ -4215,45 +3678,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips_in_every_layout() {
-        let tree = PackedRTree::bulk_load_with_node_size(8, grid(457));
-        for (quantize, fanout) in [(false, true), (true, false), (true, true)] {
-            let bytes = tree.save_with_options(SnapshotOptions {
-                quantize_interior: quantize,
-                aligned_fanout: fanout,
-            });
-            let restored = PackedRTree::<usize, 2>::load(bytes).unwrap();
-            assert_eq!(restored.core.is_quantized(), quantize);
-            restored.validate().unwrap();
-            restored.verify_snapshot().unwrap();
-            assert_reads_equal(&tree, &restored);
-        }
-    }
-
-    #[test]
-    fn quantized_snapshot_resaves_to_both_layouts() {
-        // quant → quant and quant → exact: the exact re-save must
-        // recompute interior MBRs from the entry rects, not widen.
-        let tree = PackedRTree::bulk_load(grid(300));
-        let quant = PackedRTree::<usize, 2>::load(tree.save_with_options(SnapshotOptions {
-            quantize_interior: true,
-            aligned_fanout: false,
-        }))
-        .unwrap();
-        let requant = PackedRTree::<usize, 2>::load(quant.save_with_options(SnapshotOptions {
-            quantize_interior: true,
-            aligned_fanout: true,
-        }))
-        .unwrap();
-        let exact = PackedRTree::<usize, 2>::load(quant.save()).unwrap();
-        requant.validate().unwrap();
-        exact.validate().unwrap();
-        assert!(!exact.core.is_quantized());
-        assert_reads_equal(&tree, &requant);
-        assert_reads_equal(&tree, &exact);
-    }
-
-    #[test]
     fn empty_tree_round_trips() {
         let tree: PackedRTree<usize, 2> = PackedRTree::bulk_load(Vec::new());
         let restored = PackedRTree::<usize, 2>::load_verified(tree.save()).unwrap();
@@ -4315,30 +3739,21 @@ mod tests {
     #[test]
     fn restored_tree_mutates_like_a_built_one() {
         let tree = PackedRTree::bulk_load(grid(120));
-        for options in [
-            SnapshotOptions::default(),
-            SnapshotOptions {
-                quantize_interior: true,
-                aligned_fanout: true,
-            },
-        ] {
-            let mut restored =
-                PackedRTree::<usize, 2>::load(tree.save_with_options(options)).unwrap();
-            let slot = restored.slot_of(&11).unwrap();
-            restored.update(slot, Rect::new([777.0, 777.0], [778.0, 778.0]));
-            restored.stage_insert(5000, Rect::new([900.0, 900.0], [901.0, 901.0]));
-            restored.compact();
-            restored.validate().unwrap();
-            assert_eq!(restored.len(), 121);
-            assert_eq!(
-                restored.search_point(&Point::new([777.5, 777.5])),
-                vec![&11]
-            );
-            assert_eq!(
-                restored.search_point(&Point::new([900.5, 900.5])),
-                vec![&5000]
-            );
-        }
+        let mut restored = PackedRTree::<usize, 2>::load(tree.save()).unwrap();
+        let slot = restored.slot_of(&11).unwrap();
+        restored.update(slot, Rect::new([777.0, 777.0], [778.0, 778.0]));
+        restored.stage_insert(5000, Rect::new([900.0, 900.0], [901.0, 901.0]));
+        restored.compact();
+        restored.validate().unwrap();
+        assert_eq!(restored.len(), 121);
+        assert_eq!(
+            restored.search_point(&Point::new([777.5, 777.5])),
+            vec![&11]
+        );
+        assert_eq!(
+            restored.search_point(&Point::new([900.5, 900.5])),
+            vec![&5000]
+        );
     }
 
     #[test]
@@ -4403,8 +3818,11 @@ mod tests {
                 bad[pos] ^= flip;
                 if let Ok(t) = PackedRTree::<usize, 2>::load(bad) {
                     // A surviving load may only differ in deferred-
-                    // checksummed payload; probing must not panic.
+                    // checksummed payload; probing and both
+                    // verifiers must return, not panic.
                     let _ = t.search_point(&Point::new([1.0, 1.0]));
+                    let _ = t.validate();
+                    let _ = t.verify_snapshot();
                 }
             }
         }
@@ -4435,7 +3853,7 @@ mod tests {
             .map(|(k, r)| (Id(k as u32), r))
             .collect();
         let tree = PackedRTree::bulk_load(entries);
-        let bytes = tree.save_with(SnapshotOptions::default(), |id| u64::from(id.0));
+        let bytes = tree.save_with(|id| u64::from(id.0));
         let restored = PackedRTree::<Id, 2>::load_with(bytes, |raw| Id(raw as u32)).unwrap();
         assert_eq!(restored.len(), 90);
         let p = Point::new([3.5, 3.5]);

@@ -8,7 +8,7 @@
 //! two-phase freeze/merge/install cycle with mutations landing
 //! mid-compaction.
 
-use drtree_rtree::{PackedRTree, RTree, RTreeConfig, SnapshotOptions, SplitMethod};
+use drtree_rtree::{PackedRTree, RTree, RTreeConfig, SplitMethod};
 use drtree_spatial::{Point, Rect};
 use drtree_workloads::SubscriptionWorkload;
 use proptest::prelude::*;
@@ -435,8 +435,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Snapshot round-trips: save -> load must be invisible to every query,
-// no matter where in a churn sequence the snapshot is taken, on both
-// the exact-f64 layout and the quantized-f32 / aligned-fanout layout.
+// no matter where in a churn sequence the snapshot is taken.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -464,11 +463,10 @@ fn arb_churn_op() -> impl Strategy<Value = ChurnOp> {
 /// eager-checksum paths, and require identical answers to every probe.
 fn round_trip_matches(
     tree: &PackedRTree<usize, 2>,
-    options: SnapshotOptions,
     probes: &[Point<2>],
     windows: &[Rect<2>],
 ) -> Result<(), TestCaseError> {
-    let bytes = tree.save_with_options(options);
+    let bytes = tree.save();
     let restored = PackedRTree::<usize, 2>::load(bytes.clone())
         .map_err(|e| TestCaseError::fail(format!("load: {e}")))?;
     restored
@@ -522,16 +520,11 @@ proptest! {
     fn snapshot_round_trips_exactly_under_interleaved_churn(
         base in prop::collection::vec(arb_rect(), 0..100),
         ops in prop::collection::vec(arb_churn_op(), 0..50),
-        quantize in any::<bool>(),
         probes in prop::collection::vec(
             (0.0f64..130.0, 0.0f64..130.0).prop_map(|(x, y)| Point::<2>::new([x, y])),
             1..10),
         windows in prop::collection::vec(arb_rect(), 1..4),
     ) {
-        // The two hot-layout experiments ride the same header; exercise
-        // the exact layout and the fully experimental one alternately.
-        let options = SnapshotOptions { quantize_interior: quantize, aligned_fanout: quantize };
-
         let mut model: Vec<(usize, Rect<2>)> = base.iter().copied().enumerate().collect();
         let mut tree = PackedRTree::bulk_load(model.clone());
         let mut next_key = model.len();
@@ -558,24 +551,23 @@ proptest! {
                 }
                 // Cap mid-sequence round-trips: each one serializes the
                 // whole tree, and three interior placements (early,
-                // mid-delta, post-compaction) cover the layout space.
+                // mid-delta, post-compaction) cover the delta states.
                 ChurnOp::Checkpoint if checkpoints < 3 => {
                     checkpoints += 1;
-                    round_trip_matches(&tree, options, &probes, &windows)?;
+                    round_trip_matches(&tree, &probes, &windows)?;
                 }
                 ChurnOp::Checkpoint => {}
             }
         }
 
         prop_assert_eq!(tree.len(), model.len());
-        round_trip_matches(&tree, options, &probes, &windows)?;
+        round_trip_matches(&tree, &probes, &windows)?;
     }
 
     #[test]
     fn corrupted_snapshots_error_and_never_panic(
         base in prop::collection::vec(arb_rect(), 0..80),
         staged in prop::collection::vec(arb_rect(), 0..20),
-        quantize in any::<bool>(),
         cut_at in 0usize..1_000_000,
         flips in prop::collection::vec((0usize..1_000_000, 1u8..255), 1..6),
         probe in (0.0f64..130.0, 0.0f64..130.0).prop_map(|(x, y)| Point::<2>::new([x, y])),
@@ -588,8 +580,7 @@ proptest! {
         if !base.is_empty() {
             tree.remove_entry(&0, &base[0]);
         }
-        let options = SnapshotOptions { quantize_interior: quantize, aligned_fanout: quantize };
-        let bytes = tree.save_with_options(options);
+        let bytes = tree.save();
 
         // Every strict prefix must be rejected: the header carries the
         // total payload length, so truncation is always detectable.

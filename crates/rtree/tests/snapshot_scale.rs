@@ -1,10 +1,10 @@
 //! Release-only scale test: a 500k-entry snapshot must round-trip
-//! byte-exactly and serve queries immediately after `load`, on both
-//! the exact layout and the quantized/aligned hot layout. CI runs this
-//! via `cargo test --release -p drtree-rtree`; under a debug build the
-//! bulk load alone would dominate the suite, so it is ignored there.
+//! byte-exactly and serve queries immediately after `load`. CI runs
+//! this via `cargo test --release -p drtree-rtree`; under a debug build
+//! the bulk load alone would dominate the suite, so it is ignored
+//! there.
 
-use drtree_rtree::{PackedRTree, SnapshotOptions};
+use drtree_rtree::PackedRTree;
 use drtree_spatial::{Point, Rect};
 
 const N: usize = 500_000;
@@ -39,7 +39,12 @@ fn probe_points() -> Vec<Point<2>> {
         .collect()
 }
 
-fn round_trip(options: SnapshotOptions) {
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "500k bulk load is release-only; run with `cargo test --release`"
+)]
+fn five_hundred_k_snapshot_round_trips() {
     let mut tree = PackedRTree::bulk_load(entries());
     // Leave the delta layer non-empty: stage a band of fresh entries
     // and tombstone a band of packed ones, so the snapshot carries all
@@ -53,7 +58,7 @@ fn round_trip(options: SnapshotOptions) {
     }
     let live = tree.len();
 
-    let bytes = tree.save_with_options(options);
+    let bytes = tree.save();
     let restored = PackedRTree::<usize, 2>::load(bytes.clone()).expect("snapshot loads");
     assert_eq!(restored.len(), live);
     restored.verify_snapshot().expect("bulk checksum verifies");
@@ -73,17 +78,4 @@ fn round_trip(options: SnapshotOptions) {
         hits += want.len();
     }
     assert!(hits > 0, "probe set never hit an entry");
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "500k bulk load is release-only; run with `cargo test --release`"
-)]
-fn five_hundred_k_snapshot_round_trips_on_both_layouts() {
-    round_trip(SnapshotOptions::default());
-    round_trip(SnapshotOptions {
-        quantize_interior: true,
-        aligned_fanout: true,
-    });
 }
