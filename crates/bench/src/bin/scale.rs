@@ -57,23 +57,6 @@
 //!   cargo run -p drtree-bench --release --bin scale -- churn [out.json] [--check <t>]
 //!   ```
 //!
-//! * **Pipelined dissemination** (`pipeline`): the overlay-side
-//!   batching mode. Publishes the same event stream through a
-//!   bulk-built overlay ([`DrTreeCluster::build_bulk`]) at 1k/4k/16k
-//!   subscribers, once with the sequential
-//!   [`DrTreeCluster::publish_from`] loop (every event drains the
-//!   network before the next may enter) and once with
-//!   [`DrTreeCluster::publish_pipeline_from`] at windows 1/8/32/128
-//!   (a sliding window of events sharing dissemination rounds, with
-//!   tag-scoped per-event accounting). Reports ns/event and
-//!   rounds/event and asserts that every window delivers exactly the
-//!   sequential delivery multiset. Writes `BENCH_pipeline.json` (or
-//!   the given path).
-//!
-//!   ```text
-//!   cargo run -p drtree-bench --release --bin scale -- pipeline [out.json] [--check <t>]
-//!   ```
-//!
 //! * **Fault schedules** (`faults`): the robustness mode. Drives the
 //!   six canonical adversarial [`FaultSchedule`]s (partition-then-
 //!   heal, correlated regional crash, lossy burst, duplication +
@@ -172,10 +155,6 @@
 //!   `incremental_vs_rebuild_at_100k`,
 //!   `concurrent_vs_sync_pause_ratio_at_250k`, and
 //!   `concurrent_vs_sync_throughput_at_250k`.
-//! * `BENCH_pipeline.json` — per-size sequential
-//!   `{ns_per_event, rounds_per_event}` plus per-window
-//!   `{window, ns_per_event, rounds_per_event, speedup}` samples, and
-//!   the headline `pipeline_vs_sequential_at_16k_w32`.
 //! * `BENCH_faults.json` — per-size, per-schedule `{recovery_rounds,
 //!   budget, survivors, post_exact, fault/post p50/p99/p999, fault
 //!   counter deltas}` samples, the asynchronous-engine probe, and the
@@ -212,9 +191,6 @@
 //!   `t`), at 250k the concurrent path's max publish-path pause must
 //!   be ≤ ½ the synchronous baseline's while sustaining ≥ 90% of its
 //!   throughput.
-//! * `pipeline --check t` — the windowed pipeline (window 32) must
-//!   publish ≥ `t`× faster per event than the sequential loop at 16k
-//!   subscribers.
 //! * `faults --check t` — every schedule must re-reach a legal
 //!   configuration with ≥ `t`× budget headroom, and post-recovery
 //!   delivery (both engines) must stay exact. `t = 1.0` means "within
@@ -313,10 +289,6 @@ fn main() {
         Some("churn") => {
             let (out, check) = parse_out_and_check(&args[1..], "BENCH_churn.json");
             churn_throughput(&out, check);
-        }
-        Some("pipeline") => {
-            let (out, check) = parse_out_and_check(&args[1..], "BENCH_pipeline.json");
-            pipeline_dissemination(&out, check);
         }
         Some("faults") => {
             let (out, check) = parse_out_and_check(&args[1..], "BENCH_faults.json");
@@ -1130,167 +1102,6 @@ fn churn_throughput(out_path: &str, check: Option<f64>) {
              pause <= 1/{PAUSE_RATIO_FLOOR} of synchronous with >= {THROUGHPUT_RATIO_FLOOR} \
              throughput"
         );
-    }
-}
-
-/// One pipelined-dissemination measurement at one (size, window).
-struct PipelineSample {
-    window: usize,
-    ns_per_event: f64,
-    rounds_per_event: f64,
-}
-
-/// The overlay-side batching probe (see the module docs): sequential
-/// `publish_from` loop vs `publish_pipeline_from` at several window
-/// sizes, on identical bulk-built overlays replaying an identical
-/// event schedule. Writes `BENCH_pipeline.json` and gates the
-/// `pipeline_vs_sequential_at_16k_w32` ratio.
-fn pipeline_dissemination(out_path: &str, check: Option<f64>) {
-    const SIZES: [usize; 3] = [1_000, 4_000, 16_000];
-    const WINDOWS: [usize; 4] = [1, 8, 32, 128];
-    const EVENTS: usize = 128;
-    const GATE_SIZE: usize = 16_000;
-    const GATE_WINDOW: usize = 32;
-
-    let mut per_size: Vec<(usize, f64, f64, Vec<PipelineSample>)> = Vec::new();
-    let mut seq_at_gate = None;
-    let mut pipe_at_gate = None;
-    println!("| N | mode | ns/event | rounds/event | speedup |");
-    println!("|---|------|----------|--------------|---------|");
-    for size in SIZES {
-        let rects = scaled_rects(size, 7_700 + size as u64);
-        let base: DrTreeCluster<2> =
-            DrTreeCluster::build_bulk(DrTreeConfig::default(), 9_600 + size as u64, &rects);
-        // One fixed schedule per size: rotating publishers, events at
-        // subscription centers (traffic that interests somebody), the
-        // same stream replayed by every mode.
-        let ids = base.ids();
-        let mut rng = StdRng::seed_from_u64(9_700 + size as u64);
-        let events: Vec<(ProcessId, Point<2>)> = (0..EVENTS)
-            .map(|_| {
-                let publisher = ids[rng.gen_range(0..ids.len())];
-                let point = rects[rng.gen_range(0..rects.len())].center();
-                (publisher, point)
-            })
-            .collect();
-
-        // Sequential reference: drain the network once per event.
-        let mut cluster = base.clone();
-        let t0 = Instant::now();
-        let seq_reports: Vec<_> = events
-            .iter()
-            .map(|&(publisher, point)| cluster.publish_from(publisher, point))
-            .collect();
-        let seq_ns = t0.elapsed().as_nanos() as f64 / EVENTS as f64;
-        let seq_rounds = seq_reports.iter().map(|r| r.rounds).sum::<u64>() as f64 / EVENTS as f64;
-        let seq_receivers: Vec<&[ProcessId]> =
-            seq_reports.iter().map(|r| r.receivers.as_slice()).collect();
-        println!("| {size} | sequential | {seq_ns:.0} | {seq_rounds:.1} | 1.00x |");
-        if size == GATE_SIZE {
-            seq_at_gate = Some(seq_ns);
-        }
-
-        let mut samples = Vec::new();
-        for window in WINDOWS {
-            let mut cluster = base.clone();
-            let t0 = Instant::now();
-            let reports = cluster.publish_pipeline_from(&events, window);
-            let ns = t0.elapsed().as_nanos() as f64 / EVENTS as f64;
-            let rounds = reports.iter().map(|r| r.rounds).sum::<u64>() as f64 / EVENTS as f64;
-            // Pipelining must not change what is delivered: identical
-            // overlays replaying an identical schedule must reproduce
-            // every sequential per-event delivery set (the property
-            // tests pin this on small overlays; this guards the
-            // measured configuration).
-            for (i, report) in reports.iter().enumerate() {
-                assert_eq!(
-                    report.receivers.as_slice(),
-                    seq_receivers[i],
-                    "window {window} changed event {i}'s deliveries at {size}"
-                );
-            }
-            let speedup = seq_ns / ns;
-            println!("| {size} | window {window} | {ns:.0} | {rounds:.1} | {speedup:.2}x |");
-            if size == GATE_SIZE && window == GATE_WINDOW {
-                pipe_at_gate = Some(ns);
-            }
-            samples.push(PipelineSample {
-                window,
-                ns_per_event: ns,
-                rounds_per_event: rounds,
-            });
-        }
-        per_size.push((size, seq_ns, seq_rounds, samples));
-    }
-
-    let seq = seq_at_gate.expect("gate size measured");
-    let pipe = pipe_at_gate.expect("gate size measured");
-    let speedup = seq / pipe;
-    println!(
-        "windowed pipeline (w={GATE_WINDOW}) vs sequential publish at {GATE_SIZE}: \
-         {speedup:.2}x ({seq:.0} -> {pipe:.0} ns/event)"
-    );
-
-    let sizes = per_size.iter().fold(
-        Json::object(),
-        |obj, (size, seq_ns, seq_rounds, samples)| {
-            obj.field(
-                size.to_string().as_str(),
-                Json::object()
-                    .field(
-                        "sequential",
-                        Json::object()
-                            .field("ns_per_event", Json::fixed(*seq_ns, 1))
-                            .field("rounds_per_event", Json::fixed(*seq_rounds, 1)),
-                    )
-                    .field(
-                        "windows",
-                        Json::Array(
-                            samples
-                                .iter()
-                                .map(|s| {
-                                    Json::object()
-                                        .field("window", s.window)
-                                        .field("ns_per_event", Json::fixed(s.ns_per_event, 1))
-                                        .field(
-                                            "rounds_per_event",
-                                            Json::fixed(s.rounds_per_event, 1),
-                                        )
-                                        .field("speedup", Json::fixed(seq_ns / s.ns_per_event, 2))
-                                })
-                                .collect(),
-                        ),
-                    ),
-            )
-        },
-    );
-    let json = Json::object()
-        .field("bench", "pipelined-dissemination")
-        .field(
-            "workload",
-            "uniform 2d, extents 1-10, world scaled to ~10 matches per point query; \
-             bulk-built overlay (m=2, M=4); 128 events at subscription centers from \
-             rotating publishers",
-        )
-        .field(
-            "query",
-            "overlay publish ns per event, whole stream timed; sequential = drain per \
-             event, windows = sliding-window pipeline with tag-scoped accounting; \
-             rounds_per_event is the per-event injection-to-quiescence span",
-        )
-        .field("sizes", sizes)
-        .field("pipeline_vs_sequential_at_16k_w32", Json::fixed(speedup, 2));
-    write_bench(out_path, json);
-
-    if let Some(threshold) = check {
-        if speedup < threshold {
-            eprintln!(
-                "REGRESSION: pipelined publish speedup fell below {threshold}x \
-                 (measured {speedup:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        println!("check passed: pipeline >= {threshold}x vs sequential publish");
     }
 }
 

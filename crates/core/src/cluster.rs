@@ -1,27 +1,36 @@
 //! High-level harness: a whole DR-tree overlay in one value.
 //!
-//! [`DrTreeCluster`] wraps the synchronous round engine with everything
-//! an experiment needs: subscribing (the join protocol, Fig. 8),
-//! controlled departures (Fig. 9) and crashes, publishing events with
-//! delivery accounting (§2.3 dissemination), the contact oracle
-//! (§3.2), the Definition-3.1/3.2 legality check driven by the
-//! CHECK_\* stabilization modules (Figs. 10–14), and structural
-//! statistics (height, degrees, memory — Lemma 3.1). Rounds are the
-//! paper's "steps": every process runs its periodic checks once per
-//! round and messages take one round per hop.
+//! [`Overlay`] wraps a simulation engine with everything an experiment
+//! needs: subscribing (the join protocol, Fig. 8), controlled
+//! departures (Fig. 9) and crashes, publishing events with delivery
+//! accounting (§2.3 dissemination), the contact oracle (§3.2), the
+//! Definition-3.1/3.2 legality check driven by the CHECK_\*
+//! stabilization modules (Figs. 10–14), the fault and link controls,
+//! and structural statistics (height, degrees, memory — Lemma 3.1). It
+//! is written once, generic over the engine's [`Schedule`], and runs in
+//! *steps*: the span of the engine's clock in which every node runs
+//! its periodic checks once — the one thing the driver asks its engine
+//! ([`drtree_sim::Network::period`]).
+//!
+//! [`DrTreeCluster`] is the driver on the synchronous round engine: a
+//! step is one round, the paper's "step", and messages take one round
+//! per hop — the right ruler for the stabilization lemmas.
+//! [`AsyncDrTreeCluster`](crate::AsyncDrTreeCluster) is the same driver
+//! on the event engine, where a step is one
+//! [`DrTreeConfig::tick_interval`] of simulated time.
 //!
 //! Publishing comes in two shapes:
 //!
-//! * [`DrTreeCluster::publish_from`] — the paper's measurement unit:
-//!   one event, drained to quiescence before the next may enter.
-//! * [`DrTreeCluster::publish_pipeline`] — the scaling path: a sliding
-//!   window of events disseminates concurrently, sharing rounds, while
-//!   tagged message accounting keeps every per-event figure exact (see
+//! * [`Overlay::publish_from`] — the paper's measurement unit: one
+//!   event, drained to quiescence before the next may enter.
+//! * [`Overlay::publish_pipeline`] — the scaling path: a sliding window
+//!   of events disseminates concurrently, sharing steps, while tagged
+//!   message accounting keeps every per-event figure exact (see
 //!   [`drtree_sim::MsgTag`]).
 
 use rand::rngs::StdRng;
 
-use drtree_sim::{Metrics, ProcessId, RoundNetwork};
+use drtree_sim::{Metrics, Network, ProcessId, RoundNetwork, RoundSchedule, Schedule};
 use drtree_spatial::{Point, Rect};
 
 use crate::config::DrTreeConfig;
@@ -49,11 +58,12 @@ pub struct PublishReport {
     pub false_negatives: Vec<ProcessId>,
     /// `PubDown`/`PubUp` messages spent on this event. Tag-scoped:
     /// exact for this event even when dissemination of several events
-    /// overlaps in the network ([`DrTreeCluster::publish_pipeline`]).
+    /// overlaps in the network ([`Overlay::publish_pipeline`]).
     pub messages: u64,
-    /// Rounds the dissemination took: the fixed drain budget for
-    /// [`DrTreeCluster::publish_from`], the measured injection-to-
-    /// quiescence span for [`DrTreeCluster::publish_pipeline`].
+    /// What the dissemination took on the engine's clock (rounds, or
+    /// simulated time): the fixed drain budget for
+    /// [`Overlay::publish_from`], the measured injection-to-quiescence
+    /// span for [`Overlay::publish_pipeline`].
     pub rounds: u64,
 }
 
@@ -81,12 +91,12 @@ impl PublishReport {
 }
 
 /// Delivery accounting of the publish call in progress — the one
-/// routine behind `publish_from` and `publish_pipeline_from` of both
-/// harnesses. What an event costs here is its receivers: deliveries are
+/// routine behind `publish_from` and `publish_pipeline_from`. What an
+/// event costs here is its receivers: deliveries are
 /// booked from the engine's mark log as they happen
 /// ([`drtree_sim::Context::mark`]), never by probing every node.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Accounting {
+struct Accounting {
     /// One report per event of the call, in input order. A call's event
     /// ids are consecutive, so `reports[i]` belongs to event
     /// `first_event + i`. Empty between calls.
@@ -97,7 +107,7 @@ pub(crate) struct Accounting {
 impl Accounting {
     /// Opens the accounts of a call about to inject `events` events
     /// under the ids `first_event..`.
-    pub(crate) fn open(&mut self, first_event: u64, events: usize) {
+    fn open(&mut self, first_event: u64, events: usize) {
         self.first_event = first_event;
         self.reports = (first_event..)
             .take(events)
@@ -109,7 +119,7 @@ impl Accounting {
     /// Marks of events outside the open call — background traffic
     /// nobody accounts, stragglers of a force-finalized event — are
     /// dropped, so nothing accumulates.
-    pub(crate) fn absorb(&mut self, marks: impl Iterator<Item = (u64, ProcessId)>) {
+    fn absorb(&mut self, marks: impl Iterator<Item = (u64, ProcessId)>) {
         for (event_id, receiver) in marks {
             let index = usize::try_from(event_id.wrapping_sub(self.first_event));
             if let Some(report) = index.ok().and_then(|i| self.reports.get_mut(i)) {
@@ -120,7 +130,7 @@ impl Accounting {
 
     /// Event `index` of the call went quiescent (or was force-
     /// finalized): records its message bill and dissemination span.
-    pub(crate) fn settle(&mut self, index: usize, messages: u64, rounds: u64) {
+    fn settle(&mut self, index: usize, messages: u64, rounds: u64) {
         let report = &mut self.reports[index];
         report.messages = messages;
         report.rounds = rounds;
@@ -131,7 +141,7 @@ impl Accounting {
     /// — one pass over the nodes, each filter read once and tested
     /// against the call's points — and, against the booked receivers,
     /// who wrongly did or did not. Every list ascends by id.
-    pub(crate) fn close<'a, const D: usize>(
+    fn close<'a, const D: usize>(
         &mut self,
         nodes: impl Iterator<Item = (ProcessId, &'a DrtNode<D>)>,
         events: &[(ProcessId, Point<D>)],
@@ -180,7 +190,24 @@ fn difference(a: &[ProcessId], b: &[ProcessId]) -> Vec<ProcessId> {
         .collect()
 }
 
-/// A complete simulated DR-tree overlay (round-based engine).
+/// A complete simulated DR-tree overlay, on whichever engine holds the
+/// schedule `Q`. Use it through its two names: [`DrTreeCluster`] (round
+/// engine) and [`AsyncDrTreeCluster`](crate::AsyncDrTreeCluster) (event
+/// engine). Every operation is defined here once; the names add their
+/// constructors and, for rounds, the round vocabulary.
+#[derive(Clone)]
+pub struct Overlay<const D: usize, Q> {
+    pub(crate) net: Network<DrtNode<D>, Q>,
+    config: DrTreeConfig,
+    pub(crate) next_event_id: u64,
+    /// Every id ever allocated (for adversarial corruption universes).
+    all_ids: Vec<ProcessId>,
+    /// Scratch of the per-step contact computation.
+    oracle: ContactOracle,
+    accounting: Accounting,
+}
+
+/// A complete simulated DR-tree overlay on the round-based engine.
 ///
 /// See the [crate documentation](crate) for a quick-start example.
 ///
@@ -227,21 +254,74 @@ fn difference(a: &[ProcessId], b: &[ProcessId]) -> Vec<ProcessId> {
 /// }
 /// assert!(pipe_rounds < seq_rounds);
 /// ```
-#[derive(Clone)]
-pub struct DrTreeCluster<const D: usize> {
-    pub(crate) net: RoundNetwork<DrtNode<D>>,
-    config: DrTreeConfig,
-    pub(crate) next_event_id: u64,
-    /// Every id ever allocated (for adversarial corruption universes).
-    all_ids: Vec<ProcessId>,
-    /// Scratch of the per-round contact computation.
-    oracle: ContactOracle,
-    accounting: Accounting,
-}
+pub type DrTreeCluster<const D: usize> = Overlay<D, RoundSchedule<DrtNode<D>>>;
 
 impl<const D: usize> DrTreeCluster<D> {
-    /// Upper bound on the [`DrTreeCluster::publish_pipeline`] window:
-    /// half the capacity of a node's recently-seen ring.
+    /// Creates an empty overlay with deterministic seed.
+    pub fn new(config: DrTreeConfig, seed: u64) -> Self {
+        Self::over(RoundNetwork::with_tick(seed, DrtTimer::Tick), config)
+    }
+
+    /// Builds an overlay over `filters`, one stable join at a time, and
+    /// stabilizes it. Panics if the overlay cannot reach a legal
+    /// configuration — construction from a quiescent state always can.
+    pub fn build(config: DrTreeConfig, seed: u64, filters: &[Rect<D>]) -> Self {
+        let mut cluster = Self::new(config, seed);
+        for f in filters {
+            cluster.add_subscriber_stable(*f);
+        }
+        cluster
+            .stabilize(10_000 + 50 * filters.len() as u64)
+            .expect("freshly built overlay stabilizes");
+        cluster
+    }
+
+    /// Builds an overlay over `filters` by materializing a legitimate
+    /// configuration directly (Hilbert-ordered grouping, largest-MBR
+    /// owners — see [`crate::bulk`]) instead of running one join
+    /// protocol instance per subscriber.
+    ///
+    /// Protocol-equivalent from the outside: the result passes
+    /// [`Overlay::check_legal`] (asserted), so every subsequent
+    /// operation — publishes, churn, corruption, stabilization — runs
+    /// the unmodified protocol on it. [`DrTreeCluster::build`] costs
+    /// `O(N²)` simulation work and dominates large experiments; this
+    /// path is `O(N log N)` and makes 10k+-subscriber benches
+    /// practical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the materialized configuration is not legal (a bug,
+    /// not an input condition: any finite filter set has one).
+    pub fn build_bulk(config: DrTreeConfig, seed: u64, filters: &[Rect<D>]) -> Self {
+        Self::new(config, seed).materialize(filters)
+    }
+
+    /// Suspends or resumes the periodic stabilization tick (the ∆
+    /// windows of Lemma 3.7 are simulated by suspending it).
+    pub fn set_stabilization_enabled(&mut self, enabled: bool) {
+        self.net.set_tick(enabled.then_some(DrtTimer::Tick));
+    }
+
+    /// Rounds executed so far.
+    pub fn round(&self) -> u64 {
+        self.now()
+    }
+
+    /// Executes one round (refreshing the contact oracle first).
+    pub fn run_round(&mut self) {
+        self.run_for(1);
+    }
+
+    /// Executes `n` rounds.
+    pub fn run_rounds(&mut self, n: u64) {
+        self.run_for(n);
+    }
+}
+
+impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
+    /// Upper bound on the [`Overlay::publish_pipeline`] window: half
+    /// the capacity of a node's recently-seen ring.
     ///
     /// Deliveries are accounted from the engine's mark log, so the ring
     /// no longer has to remember an event until its report is written;
@@ -255,16 +335,43 @@ impl<const D: usize> DrTreeCluster<D> {
     /// in one fill.
     pub const MAX_PUBLISH_WINDOW: usize = crate::protocol::node::RECENT_EVENTS / 2;
 
-    /// Creates an empty overlay with deterministic seed.
-    pub fn new(config: DrTreeConfig, seed: u64) -> Self {
+    /// An empty overlay on `net`.
+    pub(crate) fn over(net: Network<DrtNode<D>, Q>, config: DrTreeConfig) -> Self {
         Self {
-            net: RoundNetwork::with_tick(seed, DrtTimer::Tick),
+            net,
             config,
             next_event_id: 0,
             all_ids: Vec::new(),
             oracle: ContactOracle::default(),
             accounting: Accounting::default(),
         }
+    }
+
+    /// Fills an empty overlay with the legitimate configuration
+    /// [`crate::bulk`] computes over `filters` — the body of both
+    /// `build_bulk` constructors.
+    pub(crate) fn materialize(mut self, filters: &[Rect<D>]) -> Self {
+        let config = self.config;
+        let ids: Vec<ProcessId> = filters
+            .iter()
+            .map(|&f| {
+                let id = self.net.add_process(DrtNode::new(config, f));
+                self.all_ids.push(id);
+                id
+            })
+            .collect();
+        for (id, state) in crate::bulk::bulk_states(&config, &ids, filters) {
+            if let Some(node) = self.net.process_mut(id) {
+                *node.state_mut() = state;
+            }
+        }
+        // Two steps warm the heartbeat caches; on a legal state the
+        // CHECK_* modules are no-ops.
+        self.run_for(2 * self.step());
+        if let Err(v) = self.check_legal() {
+            panic!("bulk-built overlay is not legal: {v:?}");
+        }
+        self
     }
 
     /// The overlay configuration.
@@ -287,9 +394,9 @@ impl<const D: usize> DrTreeCluster<D> {
         self.net.ids()
     }
 
-    /// Rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.net.round()
+    /// The engine's clock: rounds executed, or simulated time.
+    pub fn now(&self) -> u64 {
+        self.net.now()
     }
 
     /// Message metrics of the underlying network.
@@ -313,7 +420,7 @@ impl<const D: usize> DrTreeCluster<D> {
     }
 
     /// Adds a subscriber with `filter`. It joins the overlay through the
-    /// contact oracle during the following rounds.
+    /// contact oracle during the following steps.
     pub fn add_subscriber(&mut self, filter: Rect<D>) -> ProcessId {
         let node = DrtNode::new(self.config, filter);
         let id = self.net.add_process(node);
@@ -325,105 +432,57 @@ impl<const D: usize> DrTreeCluster<D> {
         id
     }
 
-    /// Adds a subscriber and runs rounds until it is attached to the
-    /// main tree (or `max_rounds` elapse). Returns the id.
+    /// Adds a subscriber and runs steps until it is attached to the
+    /// main tree (or the join budget elapses). Returns the id.
     pub fn add_subscriber_stable(&mut self, filter: Rect<D>) -> ProcessId {
         let id = self.add_subscriber(filter);
         // One oracle call per state: the answer that sizes the budget
-        // and tests attachment also steers the round that follows.
+        // and tests attachment also steers the step that follows.
         let mut contact = self.fresh_contact();
-        let max_rounds =
+        let max_steps =
             40 + 4 * (u64::from(self.height_under(contact)) + 2) + self.config.join_retry;
-        for _ in 0..max_rounds {
+        for _ in 0..max_steps {
             let joined = self
                 .node(id)
                 .is_some_and(|n| !n.believes_root() || contact == Some(id));
             if joined {
                 break;
             }
-            self.run_round_with(contact);
+            self.advance_with(contact, self.step());
             contact = self.fresh_contact();
         }
         id
     }
 
-    /// Builds an overlay over `filters`, one stable join at a time, and
-    /// stabilizes it. Panics if the overlay cannot reach a legal
-    /// configuration — construction from a quiescent state always can.
-    pub fn build(config: DrTreeConfig, seed: u64, filters: &[Rect<D>]) -> Self {
-        let mut cluster = Self::new(config, seed);
-        for f in filters {
-            cluster.add_subscriber_stable(*f);
+    /// One step of the driver on its engine's clock: the span in which
+    /// every node runs its periodic CHECK_* modules once (a round, or
+    /// one tick interval of simulated time).
+    fn step(&self) -> u64 {
+        self.net.period(self.config.tick_interval)
+    }
+
+    /// Advances the clock by `span`, refreshing the contact oracle at
+    /// step granularity.
+    pub fn run_for(&mut self, span: u64) {
+        let step = self.step();
+        let deadline = self.now() + span;
+        while self.now() < deadline {
+            let contact = self.fresh_contact();
+            self.advance_with(contact, step.min(deadline - self.now()));
         }
-        cluster
-            .stabilize(10_000 + 50 * filters.len() as u64)
-            .expect("freshly built overlay stabilizes");
-        cluster
     }
 
-    /// Builds an overlay over `filters` by materializing a legitimate
-    /// configuration directly (Hilbert-ordered grouping, largest-MBR
-    /// owners — see [`crate::bulk`]) instead of running one join
-    /// protocol instance per subscriber.
-    ///
-    /// Protocol-equivalent from the outside: the result passes
-    /// [`DrTreeCluster::check_legal`] (asserted), so every subsequent
-    /// operation — publishes, churn, corruption, stabilization — runs
-    /// the unmodified protocol on it. [`DrTreeCluster::build`] costs
-    /// `O(N²)` simulation work and dominates large experiments; this
-    /// path is `O(N log N)` and makes 10k+-subscriber benches
-    /// practical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the materialized configuration is not legal (a bug,
-    /// not an input condition: any finite filter set has one).
-    pub fn build_bulk(config: DrTreeConfig, seed: u64, filters: &[Rect<D>]) -> Self {
-        let mut cluster = Self::new(config, seed);
-        let ids: Vec<ProcessId> = filters
-            .iter()
-            .map(|&f| {
-                let id = cluster.net.add_process(DrtNode::new(config, f));
-                cluster.all_ids.push(id);
-                id
-            })
-            .collect();
-        for (id, state) in crate::bulk::bulk_states(&config, &ids, filters) {
-            if let Some(node) = cluster.net.process_mut(id) {
-                *node.state_mut() = state;
-            }
-        }
-        // Two rounds warm the heartbeat caches; on a legal state the
-        // CHECK_* modules are no-ops.
-        cluster.run_rounds(2);
-        if let Err(v) = cluster.check_legal() {
-            panic!("bulk-built overlay is not legal: {v:?}");
-        }
-        cluster
-    }
-
-    /// Suspends or resumes the periodic stabilization tick (the ∆
-    /// windows of Lemma 3.7 are simulated by suspending it).
-    pub fn set_stabilization_enabled(&mut self, enabled: bool) {
-        self.net.set_tick(enabled.then_some(DrtTimer::Tick));
-    }
-
-    /// Executes one round (refreshing the contact oracle first).
-    pub fn run_round(&mut self) {
-        let contact = self.fresh_contact();
-        self.run_round_with(contact);
-    }
-
-    /// One round under `contact`, the oracle's answer on this state.
-    fn run_round_with(&mut self, contact: Option<ProcessId>) {
+    /// Advances by `span` (at most a step) under `contact`, the
+    /// oracle's answer on this state.
+    fn advance_with(&mut self, contact: Option<ProcessId>, span: u64) {
         for (id, n) in self.net.iter_mut() {
             n.set_contact_hint(contact.or(Some(id)));
         }
-        self.net.run_round();
+        self.net.advance(span);
         self.accounting.absorb(self.net.drain_marks());
     }
 
-    /// [`DrTreeCluster::contact`] on the cluster's reused scratch.
+    /// [`Overlay::contact`] on the cluster's reused scratch.
     fn fresh_contact(&mut self) -> Option<ProcessId> {
         let tops = self.net.iter().map(|(id, n)| (id, n.parent_of(n.top())));
         self.oracle.root(self.all_ids.len(), tops)
@@ -433,26 +492,26 @@ impl<const D: usize> DrTreeCluster<D> {
         contact.and_then(|r| self.node(r)).map_or(0, |n| n.top())
     }
 
-    /// Executes `n` rounds.
-    pub fn run_rounds(&mut self, n: u64) {
-        for _ in 0..n {
-            self.run_round();
-        }
+    /// Steps a dissemination is given to cross the tree twice over (up
+    /// and down) in a steady state of the height under `contact`.
+    fn drain_steps(&self, contact: Option<ProcessId>) -> u64 {
+        2 * (u64::from(self.height_under(contact)) + 2) + 2
     }
 
-    /// Runs until the configuration is legitimate (Definition 3.2).
-    /// Returns the number of rounds needed, or `None` on timeout.
-    pub fn stabilize(&mut self, max_rounds: u64) -> Option<u64> {
-        for executed in 0..=max_rounds {
+    /// Runs until the configuration is legitimate (Definition 3.2),
+    /// checking every step. Returns what it took on the engine's clock
+    /// (rounds, or simulated time), or `None` once `max` has elapsed.
+    pub fn stabilize(&mut self, max: u64) -> Option<u64> {
+        let start = self.now();
+        loop {
             if self.check_legal().is_ok() {
-                return Some(executed);
+                return Some(self.now() - start);
             }
-            if executed == max_rounds {
-                break;
+            if self.now() - start >= max {
+                return None;
             }
-            self.run_round();
+            self.run_for(self.step());
         }
-        None
     }
 
     /// Checks Definition 3.1/3.2 on the current global state.
@@ -502,10 +561,9 @@ impl<const D: usize> DrTreeCluster<D> {
             return;
         }
         self.net.send_external(id, DrtMessage::DepartRequest);
-        // One round for the request to arrive and the LEAVE to be sent …
-        self.run_round();
-        self.run_round();
-        // … then the process is gone.
+        // One step for the request to arrive and the LEAVE to be sent,
+        // one for it to propagate; then the process is gone.
+        self.run_for(2 * self.step());
         self.net.crash(id);
     }
 
@@ -533,13 +591,13 @@ impl<const D: usize> DrTreeCluster<D> {
 
     /// Installs a network partition between the given groups (both
     /// directions of every cross-group link are cut; successive calls
-    /// compose). See [`RoundNetwork::partition`].
+    /// compose). See [`Network::partition`].
     pub fn partition(&mut self, groups: &[Vec<ProcessId>]) {
         self.net.partition(groups);
     }
 
-    /// Heals every partition cut. Manual [`DrTreeCluster::block_link`]
-    /// blocks survive.
+    /// Heals every partition cut. Manual [`Overlay::block_link`] blocks
+    /// survive.
     pub fn heal(&mut self) {
         self.net.heal();
     }
@@ -550,8 +608,8 @@ impl<const D: usize> DrTreeCluster<D> {
     }
 
     /// Unblocks the directed link `from → to` (inverse of a single
-    /// [`DrTreeCluster::block_link`]; also removes a partition cut on
-    /// that link).
+    /// [`Overlay::block_link`]; also removes a partition cut on that
+    /// link).
     pub fn unblock_link(&mut self, from: ProcessId, to: ProcessId) {
         self.net.unblock_link(from, to);
     }
@@ -578,7 +636,7 @@ impl<const D: usize> DrTreeCluster<D> {
     /// stale ancestor MBR/filter caches repair through the regular
     /// heartbeat + `Compute_MBR` stabilization — exactly the machinery
     /// that absorbs a transient corruption (Lemma 3.6), which is why
-    /// no new protocol is needed. Run [`DrTreeCluster::stabilize`]
+    /// no new protocol is needed. Run [`Overlay::stabilize`]
     /// afterwards to let the repair converge before the next publish.
     /// Returns `false` if the subscriber is dead.
     pub fn move_subscriber(&mut self, id: ProcessId, filter: Rect<D>) -> bool {
@@ -593,21 +651,23 @@ impl<const D: usize> DrTreeCluster<D> {
 
     /// Publishes `point` from `publisher` and accounts the outcome.
     ///
-    /// Runs enough rounds for the event to traverse the tree twice over
+    /// Runs enough steps for the event to traverse the tree twice over
     /// (up and down) in a steady state. The message bill is tag-scoped
     /// (exactly this event's `PubUp`/`PubDown` sends), so it stays
     /// correct even if traffic of an earlier event is still in flight.
     pub fn publish_from(&mut self, publisher: ProcessId, point: Point<D>) -> PublishReport {
         self.accounting.open(self.next_event_id, 1);
         let event_id = self.inject(publisher, point);
-        // Injection leaves node state alone: round one reuses the answer.
+        // Injection leaves node state alone: step one reuses the answer.
         let contact = self.fresh_contact();
-        let rounds = 2 * (u64::from(self.height_under(contact)) + 2) + 2;
-        self.run_round_with(contact);
-        self.run_rounds(rounds - 1);
-        self.settle(0, event_id, rounds);
-        // If the drain budget did not suffice (corrupted overlays),
-        // retire the id so late traffic cannot re-create counters.
+        let step = self.step();
+        let span = self.drain_steps(contact) * step;
+        self.advance_with(contact, step);
+        self.run_for(span - step);
+        self.settle(0, event_id, span);
+        // If the drain budget did not suffice (loss, corrupted
+        // overlays), retire the id so late traffic cannot re-create
+        // counters.
         self.net.retire_tags_below(self.next_event_id);
         self.accounting
             .close(self.net.iter(), &[(publisher, point)])
@@ -617,10 +677,9 @@ impl<const D: usize> DrTreeCluster<D> {
 
     /// Publishes a stream of events through a sliding window of
     /// `window` concurrently disseminating events — the pipelined
-    /// counterpart of calling [`DrTreeCluster::publish_from`] in a
-    /// loop. All events are published by `publisher`; see
-    /// [`DrTreeCluster::publish_pipeline_from`] for per-event
-    /// publishers.
+    /// counterpart of calling [`Overlay::publish_from`] in a loop. All
+    /// events are published by `publisher`; see
+    /// [`Overlay::publish_pipeline_from`] for per-event publishers.
     pub fn publish_pipeline(
         &mut self,
         publisher: ProcessId,
@@ -633,22 +692,24 @@ impl<const D: usize> DrTreeCluster<D> {
 
     /// Publishes `events` (publisher, point pairs) through a sliding
     /// window: up to `window` events disseminate concurrently, sharing
-    /// rounds, their `PubUp`/`PubDown` traffic interleaved in the same
+    /// steps, their `PubUp`/`PubDown` traffic interleaved in the same
     /// inboxes. Per-event accounting stays exact: every message is
     /// tagged with its event id ([`drtree_sim::MsgTag`]), each event
     /// completes when its own tag has no messages in flight (per-tag
-    /// quiescence instead of a whole-network drain), and its report
-    /// charges only its own messages and its own injection-to-
-    /// quiescence rounds.
+    /// quiescence instead of a whole-network drain; the injected
+    /// `PublishRequest` is tracked too, so an event is never finalized
+    /// before its injection was even delivered), and its report charges
+    /// only its own messages and its own injection-to-quiescence span,
+    /// quantized to the step the network advances by.
     ///
     /// Reports are returned in input order. In a legitimate
     /// configuration the delivery sets equal a sequential
-    /// [`DrTreeCluster::publish_from`] reference for every window size
-    /// (property-tested); total rounds shrink by up to `min(window,
-    /// rounds-per-event)` since the per-round simulation work is shared
-    /// by every in-flight event.
+    /// [`Overlay::publish_from`] reference for every window size
+    /// (property-tested on both engines); total steps shrink by up to
+    /// `min(window, steps-per-event)` since the per-step simulation
+    /// work is shared by every in-flight event.
     ///
-    /// `window` is clamped to `1..=`[`DrTreeCluster::MAX_PUBLISH_WINDOW`].
+    /// `window` is clamped to `1..=`[`Overlay::MAX_PUBLISH_WINDOW`].
     pub fn publish_pipeline_from(
         &mut self,
         events: &[(ProcessId, Point<D>)],
@@ -656,31 +717,33 @@ impl<const D: usize> DrTreeCluster<D> {
     ) -> Vec<PublishReport> {
         let window = window.clamp(1, Self::MAX_PUBLISH_WINDOW);
         self.accounting.open(self.next_event_id, events.len());
-        // (input index, event id, injection round) per in-flight event.
+        // (input index, event id, injection time) per in-flight event.
         let mut live: Vec<(usize, u64, u64)> = Vec::with_capacity(window);
         let mut next = 0usize;
         // Dissemination is self-limiting (per-node dedup), so every tag
-        // drains; the deadline only guards adversarially corrupted
-        // configurations, force-finalizing whatever is still in flight.
+        // drains (lost messages settle at drop time); the deadline only
+        // guards adversarially corrupted configurations, force-
+        // finalizing whatever is still in flight.
         let contact = self.fresh_contact();
-        let mut first_round = true;
-        let per_event = 2 * (u64::from(self.height_under(contact)) + 2) + 2;
-        let deadline = self.round() + (events.len() as u64 + 1) * (per_event + 4) + 64;
+        let mut first_step = true;
+        let step = self.step();
+        let budget = (events.len() as u64 + 1) * (self.drain_steps(contact) + 4) + 64;
+        let deadline = self.now() + budget * step;
         while next < events.len() || !live.is_empty() {
             while live.len() < window && next < events.len() {
                 let (publisher, point) = events[next];
                 let event_id = self.inject(publisher, point);
-                live.push((next, event_id, self.round()));
+                live.push((next, event_id, self.now()));
                 next += 1;
             }
-            // Injections leave node state alone: round one reuses the
+            // Injections leave node state alone: step one reuses the
             // answer that sized the deadline.
-            if std::mem::take(&mut first_round) {
-                self.run_round_with(contact);
+            if std::mem::take(&mut first_step) {
+                self.advance_with(contact, step);
             } else {
-                self.run_round();
+                self.run_for(step);
             }
-            let expired = self.round() >= deadline;
+            let expired = self.now() >= deadline;
             let mut i = 0;
             while i < live.len() {
                 let (idx, event_id, injected) = live[i];
@@ -688,7 +751,7 @@ impl<const D: usize> DrTreeCluster<D> {
                     i += 1;
                     continue;
                 }
-                self.settle(idx, event_id, self.round() - injected);
+                self.settle(idx, event_id, self.now() - injected);
                 live.swap_remove(i);
             }
         }
@@ -718,10 +781,10 @@ impl<const D: usize> DrTreeCluster<D> {
 
     /// Event `index` of the open call is done: books its tag-scoped
     /// message bill (the tag is then forgotten) and its span.
-    fn settle(&mut self, index: usize, event_id: u64, rounds: u64) {
+    fn settle(&mut self, index: usize, event_id: u64, span: u64) {
         let messages = self.net.metrics().tag_count(event_id);
         self.net.clear_tag(event_id);
-        self.accounting.settle(index, messages, rounds);
+        self.accounting.settle(index, messages, span);
     }
 
     /// Maximum and mean per-process memory entries (Lemma 3.1's
@@ -754,11 +817,11 @@ impl<const D: usize> DrTreeCluster<D> {
     }
 }
 
-impl<const D: usize> std::fmt::Debug for DrTreeCluster<D> {
+impl<const D: usize, Q: Schedule<DrtNode<D>>> std::fmt::Debug for Overlay<D, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DrTreeCluster")
+        f.debug_struct("Overlay")
             .field("processes", &self.len())
-            .field("round", &self.round())
+            .field("now", &self.now())
             .field("height", &self.height())
             .finish()
     }

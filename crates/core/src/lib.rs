@@ -81,7 +81,7 @@ pub use adversary::{
     run_convergence, ConvergenceConfig, ConvergenceReport, FaultEvent, FaultSchedule,
     LatencyDistribution, TimedFault,
 };
-pub use cluster::{DrTreeCluster, PublishReport};
+pub use cluster::{DrTreeCluster, Overlay, PublishReport};
 pub use cluster_async::AsyncDrTreeCluster;
 pub use config::{DrTreeConfig, FpReorgConfig};
 pub use federation::{entry_fingerprint, FedMessage, FedOp, RangeSummary};

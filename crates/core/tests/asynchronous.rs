@@ -147,3 +147,69 @@ fn controlled_leave_async() {
     assert!(cluster.stabilize(400_000).is_some());
     assert_eq!(cluster.len(), 13);
 }
+
+/// What the asynchronous name inherits from the one driver: a moved
+/// subscription repairs through ordinary stabilization under jitter,
+/// and nobody interested in the new place is missed.
+#[test]
+fn moved_subscriber_is_found_at_its_new_filter_async() {
+    let mut cluster: AsyncDrTreeCluster<2> =
+        AsyncDrTreeCluster::build_bulk(async_config(), jittery(0.0), 111, &filters(24, 112));
+    let ids = cluster.ids();
+    let root = cluster.root().unwrap();
+    let movers: Vec<_> = ids
+        .iter()
+        .copied()
+        .filter(|&id| id != root)
+        .take(3)
+        .collect();
+    let mut targets = Vec::new();
+    for (i, &id) in movers.iter().enumerate() {
+        let x = 120.0 + 30.0 * i as f64;
+        let filter = Rect::new([x, 120.0], [x + 10.0, 130.0]);
+        assert!(cluster.move_subscriber(id, filter));
+        targets.push((id, filter.center()));
+    }
+    cluster.stabilize(400_000).expect("the move repairs");
+    for &(id, point) in &targets {
+        let publisher = ids.iter().copied().find(|&p| p != id).unwrap();
+        let report = cluster.publish_from(publisher, point);
+        assert!(report.receivers.contains(&id), "{id} moved out of reach");
+        assert!(
+            report.false_negatives.is_empty(),
+            "missed {:?}",
+            report.false_negatives
+        );
+    }
+}
+
+/// A child cut off from its parent in both directions is given up on
+/// and rejoins elsewhere or waits; once every block is lifted the
+/// overlay is legal again and delivers exactly.
+#[test]
+fn blocked_pair_recovers_after_unblock_all_async() {
+    let mut cluster: AsyncDrTreeCluster<2> =
+        AsyncDrTreeCluster::build_bulk(async_config(), jittery(0.0), 113, &filters(20, 114));
+    let root = cluster.root().unwrap();
+    let child = cluster
+        .ids()
+        .into_iter()
+        .find(|&id| id != root)
+        .expect("non-root exists");
+    let parent = {
+        let node = cluster.node(child).unwrap();
+        node.state().level(node.top()).unwrap().parent
+    };
+    assert_ne!(parent, child);
+    cluster.block_link(child, parent);
+    cluster.block_link(parent, child);
+    cluster.run_for(30 * async_config().tick_interval);
+    assert!(cluster.metrics().dropped() > 0, "the block cut traffic");
+
+    cluster.unblock_all();
+    cluster.stabilize(600_000).expect("recovers once unblocked");
+    assert_eq!(cluster.len(), 20);
+    let point = cluster.node(child).unwrap().filter().center();
+    let report = cluster.publish_from(root, point);
+    assert!(report.false_negatives.is_empty());
+}

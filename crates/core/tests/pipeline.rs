@@ -1,16 +1,16 @@
 //! Property tests pinning the pipelined publish path
-//! ([`DrTreeCluster::publish_pipeline_from`] and the asynchronous
-//! equivalent) to the sequential [`DrTreeCluster::publish_from`]
-//! reference: identical overlays replaying an identical event stream
+//! ([`Overlay::publish_pipeline_from`], on both engines) to the
+//! sequential [`Overlay::publish_from`] reference: identical overlays
+//! replaying an identical event stream
 //! must produce identical per-event deliveries, matches, and message
 //! bills at every window size — overlap may only change *when* events
 //! disseminate, never *what* they deliver or charge.
 
 use drtree_core::{
-    run_convergence, AsyncDrTreeCluster, ConvergenceConfig, DrTreeCluster, DrTreeConfig,
-    FaultSchedule, ProcessId, PublishReport,
+    run_convergence, AsyncDrTreeCluster, ConvergenceConfig, DrTreeCluster, DrTreeConfig, DrtNode,
+    FaultSchedule, Overlay, ProcessId, PublishReport,
 };
-use drtree_sim::{LatencyModel, NetConfig};
+use drtree_sim::{LatencyModel, NetConfig, Schedule};
 use drtree_spatial::{Point, Rect};
 use drtree_workloads::EventWorkload;
 use proptest::prelude::*;
@@ -62,6 +62,63 @@ fn events_for<const D: usize>(
         .collect()
 }
 
+/// The property, stated once for both engines: identically built
+/// overlays agree, event by event, between the sequential loop and the
+/// pipeline at every one of `windows` — same receivers, same matches,
+/// same message bill, nobody missed. Returns, per window, the clock
+/// span of the whole pipelined call and of its first event.
+fn pipeline_equals_sequential<Q: Schedule<DrtNode<2>>>(
+    build: impl Fn() -> Overlay<2, Q>,
+    stream: EventWorkload,
+    n_events: usize,
+    event_seed: u64,
+    windows: &[usize],
+) -> Vec<(u64, u64)> {
+    let mut sequential = build();
+    let events = events_for(stream, n_events, &sequential.ids(), event_seed);
+    let reference: Vec<_> = events
+        .iter()
+        .map(|&(publisher, point)| fingerprint(&sequential.publish_from(publisher, point)))
+        .collect();
+    windows
+        .iter()
+        .map(|&window| {
+            let mut pipelined = build();
+            let before = pipelined.now();
+            let reports = pipelined.publish_pipeline_from(&events, window);
+            assert_eq!(reports.len(), events.len());
+            for (i, report) in reports.iter().enumerate() {
+                assert!(
+                    report.false_negatives.is_empty(),
+                    "window {window} event {i} missed {:?}",
+                    report.false_negatives
+                );
+                assert_eq!(
+                    fingerprint(report),
+                    reference[i],
+                    "window {window} event {i} diverged"
+                );
+            }
+            (pipelined.now() - before, reports[0].rounds)
+        })
+        .collect()
+}
+
+/// The event engine the pipeline tests run on: fixed latency, no loss,
+/// so two overlays built alike are alike.
+fn quiet_event_engine() -> (DrTreeConfig, NetConfig) {
+    let net = NetConfig {
+        latency: LatencyModel::Fixed(1),
+        ..NetConfig::default()
+    };
+    let config = DrTreeConfig {
+        tick_interval: 4,
+        failure_timeout: 8,
+        ..DrTreeConfig::default()
+    };
+    (config, net)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -75,27 +132,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let base = DrTreeCluster::build_bulk(DrTreeConfig::default(), seed, &filters);
-        let events = events_for(stream, n_events, &base.ids(), seed ^ 0x9e37);
-
-        let mut sequential = base.clone();
-        let reference: Vec<_> = events
-            .iter()
-            .map(|&(publisher, point)| {
-                fingerprint(&sequential.publish_from(publisher, point))
-            })
-            .collect();
-
-        for window in WINDOWS {
-            let mut pipelined = base.clone();
-            let reports = pipelined.publish_pipeline_from(&events, window);
-            prop_assert_eq!(reports.len(), events.len());
-            for (i, report) in reports.iter().enumerate() {
-                prop_assert!(report.false_negatives.is_empty(),
-                    "window {} event {} missed {:?}", window, i, report.false_negatives);
-                prop_assert_eq!(&fingerprint(report), &reference[i],
-                    "window {} event {} diverged", window, i);
-            }
-        }
+        pipeline_equals_sequential(|| base.clone(), stream, n_events, seed ^ 0x9e37, &WINDOWS);
     }
 }
 
@@ -112,15 +149,7 @@ proptest! {
         n_events in 3usize..12,
         seed in 0u64..500,
     ) {
-        let net = NetConfig {
-            latency: LatencyModel::Fixed(1),
-            ..NetConfig::default()
-        };
-        let config = DrTreeConfig {
-            tick_interval: 4,
-            failure_timeout: 8,
-            ..DrTreeConfig::default()
-        };
+        let (config, net) = quiet_event_engine();
         let build = || {
             let mut cluster: AsyncDrTreeCluster<2> =
                 AsyncDrTreeCluster::new(config, net, seed);
@@ -131,25 +160,7 @@ proptest! {
             cluster.stabilize(400_000).expect("legal under asynchrony");
             cluster
         };
-
-        let mut sequential = build();
-        let events = events_for(stream, n_events, &sequential.ids(), seed ^ 0x51ed);
-        let reference: Vec<_> = events
-            .iter()
-            .map(|&(publisher, point)| {
-                fingerprint(&sequential.publish_from(publisher, point))
-            })
-            .collect();
-
-        for window in WINDOWS {
-            let mut pipelined = build();
-            let reports = pipelined.publish_pipeline_from(&events, window);
-            prop_assert_eq!(reports.len(), events.len());
-            for (i, report) in reports.iter().enumerate() {
-                prop_assert_eq!(&fingerprint(report), &reference[i],
-                    "window {} event {} diverged", window, i);
-            }
-        }
+        pipeline_equals_sequential(build, stream, n_events, seed ^ 0x51ed, &WINDOWS);
     }
 }
 
@@ -245,48 +256,21 @@ fn grid_filters(n: u32) -> Vec<Rect<2>> {
 fn batches_beyond_the_cap_match_sequential_on_both_engines() {
     let n_events = 2 * CAP + 1;
     let filters = grid_filters(30);
+    let stream = EventWorkload::Uniform;
 
     let base = DrTreeCluster::build_bulk(DrTreeConfig::default(), 5, &filters);
-    let events = events_for(EventWorkload::Uniform, n_events, &base.ids(), 0xca9);
-    let mut sequential = base.clone();
-    let reference: Vec<_> = events
-        .iter()
-        .map(|&(publisher, point)| fingerprint(&sequential.publish_from(publisher, point)))
-        .collect();
-    for window in [CAP, usize::MAX] {
-        let mut pipelined = base.clone();
-        let before = pipelined.round();
-        let reports = pipelined.publish_pipeline_from(&events, window);
-        let got: Vec<_> = reports.iter().map(fingerprint).collect();
-        assert_eq!(got, reference, "round engine, window {window}");
+    let spans =
+        pipeline_equals_sequential(|| base.clone(), stream, n_events, 0xca9, &[CAP, usize::MAX]);
+    for (batch, first_event) in spans {
         assert!(
-            pipelined.round() - before < 4 * reports[0].rounds,
+            batch < 4 * first_event,
             "a batch of two fills and a bit rides a few disseminations' rounds, not one per event"
         );
     }
 
-    let net = NetConfig {
-        latency: LatencyModel::Fixed(1),
-        ..NetConfig::default()
-    };
-    let config = DrTreeConfig {
-        tick_interval: 4,
-        failure_timeout: 8,
-        ..DrTreeConfig::default()
-    };
+    let (config, net) = quiet_event_engine();
     let build = || AsyncDrTreeCluster::<2>::build_bulk(config, net, 5, &filters[..12]);
-    let mut sequential = build();
-    let events = events_for(EventWorkload::Uniform, n_events, &sequential.ids(), 0xca9);
-    let reference: Vec<_> = events
-        .iter()
-        .map(|&(publisher, point)| fingerprint(&sequential.publish_from(publisher, point)))
-        .collect();
-    let got: Vec<_> = build()
-        .publish_pipeline_from(&events, CAP)
-        .iter()
-        .map(fingerprint)
-        .collect();
-    assert_eq!(got, reference, "event engine, window {CAP}");
+    pipeline_equals_sequential(build, stream, n_events, 0xca9, &[CAP]);
 }
 
 /// Accounting no longer reads the nodes' recently-seen rings: the root

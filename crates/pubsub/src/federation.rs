@@ -63,7 +63,9 @@ use drtree_core::{
     entry_fingerprint, FaultEvent, FaultSchedule, FedMessage, FedOp, LatencyDistribution,
     ProcessId, RangeSummary,
 };
-use drtree_sim::{Context, EventNetwork, FaultProfile, Metrics, NetConfig, Process, RoundNetwork};
+use drtree_sim::{
+    Context, DynNetwork, EventNetwork, FaultProfile, Metrics, NetConfig, Process, RoundNetwork,
+};
 use drtree_spatial::hilbert::ShardMap;
 use drtree_spatial::{Point, Rect};
 use rand::rngs::StdRng;
@@ -772,98 +774,6 @@ pub enum FedEngine {
     Event,
 }
 
-/// The engine-erased network under a fabric.
-#[derive(Debug)]
-enum FabricNet<const D: usize> {
-    Rounds(RoundNetwork<FedNode<D>>),
-    Event(EventNetwork<FedNode<D>>),
-}
-
-impl<const D: usize> FabricNet<D> {
-    fn add(&mut self, node: FedNode<D>) -> ProcessId {
-        match self {
-            FabricNet::Rounds(n) => n.add_process(node),
-            FabricNet::Event(n) => n.add_process(node),
-        }
-    }
-
-    fn step(&mut self, clock: u64) {
-        match self {
-            FabricNet::Rounds(n) => n.run_round(),
-            FabricNet::Event(n) => n.run_until(clock),
-        }
-    }
-
-    fn node(&self, id: ProcessId) -> Option<&FedNode<D>> {
-        match self {
-            FabricNet::Rounds(n) => n.process(id),
-            FabricNet::Event(n) => n.process(id),
-        }
-    }
-
-    fn node_mut(&mut self, id: ProcessId) -> Option<&mut FedNode<D>> {
-        match self {
-            FabricNet::Rounds(n) => n.process_mut(id),
-            FabricNet::Event(n) => n.process_mut(id),
-        }
-    }
-
-    fn crash(&mut self, id: ProcessId) -> Option<FedNode<D>> {
-        match self {
-            FabricNet::Rounds(n) => n.crash(id),
-            FabricNet::Event(n) => n.crash(id),
-        }
-    }
-
-    fn revive(&mut self, id: ProcessId, node: FedNode<D>) -> bool {
-        match self {
-            FabricNet::Rounds(n) => n.revive(id, node),
-            FabricNet::Event(n) => n.revive(id, node),
-        }
-    }
-
-    fn send_external(&mut self, to: ProcessId, msg: FedMessage<D>) {
-        match self {
-            FabricNet::Rounds(n) => n.send_external(to, msg),
-            FabricNet::Event(n) => n.send_external(to, msg),
-        }
-    }
-
-    fn metrics(&self) -> &Metrics {
-        match self {
-            FabricNet::Rounds(n) => n.metrics(),
-            FabricNet::Event(n) => n.metrics(),
-        }
-    }
-
-    fn set_faults(&mut self, faults: FaultProfile) {
-        match self {
-            FabricNet::Rounds(n) => n.set_faults(faults),
-            FabricNet::Event(n) => n.set_faults(faults),
-        }
-    }
-
-    fn partition(&mut self, groups: &[Vec<ProcessId>]) {
-        match self {
-            FabricNet::Rounds(n) => n.partition(groups),
-            FabricNet::Event(n) => n.partition(groups),
-        }
-    }
-
-    fn heal(&mut self) {
-        match self {
-            FabricNet::Rounds(n) => {
-                n.heal();
-                n.unblock_all();
-            }
-            FabricNet::Event(n) => {
-                n.heal();
-                n.unblock_all();
-            }
-        }
-    }
-}
-
 /// A warm-rejoin checkpoint of one broker: every held range's snapshot
 /// buffer plus the fabric geometry it was taken under (rejoin refuses
 /// the buffers when the geometry has since changed).
@@ -919,7 +829,9 @@ pub struct CompletedEvent {
 /// docs for the protocol.
 #[derive(Debug)]
 pub struct FederatedFabric<const D: usize> {
-    net: FabricNet<D>,
+    /// Either engine behind one pointer: [`FedEngine`] is a runtime
+    /// choice, so the schedule is the network's unsized tail.
+    net: Box<DynNetwork<FedNode<D>>>,
     peers: Vec<ProcessId>,
     map: ShardMap<D>,
     cfg: FedConfig,
@@ -953,13 +865,13 @@ impl<const D: usize> FederatedFabric<D> {
     pub fn with_map(map: ShardMap<D>, seed: u64, engine: FedEngine, cfg: FedConfig) -> Self {
         let k = map.shards();
         let peers: Vec<ProcessId> = (0..k as u64).map(ProcessId::from_raw).collect();
-        let mut net = match engine {
-            FedEngine::Rounds => FabricNet::Rounds(RoundNetwork::new(seed)),
-            FedEngine::Event => FabricNet::Event(EventNetwork::new(NetConfig::default(), seed)),
+        let mut net: Box<DynNetwork<FedNode<D>>> = match engine {
+            FedEngine::Rounds => Box::new(RoundNetwork::new(seed)),
+            FedEngine::Event => Box::new(EventNetwork::new(NetConfig::default(), seed)),
         };
         for (slot, &pid) in peers.iter().enumerate() {
             let node = FedNode::new(slot, peers.clone(), map.clone(), cfg.clone());
-            let id = net.add(node);
+            let id = net.add_process(node);
             assert_eq!(id, pid, "broker ids must be slot-sequential");
         }
         Self {
@@ -1038,12 +950,12 @@ impl<const D: usize> FederatedFabric<D> {
 
     /// Removes every partition and blocked link.
     pub fn heal(&mut self) {
-        self.net.heal();
+        self.net.unblock_all();
     }
 
     /// Read access to broker `b` (None while crashed).
     pub fn node(&self, b: usize) -> Option<&FedNode<D>> {
-        self.net.node(self.peers[b])
+        self.net.process(self.peers[b])
     }
 
     /// The first non-crashed holder of `range`, owner preferred.
@@ -1161,7 +1073,9 @@ impl<const D: usize> FederatedFabric<D> {
     /// retry sweep, and completion collection.
     pub fn step(&mut self) {
         self.clock += 1;
-        self.net.step(self.clock);
+        // One round, or one unit of event time: the fabric clock and
+        // the engine's stay equal.
+        self.net.advance(1);
         if self.clock.is_multiple_of(self.cfg.retry_interval) {
             self.retry_ops();
         }
@@ -1184,7 +1098,7 @@ impl<const D: usize> FederatedFabric<D> {
                 }
                 let v = self
                     .net
-                    .node(self.peers[slot])
+                    .process(self.peers[slot])
                     .and_then(|n| n.range_view(range))
                     .map_or(0, |rv| rv.version);
                 if best.is_none_or(|(bv, _)| v > bv) {
@@ -1215,7 +1129,7 @@ impl<const D: usize> FederatedFabric<D> {
             if self.down[slot] {
                 continue;
             }
-            let done = match self.net.node_mut(self.peers[slot]) {
+            let done = match self.net.process_mut(self.peers[slot]) {
                 Some(node) => node.take_completed(),
                 None => continue,
             };
@@ -1281,7 +1195,7 @@ impl<const D: usize> FederatedFabric<D> {
         if self.down[b] {
             return false;
         }
-        let Some(node) = self.net.node_mut(self.peers[b]) else {
+        let Some(node) = self.net.process_mut(self.peers[b]) else {
             return false;
         };
         let ranges = node.checkpoint_ranges();
@@ -1368,7 +1282,7 @@ impl<const D: usize> FederatedFabric<D> {
                 live += 1;
                 let Some(view) = self
                     .net
-                    .node(self.peers[slot])
+                    .process(self.peers[slot])
                     .and_then(|n| n.range_view(range))
                 else {
                     return Err(format!("broker {slot} lost range {range}"));
@@ -1452,7 +1366,7 @@ impl<const D: usize> FederatedFabric<D> {
                 }
                 oracle.flush();
                 let version = self.seq[range];
-                if let Some(node) = self.net.node_mut(self.peers[slot]) {
+                if let Some(node) = self.net.process_mut(self.peers[slot]) {
                     node.install_range(range, oracle, version);
                 }
             }
@@ -1717,7 +1631,7 @@ pub fn run_federated_convergence<const D: usize>(
                             .copied()
                             .find(|&s| Some(s) != authority && !fabric.down[s]);
                         if let Some(victim) = victim {
-                            if let Some(node) = fabric.net.node_mut(fabric.peers[victim]) {
+                            if let Some(node) = fabric.net.process_mut(fabric.peers[victim]) {
                                 node.drop_one_entry(range);
                             }
                         }

@@ -9,18 +9,33 @@
 //!
 //! * [`Process`] — the protocol trait: react to messages and timers via a
 //!   [`Context`] that can send messages, arm timers and draw randomness.
-//! * [`EventNetwork`] — an asynchronous discrete-event engine with
-//!   configurable link latency and message loss.
-//! * [`RoundNetwork`] — a synchronous round engine: messages sent in
-//!   round *r* are delivered in round *r+1*, and every process fires its
-//!   periodic tick each round. Self-stabilization experiments count
-//!   rounds with it (the paper's "steps").
-//! * Fault injection on both engines: [`EventNetwork::crash`],
-//!   [`EventNetwork::corrupt`], link blocking, first-class partitions
-//!   ([`EventNetwork::partition`] / [`EventNetwork::heal`]), and a
+//! * [`Network`] — processes, RNG, [`Metrics`] and the fault plane, and
+//!   every operation a harness performs on them, defined once. Its two
+//!   instantiations are the two engines, which own only what differs —
+//!   the [`Schedule`] holding what is in flight:
+//!   * [`RoundNetwork`] — a synchronous round engine: messages sent in
+//!     round *r* are delivered in round *r+1* from double-buffered
+//!     inboxes, and every process fires its periodic tick each round.
+//!     Self-stabilization experiments count rounds with it (the paper's
+//!     "steps").
+//!   * [`EventNetwork`] — an asynchronous discrete-event engine: a
+//!     `(time, seq)` heap and a sampled latency per message (§2.1's
+//!     actual system model).
+//! * One fault plane for both: [`Network::crash`] / [`Network::revive`],
+//!   [`Network::corrupt`], link blocking, first-class partitions
+//!   ([`Network::partition`] / [`Network::heal`]), and a
 //!   runtime-swappable [`FaultProfile`] of message loss, duplication
-//!   and reordering knobs — all with exact per-tag settlement
-//!   ([`MsgTag`]) on every fault path.
+//!   and reordering knobs. A message's fate — link down, lost,
+//!   duplicated — is decided once, in one function, whichever engine
+//!   carries it; each engine then places the surviving copies in its
+//!   own RNG draw order, so seeded traces are engine-stable. Every
+//!   path settles its [`MsgTag`] exactly, and the books balance on
+//!   both engines: `sent + duplicated == delivered + dropped +
+//!   to_dead` once the network drains.
+//! * A harness written once for both engines is generic over
+//!   `Q: Schedule<P>` and moves the clock with [`Network::advance`] in
+//!   steps of [`Network::period`]; one that picks its engine at runtime
+//!   holds a `Box<`[`DynNetwork`]`<P>>`.
 //!
 //! # Example
 //!
@@ -63,12 +78,16 @@
 
 mod context;
 mod event;
+mod fault;
 mod metrics;
+mod network;
 mod process;
 mod rounds;
 
 pub use context::Context;
-pub use event::{EventNetwork, FaultProfile, LatencyModel, NetConfig};
+pub use event::{EventNetwork, EventSchedule, LatencyModel, NetConfig};
+pub use fault::FaultProfile;
 pub use metrics::Metrics;
+pub use network::{DynNetwork, Network, Schedule};
 pub use process::{MessageLabel, MsgTag, Process, ProcessId};
-pub use rounds::RoundNetwork;
+pub use rounds::{RoundNetwork, RoundSchedule};

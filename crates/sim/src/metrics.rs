@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::process::{MsgTag, ProcessId};
+use crate::process::{MessageLabel, MsgTag, ProcessId};
 
 /// Message-level counters collected by both engines.
 ///
@@ -155,6 +155,29 @@ impl Metrics {
         self.marks.drain(..)
     }
 
+    /// `msg` was handed to the network: counted under its label and,
+    /// if tagged, billed to and in flight for its tag.
+    pub(crate) fn record_send<M: MessageLabel>(&mut self, msg: &M) {
+        self.record_sent(msg.label());
+        if let Some(tag) = msg.tag() {
+            self.record_tag_sent(tag);
+        }
+    }
+
+    /// `msg` left the network, delivered or discarded.
+    pub(crate) fn settle<M: MessageLabel>(&mut self, msg: &M) {
+        if let Some(tag) = msg.tag() {
+            self.record_tag_settled(tag);
+        }
+    }
+
+    /// `msg` found nobody at its address — a crashed process, or an id
+    /// that was never allocated.
+    pub(crate) fn record_to_dead<M: MessageLabel>(&mut self, msg: &M) {
+        self.settle(msg);
+        self.to_dead += 1;
+    }
+
     pub(crate) fn record_sent(&mut self, label: &'static str) {
         self.sent += 1;
         // Same address, else same text: equal strings stay one counter.
@@ -193,10 +216,6 @@ impl Metrics {
 
     pub(crate) fn record_dropped(&mut self) {
         self.dropped += 1;
-    }
-
-    pub(crate) fn record_to_dead(&mut self) {
-        self.to_dead += 1;
     }
 
     pub(crate) fn record_duplicated(&mut self) {
@@ -246,7 +265,7 @@ mod tests {
         m.record_sent("leave");
         m.record_delivered();
         m.record_dropped();
-        m.record_to_dead();
+        m.record_to_dead(&());
         assert_eq!(m.sent(), 3);
         assert_eq!(m.delivered(), 1);
         assert_eq!(m.dropped(), 1);

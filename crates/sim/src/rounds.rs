@@ -1,11 +1,7 @@
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::context::Effects;
-use crate::process::MessageLabel;
-use crate::{Context, FaultProfile, Metrics, MsgTag, Process, ProcessId};
+use crate::network::{Network, Schedule, World};
+use crate::{Process, ProcessId};
 
 /// Synchronous round-based engine.
 ///
@@ -16,15 +12,14 @@ use crate::{Context, FaultProfile, Metrics, MsgTag, Process, ProcessId};
 /// usual synchronous-daemon step of the self-stabilization literature,
 /// in which every periodic check module fires once.
 ///
-/// Ids are assigned densely from 0, so processes and inboxes live in
-/// flat `Vec`s indexed by raw id (a crashed process leaves a `None`
-/// slot). Inbox buffers are double-buffered and the callbacks' effect
-/// buffers are lent by the engine, all reused round over round:
-/// steady-state rounds allocate nothing for message plumbing.
-/// Messages addressed outside the allocated id range (the protocol
-/// under corruption forges references to nonexistent processes) are
-/// parked in a side map with the same one-round lifetime they had
-/// before.
+/// Everything but the running of rounds is [`Network`]'s, shared with
+/// the event engine. What is the round engine's own ([`RoundSchedule`]):
+/// inboxes in flat `Vec`s indexed by raw id, double-buffered and reused
+/// round over round like the callbacks' effect buffers, so steady-state
+/// rounds allocate nothing for message plumbing. Messages addressed
+/// outside the allocated id range (the protocol under corruption forges
+/// references to nonexistent processes) are parked in a side map with
+/// the same one-round lifetime.
 ///
 /// # Example
 ///
@@ -45,372 +40,72 @@ use crate::{Context, FaultProfile, Metrics, MsgTag, Process, ProcessId};
 /// net.run_rounds(5);
 /// assert_eq!(net.process(id).unwrap().ticks, 5);
 /// ```
+pub type RoundNetwork<P> = Network<P, RoundSchedule<P>>;
+
+/// A message waiting in an inbox, with its sender.
+type Queued<P> = (ProcessId, <P as Process>::Msg);
+
+/// The round engine's in-flight state: what was sent last round and is
+/// delivered in this one.
 #[derive(Clone)]
-pub struct RoundNetwork<P: Process> {
-    /// `procs[raw_id]`; `None` after a crash (ids are never reused).
-    procs: Vec<Option<P>>,
-    /// Live-process count (`procs` slots that are `Some`).
-    live: usize,
+pub struct RoundSchedule<P: Process> {
     /// `inboxes[raw_id]`: messages accumulated for delivery next round.
-    inboxes: Vec<Vec<(ProcessId, P::Msg)>>,
+    inboxes: Vec<Vec<Queued<P>>>,
     /// Last round's buffers, drained this round and then reused as the
     /// next `inboxes` (capacity retained).
-    scratch: Vec<Vec<(ProcessId, P::Msg)>>,
+    scratch: Vec<Vec<Queued<P>>>,
     /// Messages to ids outside the allocated range (forged references);
-    /// dropped after one round exactly like map-backed inboxes were.
-    overflow: BTreeMap<ProcessId, Vec<(ProcessId, P::Msg)>>,
+    /// dropped after one round unless the id is allocated meanwhile.
+    overflow: BTreeMap<ProcessId, Vec<Queued<P>>>,
+    /// Reordered messages parked until their (later) delivery round.
+    delayed: BTreeMap<u64, Vec<(ProcessId, ProcessId, P::Msg)>>,
     timers: BTreeMap<u64, Vec<(ProcessId, P::Timer)>>,
     tick: Option<P::Timer>,
     round: u64,
-    rng: StdRng,
-    metrics: Metrics,
-    /// Manually blocked directed links ([`RoundNetwork::block_link`]).
-    blocked: BTreeSet<(ProcessId, ProcessId)>,
-    /// Links cut by [`RoundNetwork::partition`]; kept apart from
-    /// `blocked` so [`RoundNetwork::heal`] removes exactly the
-    /// partition's cuts.
-    partition_links: BTreeSet<(ProcessId, ProcessId)>,
-    /// Active message fault knobs ([`RoundNetwork::set_faults`]).
-    faults: FaultProfile,
-    /// Reordered messages parked until their (later) delivery round.
-    delayed: BTreeMap<u64, Vec<(ProcessId, ProcessId, P::Msg)>>,
-    /// The effect buffers lent to every callback's [`Context`]; empty
-    /// between callbacks.
-    effects: Effects<P::Msg, P::Timer>,
 }
 
 impl<P: Process> RoundNetwork<P> {
     /// Creates an engine with no periodic tick.
     pub fn new(seed: u64) -> Self {
-        Self {
-            procs: Vec::new(),
-            live: 0,
+        let schedule = RoundSchedule {
             inboxes: Vec::new(),
             scratch: Vec::new(),
             overflow: BTreeMap::new(),
+            delayed: BTreeMap::new(),
             timers: BTreeMap::new(),
             tick: None,
             round: 0,
-            rng: StdRng::seed_from_u64(seed),
-            metrics: Metrics::new(),
-            blocked: BTreeSet::new(),
-            partition_links: BTreeSet::new(),
-            faults: FaultProfile::default(),
-            delayed: BTreeMap::new(),
-            effects: Effects::default(),
-        }
+        };
+        Self::with_schedule(seed, schedule)
     }
 
     /// Creates an engine that fires `tick` on every process each round —
     /// the synchronous daemon driving the periodic CHECK_* modules.
     pub fn with_tick(seed: u64, tick: P::Timer) -> Self {
         let mut net = Self::new(seed);
-        net.tick = Some(tick);
+        net.queue.tick = Some(tick);
         net
-    }
-
-    /// Adds a process, assigns a fresh id, and calls
-    /// [`Process::on_start`].
-    pub fn add_process(&mut self, mut process: P) -> ProcessId {
-        let id = ProcessId::from_raw(self.procs.len() as u64);
-        let mut ctx = Context::new(id, self.round, &mut self.rng, &mut self.effects);
-        process.on_start(&mut ctx);
-        self.procs.push(Some(process));
-        self.live += 1;
-        self.inboxes.push(Vec::new());
-        self.scratch.push(Vec::new());
-        // Messages sent to this id before it existed now have a home.
-        if let Some(pending) = self.overflow.remove(&id) {
-            self.inboxes[id.raw() as usize] = pending;
-        }
-        self.apply_effects(id);
-        id
     }
 
     /// Replaces (or removes) the periodic tick. Used by experiments
     /// that must suspend stabilization for a window (Lemma 3.7's ∆).
     pub fn set_tick(&mut self, tick: Option<P::Timer>) {
-        self.tick = tick;
+        self.queue.tick = tick;
     }
 
     /// Rounds completed so far.
     pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Ids of live processes, in id order.
-    pub fn ids(&self) -> Vec<ProcessId> {
-        self.procs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|_| ProcessId::from_raw(i as u64)))
-            .collect()
-    }
-
-    /// Number of live processes.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// `true` if no process is alive.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// `true` if `id` refers to a live process.
-    pub fn is_alive(&self, id: ProcessId) -> bool {
-        self.slot(id).is_some()
-    }
-
-    /// Shared view of a live process.
-    pub fn process(&self, id: ProcessId) -> Option<&P> {
-        self.slot(id)
-    }
-
-    /// Mutable access to a live process (harness bookkeeping).
-    pub fn process_mut(&mut self, id: ProcessId) -> Option<&mut P> {
-        self.procs
-            .get_mut(id.raw() as usize)
-            .and_then(Option::as_mut)
-    }
-
-    /// Iterates over `(id, process)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &P)> {
-        self.procs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|p| (ProcessId::from_raw(i as u64), p)))
-    }
-
-    /// Mutable [`RoundNetwork::iter`] (harness bookkeeping over every
-    /// live process without collecting [`RoundNetwork::ids`]).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ProcessId, &mut P)> {
-        self.procs
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_mut().map(|p| (ProcessId::from_raw(i as u64), p)))
-    }
-
-    /// Message metrics collected so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Resets metrics between experiment phases.
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
-
-    /// Deterministic randomness for harness decisions.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    /// Crashes `id` (uncontrolled departure): the process and its queued
-    /// messages vanish.
-    pub fn crash(&mut self, id: ProcessId) -> Option<P> {
-        let slot = self.procs.get_mut(id.raw() as usize)?;
-        let departed = slot.take();
-        if departed.is_some() {
-            self.live -= 1;
-            for (_, msg) in self.inboxes[id.raw() as usize].drain(..) {
-                Self::settle_tag(&mut self.metrics, &msg);
-            }
-        }
-        departed
-    }
-
-    /// Reinstalls a process at a previously crashed id slot — the
-    /// rejoin half of the broker crash/rejoin fault pair. The caller
-    /// supplies the restarted state (warm: restored from a checkpoint;
-    /// cold: fresh and empty — the engine does not keep crashed
-    /// state). [`Process::on_start`] runs again, messages queued for
-    /// the id since the crash stay queued (the id was dangling, not
-    /// retired), and the id keeps its place in [`RoundNetwork::ids`].
-    /// Returns `false` if the slot is still alive or was never
-    /// allocated.
-    pub fn revive(&mut self, id: ProcessId, mut process: P) -> bool {
-        match self.procs.get_mut(id.raw() as usize) {
-            Some(slot @ None) => {
-                let mut ctx = Context::new(id, self.round, &mut self.rng, &mut self.effects);
-                process.on_start(&mut ctx);
-                *slot = Some(process);
-                self.live += 1;
-                self.apply_effects(id);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Blocks the directed link `from → to`: messages crossing it are
-    /// dropped (settling their tags) until
-    /// [`RoundNetwork::unblock_link`] or [`RoundNetwork::unblock_all`].
-    pub fn block_link(&mut self, from: ProcessId, to: ProcessId) {
-        self.blocked.insert((from, to));
-    }
-
-    /// Unblocks the directed link `from → to` — the single-link inverse
-    /// of [`RoundNetwork::block_link`]. Also removes any partition cut
-    /// on that link.
-    pub fn unblock_link(&mut self, from: ProcessId, to: ProcessId) {
-        self.blocked.remove(&(from, to));
-        self.partition_links.remove(&(from, to));
-    }
-
-    /// Removes all link blocks, manual and partition-installed.
-    pub fn unblock_all(&mut self) {
-        self.blocked.clear();
-        self.partition_links.clear();
-    }
-
-    /// Installs a network partition: every link between processes of
-    /// different `groups` is cut in both directions. Messages crossing
-    /// a cut are dropped (counted as [`Metrics::partitioned_drops`])
-    /// and settle their tags at drop time. Successive calls accumulate;
-    /// [`RoundNetwork::heal`] removes every partition cut while manual
-    /// [`RoundNetwork::block_link`] blocks survive.
-    pub fn partition(&mut self, groups: &[Vec<ProcessId>]) {
-        for (i, a) in groups.iter().enumerate() {
-            for b in groups.iter().skip(i + 1) {
-                for &x in a {
-                    for &y in b {
-                        self.partition_links.insert((x, y));
-                        self.partition_links.insert((y, x));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Heals every partition cut. Manual link blocks survive, even on
-    /// links that were also partition-cut.
-    pub fn heal(&mut self) {
-        self.partition_links.clear();
-    }
-
-    /// Replaces the message fault profile ([`FaultProfile`]) at
-    /// runtime — how scripted fault windows open and close between
-    /// rounds.
-    pub fn set_faults(&mut self, faults: FaultProfile) {
-        self.faults = faults;
-    }
-
-    /// The active message fault profile.
-    pub fn faults(&self) -> &FaultProfile {
-        &self.faults
-    }
-
-    /// Applies an adversarial mutation to a live process's memory.
-    pub fn corrupt(&mut self, id: ProcessId, mutate: impl FnOnce(&mut P, &mut StdRng)) -> bool {
-        match self
-            .procs
-            .get_mut(id.raw() as usize)
-            .and_then(Option::as_mut)
-        {
-            Some(p) => {
-                mutate(p, &mut self.rng);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Queues a message for delivery at the start of the next round.
-    pub fn send_external(&mut self, to: ProcessId, msg: P::Msg) {
-        self.metrics.record_sent(msg.label());
-        if let Some(tag) = msg.tag() {
-            self.metrics.record_tag_sent(tag);
-        }
-        self.enqueue(to, to, msg);
-    }
-
-    /// Hands the harness every mark made since the last drain (see
-    /// [`Metrics::marks`]) and empties the log, capacity kept.
-    pub fn drain_marks(&mut self) -> std::vec::Drain<'_, (u64, ProcessId)> {
-        self.metrics.drain_marks()
-    }
-
-    /// Forgets a tag's message counters (see [`Metrics::clear_tag`]).
-    pub fn clear_tag(&mut self, tag: u64) {
-        self.metrics.clear_tag(tag);
-    }
-
-    /// Retires every tag below `floor` (see
-    /// [`Metrics::retire_tags_below`]).
-    pub fn retire_tags_below(&mut self, floor: u64) {
-        self.metrics.retire_tags_below(floor);
+        self.queue.round
     }
 
     /// Executes one synchronous round.
     pub fn run_round(&mut self) {
-        self.round += 1;
-        // The accumulating buffers become this round's deliveries; the
-        // drained buffers from last round (already empty, capacity
-        // intact) start accumulating the next round's messages.
-        std::mem::swap(&mut self.inboxes, &mut self.scratch);
-        // Forged-destination messages never find a process: drop them
-        // with this round, as the map-backed engine did.
-        for msgs in std::mem::take(&mut self.overflow).into_values() {
-            for (_, msg) in msgs {
-                Self::settle_tag(&mut self.metrics, &msg);
-            }
-        }
-        // Reordered messages due this round join the delivery buffers;
-        // later traffic already overtook them in earlier rounds. Ones
-        // addressed outside the allocated range settle like overflow.
-        if let Some(due) = self.delayed.remove(&self.round) {
-            for (from, to, msg) in due {
-                match self.scratch.get_mut(to.raw() as usize) {
-                    Some(buf) => buf.push((from, msg)),
-                    None => Self::settle_tag(&mut self.metrics, &msg),
-                }
-            }
-        }
-        let due_timers = self.timers.remove(&self.round).unwrap_or_default();
-        // Callbacks cannot add or crash processes, so the live slots
-        // are fixed for the round: walk them directly, in id order.
-        for slot in 0..self.procs.len() {
-            if self.procs[slot].is_none() {
-                continue;
-            }
-            let id = ProcessId::from_raw(slot as u64);
-            // Deliver last round's messages. The buffer is swapped out
-            // locally so effects can enqueue into `self` while
-            // delivery walks it; it returns cleared, capacity intact.
-            if !self.scratch[slot].is_empty() {
-                let mut deliveries = std::mem::take(&mut self.scratch[slot]);
-                for (from, msg) in deliveries.drain(..) {
-                    Self::settle_tag(&mut self.metrics, &msg);
-                    self.metrics.record_delivered();
-                    self.call(slot, |proc, ctx| proc.on_message(from, msg, ctx));
-                }
-                self.scratch[slot] = deliveries;
-            }
-            // One-shot timers due this round (in most rounds none are,
-            // and the scan is over an empty list).
-            for (_, timer) in due_timers.iter().filter(|(at, _)| *at == id) {
-                self.call(slot, |proc, ctx| proc.on_timer(timer.clone(), ctx));
-            }
-            // Periodic tick (the synchronous daemon).
-            if let Some(tick) = self.tick.clone() {
-                self.call(slot, |proc, ctx| proc.on_timer(tick, ctx));
-            }
-        }
-        // Anything still sitting in the delivery buffers was addressed
-        // to a dead process; drop it but keep the buffer capacity.
-        for buf in &mut self.scratch {
-            for (_, msg) in buf.drain(..) {
-                Self::settle_tag(&mut self.metrics, &msg);
-            }
-        }
+        self.advance(1);
     }
 
     /// Runs `n` rounds.
     pub fn run_rounds(&mut self, n: u64) {
-        for _ in 0..n {
-            self.run_round();
-        }
+        self.advance(n);
     }
 
     /// Runs rounds until `predicate(self)` holds, up to `max_rounds`.
@@ -432,28 +127,9 @@ impl<P: Process> RoundNetwork<P> {
         }
         None
     }
+}
 
-    fn slot(&self, id: ProcessId) -> Option<&P> {
-        self.procs.get(id.raw() as usize).and_then(Option::as_ref)
-    }
-
-    /// Runs one callback of the live process in `slot` on the engine's
-    /// effect buffers, then applies what it sent and armed.
-    fn call(&mut self, slot: usize, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg, P::Timer>)) {
-        let id = ProcessId::from_raw(slot as u64);
-        let proc = self.procs[slot].as_mut().expect("live slot");
-        let mut ctx = Context::new(id, self.round, &mut self.rng, &mut self.effects);
-        f(proc, &mut ctx);
-        self.apply_effects(id);
-    }
-
-    /// A tagged message left the network (delivered or discarded).
-    fn settle_tag(metrics: &mut Metrics, msg: &P::Msg) {
-        if let Some(tag) = msg.tag() {
-            metrics.record_tag_settled(tag);
-        }
-    }
-
+impl<P: Process> RoundSchedule<P> {
     fn enqueue(&mut self, from: ProcessId, to: ProcessId, msg: P::Msg) {
         match self.inboxes.get_mut(to.raw() as usize) {
             Some(inbox) => inbox.push((from, msg)),
@@ -461,84 +137,133 @@ impl<P: Process> RoundNetwork<P> {
         }
     }
 
-    /// Routes a surviving message: normally into next round's inbox,
-    /// or — under the reorder knob — parked for a later round while the
-    /// tag stays in flight.
-    fn route(&mut self, from: ProcessId, to: ProcessId, msg: P::Msg) {
-        if self.roll(self.faults.reorder_probability) {
-            self.metrics.record_reordered();
-            let extra = self.rng.gen_range(1..=self.faults.reorder_extra.max(1));
-            self.delayed
-                .entry(self.round + 1 + extra)
-                .or_default()
-                .push((from, to, msg));
-        } else {
-            self.enqueue(from, to, msg);
+    fn run_round(&mut self, world: &mut World<P>) {
+        self.round += 1;
+        // The accumulating buffers become this round's deliveries; the
+        // drained buffers from last round (already empty, capacity
+        // intact) start accumulating the next round's messages.
+        std::mem::swap(&mut self.inboxes, &mut self.scratch);
+        // Forged-destination messages never find a process: drop them
+        // with this round.
+        for (_, msg) in std::mem::take(&mut self.overflow).into_values().flatten() {
+            world.metrics.record_to_dead(&msg);
         }
-    }
-
-    /// One fault-knob Bernoulli draw; never touches the RNG for an
-    /// inactive knob, so enabling a knob is the only thing that changes
-    /// a seeded trace.
-    fn roll(&mut self, p: f64) -> bool {
-        p > 0.0 && self.rng.gen_bool(p.min(1.0))
-    }
-
-    /// Applies and empties the effect buffers `from`'s callback filled.
-    fn apply_effects(&mut self, from: ProcessId) {
-        self.metrics.record_marks(from, &mut self.effects.2);
-        let mut outbox = std::mem::take(&mut self.effects.0);
-        let mut timer_requests = std::mem::take(&mut self.effects.1);
-        for (to, msg) in outbox.drain(..) {
-            self.metrics.record_sent(msg.label());
-            if let Some(tag) = msg.tag() {
-                self.metrics.record_tag_sent(tag);
+        // Reordered messages due this round join the delivery buffers;
+        // later traffic already overtook them in earlier rounds. Ones
+        // addressed outside the allocated range end like overflow.
+        for (from, to, msg) in self.delayed.remove(&self.round).unwrap_or_default() {
+            match self.scratch.get_mut(to.raw() as usize) {
+                Some(buf) => buf.push((from, msg)),
+                None => world.metrics.record_to_dead(&msg),
             }
-            let blocked = self.blocked.contains(&(from, to));
-            let cut = self.partition_links.contains(&(from, to));
-            if blocked || cut || self.roll(self.faults.drop_probability) {
-                if cut && !blocked {
-                    self.metrics.record_partition_drop();
-                }
-                self.metrics.record_dropped();
-                Self::settle_tag(&mut self.metrics, &msg);
+        }
+        let due_timers = self.timers.remove(&self.round).unwrap_or_default();
+        // Callbacks cannot add or crash processes, so the live slots
+        // are fixed for the round: walk them directly, in id order.
+        for slot in 0..world.procs.len() {
+            if world.procs[slot].is_none() {
                 continue;
             }
-            // The duplicate is an extra in-flight copy: tracked as an
-            // unbilled tagged send so both copies settle individually
-            // without double-billing the operation.
-            if self.roll(self.faults.duplicate_probability) {
-                self.metrics.record_duplicated();
-                if let Some(tag) = msg.tag() {
-                    self.metrics.record_tag_sent(MsgTag::unbilled(tag.id));
+            let id = ProcessId::from_raw(slot as u64);
+            // Deliver last round's messages. The buffer is swapped out
+            // locally so effects can enqueue into `self` while
+            // delivery walks it; it returns cleared, capacity intact.
+            if !self.scratch[slot].is_empty() {
+                let mut deliveries = std::mem::take(&mut self.scratch[slot]);
+                for (from, msg) in deliveries.drain(..) {
+                    world.metrics.settle(&msg);
+                    world.metrics.record_delivered();
+                    world.call(self, id, |proc, ctx| proc.on_message(from, msg, ctx));
                 }
-                let copy = msg.clone();
-                self.route(from, to, copy);
+                self.scratch[slot] = deliveries;
             }
-            self.route(from, to, msg);
+            // One-shot timers due this round (in most rounds none are,
+            // and the scan is over an empty list).
+            for (_, timer) in due_timers.iter().filter(|(at, _)| *at == id) {
+                world.call(self, id, |proc, ctx| proc.on_timer(timer.clone(), ctx));
+            }
+            // Periodic tick (the synchronous daemon).
+            if let Some(tick) = self.tick.clone() {
+                world.call(self, id, |proc, ctx| proc.on_timer(tick, ctx));
+            }
         }
-        for (delay, timer) in timer_requests.drain(..) {
-            self.timers
-                .entry(self.round + delay)
-                .or_default()
-                .push((from, timer));
+        // Anything still sitting in the delivery buffers was addressed
+        // to a dead process; drop it but keep the buffer capacity.
+        for buf in &mut self.scratch {
+            for (_, msg) in buf.drain(..) {
+                world.metrics.record_to_dead(&msg);
+            }
         }
-        (self.effects.0, self.effects.1) = (outbox, timer_requests);
     }
 }
 
-impl<P: Process> std::fmt::Debug for RoundNetwork<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RoundNetwork")
-            .field("round", &self.round)
-            .field("processes", &self.live)
-            .finish()
+impl<P: Process> Schedule<P> for RoundSchedule<P> {
+    fn now(&self) -> u64 {
+        self.round
+    }
+
+    fn period(&self, _interval: u64) -> u64 {
+        1
+    }
+
+    fn allocate(&mut self, id: ProcessId) {
+        // Messages sent to this id before it existed now have a home.
+        self.inboxes
+            .push(self.overflow.remove(&id).unwrap_or_default());
+        self.scratch.push(Vec::new());
+    }
+
+    /// The process and its queued messages vanish.
+    fn crashed(&mut self, world: &mut World<P>, id: ProcessId) {
+        for (_, msg) in self.inboxes[id.raw() as usize].drain(..) {
+            world.metrics.record_to_dead(&msg);
+        }
+    }
+
+    /// Normally into next round's inbox, or — under the reorder knob,
+    /// drawn for either copy alike — parked for a later round while
+    /// its tag stays in flight.
+    fn place(
+        &mut self,
+        world: &mut World<P>,
+        from: ProcessId,
+        to: ProcessId,
+        msg: P::Msg,
+        _extra: bool,
+    ) {
+        match world.reorder_delay() {
+            0 => self.enqueue(from, to, msg),
+            delay => self
+                .delayed
+                .entry(self.round + 1 + delay)
+                .or_default()
+                .push((from, to, msg)),
+        }
+    }
+
+    /// Queued for delivery at the start of the next round.
+    fn inject(&mut self, _world: &mut World<P>, to: ProcessId, msg: P::Msg) {
+        self.enqueue(to, to, msg);
+    }
+
+    fn arm(&mut self, at: ProcessId, delay: u64, timer: P::Timer) {
+        self.timers
+            .entry(self.round + delay)
+            .or_default()
+            .push((at, timer));
+    }
+
+    fn advance(&mut self, world: &mut World<P>, span: u64) {
+        for _ in 0..span {
+            self.run_round(world);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Context, FaultProfile, MessageLabel};
 
     #[derive(Clone, Debug)]
     struct Gossip(u64);
