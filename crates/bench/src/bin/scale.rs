@@ -34,29 +34,6 @@
 //!   cargo run -p drtree-bench --release --bin scale -- shard [out.json] [--check <t>]
 //!   ```
 //!
-//! * **Churn throughput** (`churn`): the mixed mutate/publish mode.
-//!   Drives a Poisson subscribe/unsubscribe schedule
-//!   ([`drtree_workloads::churn`]) interleaved with batched publishes
-//!   against the sharded oracle at 10k/100k/250k subscriptions —
-//!   ~1024 churn operations plus 1024 publishes per batch, 4 shards,
-//!   one worker — three ways: incremental delta-layer maintenance
-//!   with synchronous (inline) compaction, the delta fraction forced
-//!   to `0.0` (compact-every-flush: the pre-delta rebuild-on-flush
-//!   baseline), and incremental maintenance with **concurrent**
-//!   compaction (frozen snapshots merged on a background worker;
-//!   in-flight merges drained inside the timed window so the mode
-//!   pays for all the work it starts). Per mode it records mean
-//!   throughput *and* the publish-path pause profile: the longest
-//!   single flush stall (`max_pause_ns`) plus p50/p99 whole-batch
-//!   latencies. Writes `BENCH_churn.json`. The batch count per size
-//!   is chosen so the measured window spans at least two full
-//!   compaction cycles, so incremental numbers amortize real merges,
-//!   not an empty delta honeymoon.
-//!
-//!   ```text
-//!   cargo run -p drtree-bench --release --bin scale -- churn [out.json] [--check <t>]
-//!   ```
-//!
 //! * **Fault schedules** (`faults`): the robustness mode. Drives the
 //!   six canonical adversarial [`FaultSchedule`]s (partition-then-
 //!   heal, correlated regional crash, lossy burst, duplication +
@@ -148,13 +125,6 @@
 //!   headline `batch4_vs_single1_at_100k` ratio: batched throughput on
 //!   4 shards over single-probe throughput on 1 shard at 100k
 //!   subscriptions.
-//! * `BENCH_churn.json` — per-size, per-mode (incremental / rebuild /
-//!   concurrent) `{ns_per_op, max_pause_ns, p50_batch_ns,
-//!   p99_batch_ns}` plus maintenance accounting (compactions, staged
-//!   absorbed, tombstones reclaimed, rebuilds), and the headlines
-//!   `incremental_vs_rebuild_at_100k`,
-//!   `concurrent_vs_sync_pause_ratio_at_250k`, and
-//!   `concurrent_vs_sync_throughput_at_250k`.
 //! * `BENCH_faults.json` — per-size, per-schedule `{recovery_rounds,
 //!   budget, survivors, post_exact, fault/post p50/p99/p999, fault
 //!   counter deltas}` samples, the asynchronous-engine probe, and the
@@ -185,12 +155,6 @@
 //!   `t`× on *both* build and query at the largest size.
 //! * `shard --check t` — batched publish matching on 4 shards must be
 //!   ≥ `t`× the single-probe single-shard rate at 100k subscriptions.
-//! * `churn --check t` — incremental maintenance must sustain ≥ `t`×
-//!   the mutate+publish throughput of the rebuild-on-flush baseline at
-//!   100k subscriptions; additionally (fixed bounds, not scaled by
-//!   `t`), at 250k the concurrent path's max publish-path pause must
-//!   be ≤ ½ the synchronous baseline's while sustaining ≥ 90% of its
-//!   throughput.
 //! * `faults --check t` — every schedule must re-reach a legal
 //!   configuration with ≥ `t`× budget headroom, and post-recovery
 //!   delivery (both engines) must stay exact. `t = 1.0` means "within
@@ -208,7 +172,7 @@
 //!   resolved and post-recovery delivery equal to the single-broker
 //!   reference (zero false negatives) asserted unconditionally.
 //!
-//! CI runs all eight gates with thresholds *below* the steady state
+//! CI runs all six gates with thresholds *below* the steady state
 //! (see `.github/workflows/ci.yml`) so shared-runner noise cannot
 //! flake a merge while a structural regression still fails the build.
 
@@ -220,14 +184,12 @@ use drtree_core::{
     DrTreeConfig, FaultProfile, FaultSchedule, LatencyDistribution, ProcessId,
 };
 use drtree_pubsub::{
-    run_federated_convergence, BatchMatches, Broker, CompactionMode, FedConfig,
-    FedConvergenceConfig, FedEngine, FederatedFabric, IngressConfig, LatencySummary, MultiBroker,
-    ShardedOracle,
+    run_federated_convergence, BatchMatches, Broker, FedConfig, FedConvergenceConfig, FedEngine,
+    FederatedFabric, IngressConfig, LatencySummary, MultiBroker, ShardedOracle,
 };
 use drtree_rtree::{PackedRTree, RTree, RTreeConfig, SplitMethod};
 use drtree_sim::{LatencyModel, NetConfig};
 use drtree_spatial::{Point, Rect, Schema};
-use drtree_workloads::churn::{ChurnOp, PoissonChurn};
 use drtree_workloads::{ArrivalSchedule, MotionField, MotionModel, SubscriptionWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -285,10 +247,6 @@ fn main() {
         Some("shard") => {
             let (out, check) = parse_out_and_check(&args[1..], "BENCH_shard.json");
             shard_oracle(&out, check);
-        }
-        Some("churn") => {
-            let (out, check) = parse_out_and_check(&args[1..], "BENCH_churn.json");
-            churn_throughput(&out, check);
         }
         Some("faults") => {
             let (out, check) = parse_out_and_check(&args[1..], "BENCH_faults.json");
@@ -715,393 +673,6 @@ fn shard_oracle(out_path: &str, check: Option<f64>) {
             std::process::exit(1);
         }
         println!("check passed: batched >= {threshold}x vs single-shard single publish");
-    }
-}
-
-/// One churn-mode measurement at one size, for one maintenance mode.
-#[derive(Debug, Clone, Copy)]
-struct ChurnSample {
-    /// Mean nanoseconds per operation (mutations + publishes) over the
-    /// whole measured window, maintenance included.
-    ns_per_op: f64,
-    /// Largest single publish-path pause: the longest any one
-    /// in-window `flush()` blocked the driver. This is the
-    /// stop-the-world number concurrent compaction exists to kill.
-    max_pause_ns: u64,
-    /// End-of-window shutdown cost: draining every in-flight and
-    /// still-owed merge so both modes pay for identical work inside
-    /// the timed window. Not a publish-path pause — the serving loop
-    /// never experiences it — but part of `ns_per_op`.
-    drain_ns: u64,
-    /// Median whole-batch latency (mutations + flush + batched
-    /// publish), nanoseconds.
-    p50_batch_ns: u64,
-    /// 99th-percentile whole-batch latency, nanoseconds.
-    p99_batch_ns: u64,
-    /// Delta-layer merges performed during the window.
-    compactions: u64,
-    /// Staged entries absorbed by those merges.
-    staged_absorbed: u64,
-    /// Tombstones reclaimed by those merges.
-    tombstones_reclaimed: u64,
-    /// Packed-tree rebuilds (compactions + rebalances).
-    rebuilds: u64,
-}
-
-/// The `q`-quantile of `samples` by nearest-rank (samples get sorted).
-fn percentile_ns(samples: &mut [u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() - 1) as f64 * q).round() as usize;
-    samples[rank]
-}
-
-/// One pre-generated churn mutation, replayed identically against both
-/// maintenance modes.
-#[derive(Debug, Clone, Copy)]
-enum MutOp {
-    Join(u64, Rect<2>),
-    Leave(u64, Rect<2>),
-}
-
-/// The mixed mutate/publish throughput probe (see the module docs):
-/// a Poisson subscribe/unsubscribe schedule interleaved with batched
-/// publishes, measured three ways on a single worker — incremental
-/// delta-layer maintenance with synchronous (inline) compaction, the
-/// compact-every-flush rebuild baseline, and incremental maintenance
-/// with *concurrent* compaction (frozen snapshots merged on a
-/// background worker, two-phase flush). Per run it records throughput
-/// plus the publish-path pause profile: the longest single flush
-/// stall and the p50/p99 whole-batch latencies. Writes
-/// `BENCH_churn.json` and gates `incremental_vs_rebuild_at_100k`,
-/// the concurrent-vs-synchronous max-pause ratio, and the
-/// concurrent-vs-synchronous throughput ratio.
-fn churn_throughput(out_path: &str, check: Option<f64>) {
-    const SIZES: [usize; 3] = [10_000, 100_000, 250_000];
-    const SHARDS: usize = 4;
-    const PUBLISHES_PER_BATCH: usize = 1024;
-    /// Expected joins (and leaves) per batch: λ of each Poisson
-    /// process, one batch per schedule time unit.
-    const CHURN_RATE: f64 = 512.0;
-    const GATE_SIZE: usize = 100_000;
-
-    const PAUSE_GATE_SIZE: usize = 250_000;
-    /// CI bound on the concurrent path: its max publish-path pause
-    /// must be at most half the synchronous baseline's…
-    const PAUSE_RATIO_FLOOR: f64 = 2.0;
-    /// …while sustaining at least 90% of its throughput.
-    const THROUGHPUT_RATIO_FLOOR: f64 = 0.9;
-
-    let default_fraction = drtree_rtree::DEFAULT_DELTA_FRACTION;
-    let mut per_size: Vec<(usize, ChurnSample, ChurnSample, ChurnSample)> = Vec::new();
-    println!(
-        "| N | batches | incremental (ns/op) | rebuild (ns/op) | concurrent (ns/op) | speedup | \
-         sync max pause (ms) | conc max pause (ms) | pause ratio |"
-    );
-    println!(
-        "|---|---------|---------------------|-----------------|--------------------|---------|\
-         ---------------------|---------------------|-------------|"
-    );
-    for size in SIZES {
-        let rects = scaled_rects(size, 7_700 + size as u64);
-        // Enough batches that the measured window spans ≥ 2 full
-        // compaction cycles of the default fraction — the incremental
-        // numbers must amortize real merges.
-        let churn_per_batch = 2.0 * CHURN_RATE;
-        let batches =
-            ((2.0 * default_fraction * size as f64 / churn_per_batch).ceil() as usize).max(16);
-
-        // Pre-generate the whole mutation schedule (and the publish
-        // probes) outside any timed region, by simulating the live set
-        // the way the driver will mutate it. Both modes replay exactly
-        // this schedule.
-        let mut rng = StdRng::seed_from_u64(9_100 + size as u64);
-        let world = drtree_spatial::hilbert::GridMapper::world_of(rects.iter())
-            .expect("rect pool is non-empty");
-        let schedule = PoissonChurn {
-            lambda_join: CHURN_RATE,
-            lambda_leave: CHURN_RATE,
-        }
-        .schedule(batches as f64, &mut rng);
-        let mut sim_live: Vec<(u64, Rect<2>)> =
-            (0..size as u64).zip(rects.iter().copied()).collect();
-        let mut next_id = size as u64;
-        let mut batch_ops: Vec<Vec<MutOp>> = vec![Vec::new(); batches];
-        let mut mutations = 0usize;
-        for event in &schedule {
-            let batch = (event.at as usize).min(batches - 1);
-            match event.op {
-                ChurnOp::Join => {
-                    // A fresh subscription inside the mapped world (so
-                    // churn exercises the delta layer, not constant
-                    // world-growth rebalances).
-                    let w = rng.gen_range(1.0..10.0);
-                    let h = rng.gen_range(1.0..10.0);
-                    let x = rng.gen_range(world.lo(0)..world.hi(0) - w);
-                    let y = rng.gen_range(world.lo(1)..world.hi(1) - h);
-                    let rect = Rect::new([x, y], [x + w, y + h]);
-                    batch_ops[batch].push(MutOp::Join(next_id, rect));
-                    sim_live.push((next_id, rect));
-                    next_id += 1;
-                }
-                ChurnOp::Leave => {
-                    if sim_live.is_empty() {
-                        continue;
-                    }
-                    let i = rng.gen_range(0..sim_live.len());
-                    let (id, rect) = sim_live.swap_remove(i);
-                    batch_ops[batch].push(MutOp::Leave(id, rect));
-                }
-            }
-            mutations += 1;
-        }
-        let probes: Vec<Point<2>> = rects
-            .iter()
-            .cycle()
-            .take(batches * PUBLISHES_PER_BATCH)
-            .map(Rect::center)
-            .collect();
-
-        let run = |fraction: f64, mode: CompactionMode| -> ChurnSample {
-            let mut oracle: ShardedOracle<2> = ShardedOracle::new(SHARDS);
-            oracle.set_threads(1); // committed numbers are single-core
-            oracle.set_delta_fraction(fraction);
-            oracle.set_compaction_mode(mode);
-            for (i, r) in rects.iter().enumerate() {
-                oracle.insert(ProcessId::from_raw(i as u64), *r);
-            }
-            oracle.flush();
-            let compactions0 = oracle.compaction_count();
-            let staged0 = oracle.staged_absorbed_total();
-            let tombstones0 = oracle.tombstones_reclaimed_total();
-            let rebuilds0 = oracle.rebuild_count();
-
-            let mut batch = BatchMatches::new();
-            let mut sink = 0usize;
-            let mut pauses: Vec<u64> = Vec::with_capacity(batches + 1);
-            let mut batch_ns: Vec<u64> = Vec::with_capacity(batches);
-            let t0 = Instant::now();
-            for (ops, chunk) in batch_ops.iter().zip(probes.chunks(PUBLISHES_PER_BATCH)) {
-                let t_batch = Instant::now();
-                for op in ops {
-                    match *op {
-                        MutOp::Join(id, rect) => oracle.insert(ProcessId::from_raw(id), rect),
-                        MutOp::Leave(id, rect) => {
-                            assert!(
-                                oracle.remove(ProcessId::from_raw(id), &rect),
-                                "scheduled leave not found"
-                            );
-                        }
-                    }
-                }
-                // The broker discipline: maintenance is paid eagerly
-                // per batch (here inside the timed window — this mode
-                // measures mutate+publish throughput, maintenance
-                // included). The flush duration *is* the publish-path
-                // pause: synchronous compaction stalls here for the
-                // whole merge, the two-phase path only for the
-                // freeze/swap bookkeeping.
-                let t_flush = Instant::now();
-                oracle.flush();
-                pauses.push(t_flush.elapsed().as_nanos() as u64);
-                oracle.match_batch_into(chunk, &mut batch);
-                sink += batch.total_hits();
-                batch_ns.push(t_batch.elapsed().as_nanos() as u64);
-            }
-            // Drain inside the timed window until no merge is in
-            // flight or owed: the staggered concurrent path must pay
-            // for every compaction the synchronous baseline performed
-            // in-window, so the throughput comparison is work-parity.
-            // (Shutdown cost, not a publish-path pause — the serving
-            // loop never experiences it; reported as drain_ns.)
-            let t_drain = Instant::now();
-            loop {
-                let f = oracle.flush();
-                oracle.finish_compactions();
-                if oracle.compacting_shards() == 0 && f == drtree_pubsub::OracleFlush::default() {
-                    break;
-                }
-            }
-            let drain_ns = t_drain.elapsed().as_nanos() as u64;
-            let elapsed = t0.elapsed().as_nanos() as f64;
-            std::hint::black_box(sink);
-            ChurnSample {
-                ns_per_op: elapsed / (mutations + batches * PUBLISHES_PER_BATCH) as f64,
-                max_pause_ns: pauses.iter().copied().max().unwrap_or(0),
-                drain_ns,
-                p50_batch_ns: percentile_ns(&mut batch_ns, 0.50),
-                p99_batch_ns: percentile_ns(&mut batch_ns, 0.99),
-                compactions: oracle.compaction_count() - compactions0,
-                staged_absorbed: oracle.staged_absorbed_total() - staged0,
-                tombstones_reclaimed: oracle.tombstones_reclaimed_total() - tombstones0,
-                rebuilds: oracle.rebuild_count() - rebuilds0,
-            }
-        };
-
-        // Best-of-REPS, the gated modes interleaved so slow-machine
-        // noise (the dominant variance source at these run lengths)
-        // hits both the same way; the rebuild baseline is 10-20x off
-        // its gate, one run suffices.
-        const REPS: usize = 3;
-        let best = |a: ChurnSample, b: ChurnSample| {
-            if b.ns_per_op < a.ns_per_op {
-                b
-            } else {
-                a
-            }
-        };
-        let mut incremental = run(default_fraction, CompactionMode::Synchronous);
-        let mut concurrent = run(default_fraction, CompactionMode::Concurrent);
-        for _ in 1..REPS {
-            incremental = best(
-                incremental,
-                run(default_fraction, CompactionMode::Synchronous),
-            );
-            concurrent = best(
-                concurrent,
-                run(default_fraction, CompactionMode::Concurrent),
-            );
-        }
-        let rebuild = run(0.0, CompactionMode::Synchronous);
-        let speedup = rebuild.ns_per_op / incremental.ns_per_op;
-        println!(
-            "| {size} | {batches} | {:.1} | {:.1} | {:.1} | {speedup:.2}x | {:.2} | {:.2} | {:.2} |",
-            incremental.ns_per_op,
-            rebuild.ns_per_op,
-            concurrent.ns_per_op,
-            incremental.max_pause_ns as f64 / 1e6,
-            concurrent.max_pause_ns as f64 / 1e6,
-            incremental.max_pause_ns as f64 / concurrent.max_pause_ns.max(1) as f64,
-        );
-        per_size.push((size, incremental, rebuild, concurrent));
-    }
-
-    let (_, incr_gate, rebuild_gate, _) = per_size
-        .iter()
-        .find(|&&(size, _, _, _)| size == GATE_SIZE)
-        .expect("gate size measured");
-    let speedup = rebuild_gate.ns_per_op / incr_gate.ns_per_op;
-    println!(
-        "incremental maintenance vs rebuild-on-flush at {GATE_SIZE}: {speedup:.2}x \
-         ({:.1} -> {:.1} ns/op)",
-        rebuild_gate.ns_per_op, incr_gate.ns_per_op
-    );
-    let (_, sync_gate, _, conc_gate) = per_size
-        .iter()
-        .find(|&&(size, _, _, _)| size == PAUSE_GATE_SIZE)
-        .expect("pause gate size measured");
-    let pause_ratio = sync_gate.max_pause_ns as f64 / conc_gate.max_pause_ns.max(1) as f64;
-    let throughput_ratio = sync_gate.ns_per_op / conc_gate.ns_per_op;
-    println!(
-        "concurrent vs synchronous compaction at {PAUSE_GATE_SIZE}: max pause {:.2}ms -> \
-         {:.2}ms ({pause_ratio:.1}x smaller), throughput ratio {throughput_ratio:.2}",
-        sync_gate.max_pause_ns as f64 / 1e6,
-        conc_gate.max_pause_ns as f64 / 1e6,
-    );
-
-    let mode_json = |s: &ChurnSample| {
-        Json::object()
-            .field("ns_per_op", Json::fixed(s.ns_per_op, 1))
-            .field("max_pause_ns", s.max_pause_ns)
-            .field("drain_ns", s.drain_ns)
-            .field("p50_batch_ns", s.p50_batch_ns)
-            .field("p99_batch_ns", s.p99_batch_ns)
-            .field("compactions", s.compactions)
-            .field("staged_absorbed", s.staged_absorbed)
-            .field("tombstones_reclaimed", s.tombstones_reclaimed)
-            .field("rebuilds", s.rebuilds)
-    };
-    let sizes = per_size
-        .iter()
-        .fold(Json::object(), |obj, (size, incr, rebuild, conc)| {
-            obj.field(
-                size.to_string().as_str(),
-                Json::object()
-                    .field("incremental", mode_json(incr))
-                    .field("rebuild", mode_json(rebuild))
-                    .field("concurrent", mode_json(conc))
-                    .field(
-                        "speedup",
-                        Json::fixed(rebuild.ns_per_op / incr.ns_per_op, 2),
-                    )
-                    .field(
-                        "pause_ratio",
-                        Json::fixed(
-                            incr.max_pause_ns as f64 / conc.max_pause_ns.max(1) as f64,
-                            2,
-                        ),
-                    ),
-            )
-        });
-    let json = Json::object()
-        .field("bench", "churn-oracle")
-        .field(
-            "workload",
-            "uniform 2d, extents 1-10, world scaled to ~10 matches per point query; \
-             Poisson churn (lambda_join = lambda_leave = 512/batch) interleaved with \
-             1024 batched publishes per batch",
-        )
-        .field(
-            "query",
-            "mean ns per operation (mutations + publishes) over the whole window, \
-             maintenance included; 4 shards, single worker; window spans >= 2 \
-             compaction cycles of the default delta fraction. Three modes: \
-             incremental = delta layer with synchronous (inline) compaction, \
-             rebuild = compact-every-flush baseline, concurrent = delta layer \
-             with frozen-snapshot merges on a background worker (two-phase \
-             flush, staggered to one merge in flight; every in-flight and \
-             owed merge drained inside the timed window for work parity). \
-             max_pause_ns is the longest single in-window flush stall on the \
-             publish path; drain_ns the end-of-window shutdown drain; \
-             p50/p99_batch_ns are whole-batch latencies",
-        )
-        .field("sizes", sizes)
-        .field("incremental_vs_rebuild_at_100k", Json::fixed(speedup, 2))
-        .field(
-            "concurrent_vs_sync_pause_ratio_at_250k",
-            Json::fixed(pause_ratio, 2),
-        )
-        .field(
-            "concurrent_vs_sync_throughput_at_250k",
-            Json::fixed(throughput_ratio, 2),
-        );
-    write_bench(out_path, json);
-
-    if let Some(threshold) = check {
-        let mut failed = false;
-        if speedup < threshold {
-            eprintln!(
-                "REGRESSION: incremental churn speedup fell below {threshold}x \
-                 (measured {speedup:.2}x)"
-            );
-            failed = true;
-        }
-        if pause_ratio < PAUSE_RATIO_FLOOR {
-            eprintln!(
-                "REGRESSION: concurrent compaction's max pause is no longer <= \
-                 1/{PAUSE_RATIO_FLOOR} of the synchronous baseline at {PAUSE_GATE_SIZE} \
-                 (measured ratio {pause_ratio:.2}x)"
-            );
-            failed = true;
-        }
-        if throughput_ratio < THROUGHPUT_RATIO_FLOOR {
-            eprintln!(
-                "REGRESSION: concurrent compaction throughput fell below \
-                 {THROUGHPUT_RATIO_FLOOR} of the synchronous path at {PAUSE_GATE_SIZE} \
-                 (measured ratio {throughput_ratio:.2})"
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "check passed: incremental >= {threshold}x vs rebuild-on-flush; concurrent \
-             pause <= 1/{PAUSE_RATIO_FLOOR} of synchronous with >= {THROUGHPUT_RATIO_FLOOR} \
-             throughput"
-        );
     }
 }
 

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON emission for the committed `BENCH_*.json`
 //! files (the workspace is offline; no serde). One builder shared by
-//! every `scale` mode — `rtree`, `shard`, and `churn` — so the
+//! every JSON-writing `scale` mode (`rtree`, `shard`, `faults`, …) so the
 //! documents keep one stable, review-friendly shape: 2-space
 //! indentation, insertion-ordered object fields, and fixed float
 //! precision chosen per field.

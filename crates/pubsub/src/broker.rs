@@ -585,11 +585,11 @@ impl<const D: usize> Broker<D> {
         self.oracle.snapshot_bytes()
     }
 
-    /// Chooses how the oracle realizes over-threshold shard
-    /// compactions: inline inside the flush
-    /// ([`CompactionMode::Synchronous`], deterministic, the measured
-    /// baseline) or frozen-snapshot merges on background workers
-    /// swapped in pause-free ([`CompactionMode::Concurrent`]). See
+    /// Chooses where the oracle runs its one compaction routine and
+    /// when the result is installed: inline inside the flush
+    /// ([`CompactionMode::Synchronous`], deterministic) or on
+    /// background workers, swapped in pause-free by a later flush
+    /// ([`CompactionMode::Concurrent`]). See
     /// [`ShardedOracle::set_compaction_mode`].
     pub fn set_compaction_mode(&mut self, mode: CompactionMode) {
         self.oracle.set_compaction_mode(mode);

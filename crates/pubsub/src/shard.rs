@@ -9,29 +9,24 @@
 //! cell-by-cell so batched probes stay exact between compactions —
 //! and [`ShardedOracle::flush`] compacts only the shards whose delta
 //! has outgrown the configured fraction
-//! ([`ShardedOracle::set_delta_fraction`]; `0.0` reproduces the old
-//! rebuild-per-flush behavior and serves as the churn bench's
-//! baseline). Publishes fan the probe across shards — through the
-//! scoped-thread pool of [`drtree_rtree::parallel`] for batches — and
-//! merge visitor hits into reused buffers, so the steady-state
-//! matching path performs no allocation.
+//! ([`ShardedOracle::set_delta_fraction`]). Publishes fan the probe
+//! across shards — through the scoped-thread pool of
+//! [`drtree_rtree::parallel`] for batches — and merge visitor hits
+//! into reused buffers, so the steady-state matching path performs no
+//! allocation.
 //!
-//! Compaction itself comes in two flavors ([`CompactionMode`]): the
-//! **synchronous** path merges an over-threshold shard inline inside
-//! `flush` (deterministic, single-core friendly, the measured
-//! baseline), while the **concurrent** path freezes the shard's
-//! `Arc`-shared packed core ([`drtree_rtree::FrozenShard`]) and hands
-//! the merge plus stab-grid rebuild to a background
-//! [`drtree_rtree::parallel::Job`]; `flush` becomes a two-phase
-//! begin/finish protocol that kicks off merges, keeps serving exact
-//! reads from the frozen state overlaid with a second-generation
-//! delta, and swaps finished trees in for an
-//! `O(mutations-during-merge)` fix-up instead of an `O(shard)` pause.
-//! While shards are mid-compaction, imbalance is repaired by
-//! *delta-aware* rebalancing: one Hilbert boundary shift between the
-//! overloaded shard and its curve neighbor
-//! ([`drtree_spatial::hilbert::ShardMap::with_boundary`]) instead of
-//! a full redistribute that would void every in-flight merge.
+//! Every compaction is one routine: freeze the shard's `Arc`-shared
+//! packed core ([`drtree_rtree::FrozenShard`]), merge it, and build
+//! the stab grid over the result. [`CompactionMode`] only decides
+//! where that routine runs and when its result is installed: inline,
+//! in the same flush (**synchronous**), or on a background
+//! [`drtree_rtree::parallel::Job`] whose result a later flush swaps in
+//! (**concurrent**) — meanwhile the shard keeps serving exact reads
+//! from the frozen state overlaid with a second-generation delta, and
+//! the install costs an `O(mutations-during-merge)` fix-up instead of
+//! an `O(shard)` pause. Every change of shard assignment is likewise
+//! one routine: a full redistribute at the count quantiles of the
+//! live curve keys.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -685,14 +680,32 @@ fn for_each_cell<const D: usize>(
     }
 }
 
-/// What a concurrent-compaction worker hands back: the merged packed
-/// tree, the stab grid rebuilt over it, and how long the merge took
-/// (off the publish path — reported for the pause accounting).
+/// What one compaction hands back: the merged packed tree, the stab
+/// grid rebuilt over it, and how long the merge took (reported for
+/// the pause accounting).
 #[derive(Debug)]
 struct MergedShard<const D: usize> {
     tree: PackedRTree<ProcessId, D>,
     grid: StabGrid<D>,
     merge_ns: u64,
+}
+
+impl<const D: usize> MergedShard<D> {
+    /// The oracle's one compaction routine: folds a frozen shard's
+    /// delta into fresh packed levels and builds the stab grid over
+    /// them. Touches nothing but its input, so it runs on a worker
+    /// ([`CompactionMode::Concurrent`]) or inline
+    /// ([`CompactionMode::Synchronous`]) alike.
+    fn merge(frozen: FrozenShard<ProcessId, D>) -> Self {
+        let t0 = Instant::now();
+        let tree = frozen.merge();
+        let grid = StabGrid::build(&tree);
+        Self {
+            tree,
+            grid,
+            merge_ns: t0.elapsed().as_nanos() as u64,
+        }
+    }
 }
 
 /// One shard: the delta-bearing packed tree holding its slice of the
@@ -731,47 +744,36 @@ impl<const D: usize> Shard<D> {
         }
     }
 
-    /// Completes this shard's two-phase compaction: swaps the merged
-    /// tree and worker-built grid in, then re-stages the surviving
-    /// second-generation delta entries (re-indexed from zero by the
-    /// install) into the fresh grid's patch layer. Everything here is
-    /// `O(mutations since the freeze)` — the publish-path cost of a
-    /// concurrent compaction.
-    fn install(&mut self, merged: MergedShard<D>) -> drtree_rtree::DeltaCompaction {
+    /// Completes this shard's compaction: swaps the merged tree and its
+    /// grid in, re-stages the surviving second-generation delta entries
+    /// (re-indexed from zero by the install) into the fresh grid's
+    /// patch layer, and reports the work into `flush`. Everything here
+    /// is `O(mutations since the freeze)` — the publish-path cost of a
+    /// compaction beyond the merge itself.
+    fn install(&mut self, merged: MergedShard<D>, flush: &mut OracleFlush) {
         let stats = self.packed.install(merged.tree);
         self.grid = merged.grid;
         self.hints.clear();
         for (i, rect) in self.packed.staged_rects().iter().enumerate() {
             self.grid.stage(i as u32, rect);
         }
-        stats
-    }
-
-    /// Freezes this shard and hands the merge plus grid rebuild to a
-    /// background job.
-    fn begin_compaction(&mut self) {
-        debug_assert!(self.job.is_none(), "compaction already in flight");
-        let frozen = self.packed.freeze();
-        self.job = Some(parallel::Job::spawn(move || {
-            let t0 = Instant::now();
-            let tree = frozen.merge();
-            let grid = StabGrid::build(&tree);
-            MergedShard {
-                tree,
-                grid,
-                merge_ns: t0.elapsed().as_nanos() as u64,
-            }
-        }));
+        flush.compact_ns += merged.merge_ns;
+        flush.rebuilt_shards += 1;
+        flush.compacted_shards += 1;
+        flush.staged_absorbed += stats.staged_absorbed;
+        flush.tombstones_reclaimed += stats.tombstones_reclaimed;
     }
 }
 
-/// How [`ShardedOracle::flush`] realizes over-threshold compactions.
+/// When [`ShardedOracle::flush`] installs the compactions it starts.
+/// Both modes run the same routine, so from the same frozen input they
+/// merge the same tree; they differ in where the merge runs and in
+/// what the flush that starts it pays.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CompactionMode {
-    /// Merge inline inside `flush` — the deterministic single-core
-    /// path, and the measured baseline of the churn bench. Every
-    /// over-threshold shard stalls the flush for a full Hilbert
-    /// re-sort.
+    /// Merge inline and install in the same `flush` — deterministic
+    /// and thread-free. Every over-threshold shard stalls the flush for
+    /// its whole merge.
     #[default]
     Synchronous,
     /// Two-phase: `flush` freezes over-threshold shards and hands the
@@ -786,12 +788,12 @@ pub enum CompactionMode {
 /// What one [`ShardedOracle::flush`] call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleFlush {
-    /// Shards whose packed tree was swapped for a fresh bulk-load
-    /// (inline compactions, installed concurrent merges, rebalance
-    /// redistributions).
+    /// Shards whose packed tree was replaced (installed compactions
+    /// and redistributed shards).
     pub rebuilt_shards: usize,
     /// Shards whose delta layer was folded into the packed levels
-    /// (inline, or installed from a finished background merge).
+    /// (installed compactions, and redistributed shards that carried a
+    /// delta).
     pub compacted_shards: usize,
     /// Concurrent compactions kicked off by this flush (frozen
     /// snapshots handed to background workers).
@@ -800,20 +802,9 @@ pub struct OracleFlush {
     pub staged_absorbed: usize,
     /// Tombstoned slots reclaimed across all shards.
     pub tombstones_reclaimed: usize,
-    /// Whether entries were fully redistributed (world growth, or
-    /// imbalance with no compaction in flight).
+    /// Whether entries were redistributed across all shards (first
+    /// map, world growth, or imbalance).
     pub rebalanced: bool,
-    /// Whether imbalance was repaired by a single Hilbert boundary
-    /// shift between the overloaded shard and its curve neighbor
-    /// (delta-aware rebalancing: only the entries crossing the shifted
-    /// boundary migrate between the pair's delta layers — no shard
-    /// rebuilds, and every in-flight compaction is left undisturbed).
-    pub split_rebalanced: bool,
-    /// Entries handed across the shifted boundary by a split
-    /// rebalance: tombstoned or unstaged out of their old shard and
-    /// staged into the delta layer of the new one, with both packed
-    /// cores left in place.
-    pub migrated_entries: usize,
     /// Moves absorbed by their owning shard as delta patches since the
     /// previous flush — in-place packed-slot updates and staged
     /// rewrites, no shard crossing ([`ShardedOracle::move_entry`]).
@@ -828,10 +819,10 @@ pub struct OracleFlush {
     /// Publish-path stall: nanoseconds this flush spent freezing,
     /// swapping and fixing up — everything *except* inline merge work.
     pub swap_ns: u64,
-    /// Nanoseconds spent merging delta layers into fresh bulk-loads,
-    /// wherever the merge ran (inline here in
-    /// [`CompactionMode::Synchronous`]; on background workers, summed
-    /// at install, in [`CompactionMode::Concurrent`]).
+    /// Nanoseconds spent merging delta layers into fresh packed
+    /// levels, summed over the merges this flush installed, wherever
+    /// they ran (inline in [`CompactionMode::Synchronous`]; on
+    /// background workers in [`CompactionMode::Concurrent`]).
     pub compact_ns: u64,
     /// Wall-clock time of the flush call itself — the whole
     /// publish-path pause, inline merges included.
@@ -899,19 +890,15 @@ impl BatchMatches {
 ///   [`flush`](ShardedOracle::flush) (or query, which flushes
 ///   implicitly) compacts *only* shards whose delta exceeds the
 ///   configured fraction
-///   ([`set_delta_fraction`](ShardedOracle::set_delta_fraction);
-///   `0.0` restores rebuild-per-flush, the churn bench's baseline
-///   mode).
+///   ([`set_delta_fraction`](ShardedOracle::set_delta_fraction)).
 /// * **Rebalancing** — when an entry lands outside the mapped world,
-///   the next flush recomputes the world, re-splits the key population
-///   at its count quantiles, and redistributes (rebuilding everything
-///   once). When only *imbalance* needs repair (one shard past
-///   `4× ideal + 64` entries), the flush is delta-aware instead: it
-///   shifts the single Hilbert boundary between the overloaded shard
-///   and its lighter curve neighbor to their combined count median and
-///   migrates only the crossing entries by delta handoff (tombstone
-///   out, stage in) — no shard rebuilds, and every other shard —
-///   compacting or not — is untouched.
+///   or one shard holds more than `4× ideal + 64` entries, the next
+///   flush recomputes the world, re-splits the key population at its
+///   count quantiles, and redistributes (rebuilding every shard once,
+///   abandoning in-flight merges). Entries sharing one curve key stay
+///   in one shard under any split, so an imbalance the redistribute
+///   could not repair is retried only once the heaviest shard has
+///   doubled.
 /// * **Correctness under interleaving** — any assignment whatsoever
 ///   yields exact matching (every shard is probed), so the shard map
 ///   only affects performance; property tests pin the hit-sets to the
@@ -981,9 +968,12 @@ pub struct ShardedOracle<const D: usize> {
     delta_fraction: f64,
     /// Whether over-threshold compactions run inline or on workers.
     mode: CompactionMode,
+    /// The heaviest shard's length right after the last redistribute:
+    /// an imbalance is retried only past twice this (`needs_rebalance`
+    /// says why).
+    heaviest_at_rebalance: usize,
     rebuilds: u64,
     rebalances: u64,
-    split_rebalances: u64,
     compactions: u64,
     staged_absorbed: u64,
     tombstones_reclaimed: u64,
@@ -1028,9 +1018,9 @@ impl<const D: usize> ShardedOracle<D> {
             derived_stale: false,
             delta_fraction,
             mode: CompactionMode::default(),
+            heaviest_at_rebalance: 0,
             rebuilds: 0,
             rebalances: 0,
-            split_rebalances: 0,
             compactions: 0,
             staged_absorbed: 0,
             tombstones_reclaimed: 0,
@@ -1063,9 +1053,9 @@ impl<const D: usize> ShardedOracle<D> {
     /// Sets the compaction trigger of every shard: a shard's delta
     /// layer is folded back into its packed levels by the next flush
     /// once it exceeds `fraction ×` the shard's packed slot count.
-    /// `0.0` compacts any delta on every flush — the pre-delta
-    /// rebuild-per-flush behavior, kept as the churn bench's baseline
-    /// mode. Defaults to [`drtree_rtree::DEFAULT_DELTA_FRACTION`].
+    /// `0.0` compacts any delta on every flush; large values defer
+    /// compaction indefinitely. Defaults to
+    /// [`drtree_rtree::DEFAULT_DELTA_FRACTION`].
     pub fn set_delta_fraction(&mut self, fraction: f64) {
         self.delta_fraction = fraction.max(0.0);
         for shard in &mut self.shards {
@@ -1080,11 +1070,10 @@ impl<const D: usize> ShardedOracle<D> {
 
     /// Chooses whether over-threshold compactions run inline inside
     /// [`ShardedOracle::flush`] ([`CompactionMode::Synchronous`], the
-    /// default — deterministic, the measured baseline) or on
-    /// background workers with a pause-free two-phase swap
-    /// ([`CompactionMode::Concurrent`]). Switching modes mid-run is
-    /// safe: the next synchronous flush first installs whatever the
-    /// workers finished.
+    /// default — deterministic) or on background workers with a
+    /// pause-free two-phase swap ([`CompactionMode::Concurrent`]).
+    /// Switching modes mid-run is safe: the next synchronous flush
+    /// first installs whatever the workers finished.
     pub fn set_compaction_mode(&mut self, mode: CompactionMode) {
         self.mode = mode;
     }
@@ -1375,32 +1364,9 @@ impl<const D: usize> ShardedOracle<D> {
             shards,
             map,
             len,
-            threads: parallel::available_threads(),
-            stale_world: false,
             derived_stale: true,
             delta_fraction,
-            mode: CompactionMode::default(),
-            rebuilds: 0,
-            rebalances: 0,
-            split_rebalances: 0,
-            compactions: 0,
-            staged_absorbed: 0,
-            tombstones_reclaimed: 0,
-            moves_in_place: 0,
-            rekeys: 0,
-            leases_expired: 0,
-            pending_moved_in_place: 0,
-            pending_rekeyed: 0,
-            pending_leases_expired: 0,
-            point_bufs: vec![Vec::new(); k],
-            batch_bufs: vec![ShardBatchBuf::default(); k],
-            id_counts: HashMap::new(),
-            duplicate_ids: 0,
-            sorted_idx: Vec::new(),
-            key_scratch: Vec::new(),
-            sorted_points: Vec::new(),
-            cursors: Vec::new(),
-            stream_bases: Vec::new(),
+            ..Self::new(k)
         })
     }
 
@@ -1505,11 +1471,13 @@ impl<const D: usize> ShardedOracle<D> {
         self.rebalances
     }
 
-    /// Delta-aware split rebalances (single boundary shifts between an
-    /// overloaded shard and its curve neighbor) performed over the
-    /// oracle's lifetime.
+    /// Always 0: imbalance used to be repaired by shifting one Hilbert
+    /// boundary, a path no workload ever took; every rebalance is now a
+    /// full redistribute, counted by
+    /// [`ShardedOracle::rebalance_count`]. Kept so existing callers
+    /// that sum both counters still compile.
     pub fn split_rebalance_count(&self) -> u64 {
-        self.split_rebalances
+        0
     }
 
     /// Delta-layer merges performed over the oracle's lifetime.
@@ -1654,9 +1622,8 @@ impl<const D: usize> ShardedOracle<D> {
     /// the fallback tombstone+stage path adds. Only when the key
     /// actually crosses a shard boundary is the entry re-keyed —
     /// removed from its old shard and staged into the gainer's delta
-    /// layer, the split-rebalance handoff machinery in miniature. An
-    /// armed lease follows the entry either way. Returns `false` when
-    /// no live entry matches.
+    /// layer. An armed lease follows the entry either way. Returns
+    /// `false` when no live entry matches.
     pub fn move_entry(&mut self, id: ProcessId, old: &Rect<D>, new: Rect<D>) -> bool {
         if let Some(map) = &self.map {
             if !map.covers(&new) {
@@ -1863,12 +1830,11 @@ impl<const D: usize> ShardedOracle<D> {
 
     /// Brings maintenance up to date **now**, so subsequent publishes
     /// pay matching cost only: installs any finished background
-    /// merges, redistributes when the shard map went stale (or shifts
-    /// one Hilbert boundary when only imbalance needs repair — the
-    /// delta-aware path), and realizes over-threshold compactions — inline in
-    /// [`CompactionMode::Synchronous`], or by freezing the shard and
-    /// handing the merge to a worker in [`CompactionMode::Concurrent`]
-    /// (a later flush swaps the result in). Queries call this
+    /// merges, redistributes when the shard map is missing, stale or
+    /// imbalanced, and realizes over-threshold compactions — inline in
+    /// [`CompactionMode::Synchronous`], or on a worker in
+    /// [`CompactionMode::Concurrent`] (a later flush swaps the result
+    /// in). Queries call this
     /// implicitly; benches and brokers call it eagerly so their
     /// publish timings never include a merge. Under-threshold deltas
     /// are left in place — that is the point of incremental
@@ -1900,78 +1866,55 @@ impl<const D: usize> ShardedOracle<D> {
         // block so the switch leaves no merge behind.)
         self.install_finished(self.mode == CompactionMode::Synchronous, &mut flush);
 
-        // Phase 2 — rebalance, if due. A stale world (or a missing
-        // map) voids every assignment, so in-flight merges are
-        // abandoned and everything redistributes. Pure imbalance is
-        // repaired delta-aware instead: one boundary shift between the
-        // overloaded shard and its curve neighbor, which never
-        // disturbs another shard's in-flight compaction.
+        // Phase 2 — redistribute, if due. It rebuilds every shard, so
+        // in-flight merges are worthless: dropping a job detaches its
+        // worker, and aborting the epoch eagerly keeps the accounting
+        // exact.
         if self.needs_rebalance() {
-            let full = self.map.is_none() || self.stale_world || self.shards.len() < 2;
-            if full {
-                for shard in &mut self.shards {
-                    if let Some(job) = shard.job.take() {
-                        // The redistribute rebuilds everything anyway;
-                        // the merge result is worthless. Dropping the
-                        // job detaches the worker; aborting the epoch
-                        // eagerly keeps the accounting below exact.
-                        drop(job);
-                    }
-                    shard.packed.abort_compaction();
+            for shard in &mut self.shards {
+                drop(shard.job.take());
+                shard.packed.abort_compaction();
+                if shard.packed.delta_len() > 0 {
+                    flush.compacted_shards += 1;
                 }
-                for shard in &self.shards {
-                    if shard.packed.delta_len() > 0 {
-                        flush.compacted_shards += 1;
-                    }
-                    flush.staged_absorbed += shard.packed.staged_len();
-                    flush.tombstones_reclaimed += shard.packed.tombstone_count();
-                }
-                self.rebalance();
-                flush.rebalanced = true;
-                flush.rebuilt_shards += self.shards.len();
-            } else {
-                self.split_rebalance(&mut flush);
+                flush.staged_absorbed += shard.packed.staged_len();
+                flush.tombstones_reclaimed += shard.packed.tombstone_count();
             }
+            self.rebalance();
+            flush.rebalanced = true;
+            flush.rebuilt_shards += self.shards.len();
         }
 
-        // Phase 3 — begin: realize over-threshold compactions.
+        // Phase 3 — begin: realize over-threshold compactions. The
+        // mode only picks inline or worker. Concurrent merges are
+        // staggered to at most `threads` in flight, so a burst of
+        // over-threshold shards (uniform churn pushes every shard past
+        // the fraction in the same window) spreads across flushes
+        // instead of spawning one worker per shard to fight over the
+        // same cores; shards left over wait one flush. Synchronous
+        // merges finish before the next one starts and never reach
+        // the cap.
         if !flush.rebalanced {
-            match self.mode {
-                CompactionMode::Synchronous => {
-                    for shard in &mut self.shards {
-                        if !shard.packed.needs_compaction() {
-                            continue;
-                        }
-                        let t_merge = Instant::now();
-                        let stats = shard.packed.compact();
-                        shard.grid = StabGrid::build(&shard.packed);
-                        shard.hints.clear();
-                        inline_merge_ns += t_merge.elapsed().as_nanos() as u64;
-                        flush.rebuilt_shards += 1;
-                        flush.compacted_shards += 1;
-                        flush.staged_absorbed += stats.staged_absorbed;
-                        flush.tombstones_reclaimed += stats.tombstones_reclaimed;
-                    }
+            let mut in_flight = self.shards.iter().filter(|s| s.job.is_some()).count();
+            for shard in &mut self.shards {
+                if in_flight >= self.threads {
+                    break;
                 }
-                CompactionMode::Concurrent => {
-                    // Stagger merges: at most `threads` in flight, so
-                    // a burst of over-threshold shards (uniform churn
-                    // pushes every shard past the fraction in the same
-                    // window) spreads across flushes instead of
-                    // spawning one worker per shard to fight over the
-                    // same cores. Shards left over wait one flush.
-                    let mut in_flight = self.shards.iter().filter(|s| s.job.is_some()).count();
-                    for shard in &mut self.shards {
-                        if in_flight >= self.threads {
-                            break;
-                        }
-                        if shard.job.is_some()
-                            || shard.packed.is_compacting()
-                            || !shard.packed.needs_compaction()
-                        {
-                            continue;
-                        }
-                        shard.begin_compaction();
+                if shard.job.is_some()
+                    || shard.packed.is_compacting()
+                    || !shard.packed.needs_compaction()
+                {
+                    continue;
+                }
+                let frozen = shard.packed.freeze();
+                match self.mode {
+                    CompactionMode::Synchronous => {
+                        let merged = MergedShard::merge(frozen);
+                        inline_merge_ns += merged.merge_ns;
+                        shard.install(merged, &mut flush);
+                    }
+                    CompactionMode::Concurrent => {
+                        shard.job = Some(parallel::Job::spawn(move || MergedShard::merge(frozen)));
                         flush.begun_compactions += 1;
                         in_flight += 1;
                     }
@@ -1979,7 +1922,6 @@ impl<const D: usize> ShardedOracle<D> {
             }
         }
 
-        flush.compact_ns += inline_merge_ns;
         self.absorb_flush_counters(&flush);
         flush.elapsed = t0.elapsed();
         flush.swap_ns = (flush.elapsed.as_nanos() as u64).saturating_sub(inline_merge_ns);
@@ -2016,12 +1958,7 @@ impl<const D: usize> ShardedOracle<D> {
                 continue;
             }
             let merged = shard.job.take().expect("job presence checked").join();
-            flush.compact_ns += merged.merge_ns;
-            let stats = shard.install(merged);
-            flush.rebuilt_shards += 1;
-            flush.compacted_shards += 1;
-            flush.staged_absorbed += stats.staged_absorbed;
-            flush.tombstones_reclaimed += stats.tombstones_reclaimed;
+            shard.install(merged, flush);
         }
     }
 
@@ -2082,120 +2019,6 @@ impl<const D: usize> ShardedOracle<D> {
         self.moves_in_place += flush.moved_in_place as u64;
         self.rekeys += flush.rekeyed as u64;
         self.leases_expired += flush.leases_expired as u64;
-        if flush.split_rebalanced {
-            self.split_rebalances += 1;
-        }
-    }
-
-    /// Delta-aware rebalancing: repairs imbalance by shifting the one
-    /// Hilbert boundary between the overloaded shard and its lighter
-    /// curve neighbor to the count median of their combined key
-    /// population, then **handing off** only the entries that cross
-    /// the shifted boundary — tombstoned or unstaged out of their old
-    /// shard, staged into the delta layer of the new one. Neither
-    /// shard rebuilds (their packed cores stay in place, flat buffers
-    /// and all), no other shard is touched, and in-flight background
-    /// merges — the pair's included — stay valid: mid-compaction
-    /// removals go through the epoch machinery and are reconciled at
-    /// install time. Falls back to a full redistribute when the shift
-    /// cannot move anything (a degenerate key distribution).
-    fn split_rebalance(&mut self, flush: &mut OracleFlush) {
-        let heavy = self
-            .shards
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.packed.len())
-            .map(|(i, _)| i)
-            .expect("oracle has at least one shard");
-        let neighbor = if heavy == 0 {
-            1
-        } else if heavy == self.shards.len() - 1
-            || self.shards[heavy - 1].packed.len() <= self.shards[heavy + 1].packed.len()
-        {
-            heavy - 1
-        } else {
-            heavy + 1
-        };
-        let map = self.map.as_ref().expect("split requires a shard map");
-        let mapper = map.mapper().clone();
-        let boundary = heavy.min(neighbor);
-        let pair = [boundary, boundary + 1];
-        // The pair's live key population, delta layers included —
-        // read-only: nothing is drained, both packed cores stay put.
-        let mut keys: Vec<u128> = Vec::new();
-        for s in pair {
-            let packed = &self.shards[s].packed;
-            keys.extend(packed.entries().map(|(_, _, r)| mapper.key(r)));
-            keys.extend(
-                packed
-                    .staged_rects()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| packed.is_staged_live(i))
-                    .map(|(_, r)| mapper.key(r)),
-            );
-        }
-        // Only the count median matters — O(n) selection, not a sort;
-        // this runs on the publish path, whose whole point is a small
-        // stall.
-        let mid = keys.len() / 2;
-        let (_, &mut new_key, _) = keys.select_nth_unstable(mid);
-        if new_key == map.boundaries()[boundary] {
-            // The median *is* the current boundary: the shift would
-            // move nothing. Full redistribute instead — which voids
-            // every assignment, so in-flight merges are abandoned.
-            for shard in &mut self.shards {
-                drop(shard.job.take());
-            }
-            let leases = self.collect_leases();
-            let mut entries: Vec<(ProcessId, Rect<D>)> = Vec::new();
-            for shard in &mut self.shards {
-                entries.append(&mut shard.packed.drain_live());
-            }
-            self.rebalance_entries(entries);
-            self.rearm_leases(leases);
-            flush.rebalanced = true;
-            flush.rebuilt_shards += self.shards.len();
-            return;
-        }
-        let new_map = map.with_boundary(boundary, new_key);
-        // Handoff: collect each pair member's crossing entries, then
-        // migrate them one by one. Assignment is a pure function of
-        // the map, so a crossing entry of one pair member always lands
-        // on the other.
-        for s in pair {
-            let packed = &self.shards[s].packed;
-            let staged = packed
-                .staged_keys()
-                .iter()
-                .zip(packed.staged_rects())
-                .enumerate()
-                .filter(|&(i, _)| packed.is_staged_live(i))
-                .map(|(_, (id, r))| (*id, *r));
-            let crossing: Vec<(ProcessId, Rect<D>)> = packed
-                .entries()
-                .map(|(_, id, r)| (*id, *r))
-                .chain(staged)
-                .filter(|(_, r)| new_map.shard_of(r) != s)
-                .collect();
-            for (id, rect) in crossing {
-                let to = new_map.shard_of(&rect);
-                let deadline = self.shards[s].packed.take_lease(&id, &rect);
-                let removed = self.remove_from(s, id, &rect);
-                debug_assert!(removed, "crossing entry was live");
-                let gainer = &mut self.shards[to];
-                let idx = gainer.packed.staged_len() as u32;
-                gainer.packed.stage_insert(id, rect);
-                gainer.grid.stage(idx, &rect);
-                if let Some(deadline) = deadline {
-                    gainer.packed.set_lease(id, rect, deadline);
-                }
-                self.len += 1;
-                flush.migrated_entries += 1;
-            }
-        }
-        self.map = Some(new_map);
-        flush.split_rebalanced = true;
     }
 
     fn needs_rebalance(&self) -> bool {
@@ -2210,20 +2033,47 @@ impl<const D: usize> ShardedOracle<D> {
         }
         let ideal = self.len / self.shards.len();
         let cap = IMBALANCE_FACTOR * ideal + IMBALANCE_SLACK;
-        self.shards.iter().any(|s| s.packed.len() > cap)
+        let heaviest = self.shards.iter().map(|s| s.packed.len()).max();
+        // Entries sharing one curve key (copies of one rectangle, a
+        // spatially clustered crowd) land in one shard under any
+        // quantile split, so a redistribute cannot always repair an
+        // imbalance, and repeating it would rebuild every shard on
+        // every flush for the same outcome (queries flush implicitly).
+        // Retry only once the heaviest shard has doubled since the last
+        // redistribute: at most one O(N log N) pass per doubling.
+        heaviest.is_some_and(|h| h > cap && h > 2 * self.heaviest_at_rebalance)
     }
 
     /// Recomputes the world from the live entries, re-splits the key
     /// population at its count quantiles, and redistributes every
     /// entry, bulk-loading every shard fresh (deltas are absorbed in
-    /// the same pass).
+    /// the same pass) — the oracle's one redistribute.
     fn rebalance(&mut self) {
         let leases = self.collect_leases();
         let mut all: Vec<(ProcessId, Rect<D>)> = Vec::with_capacity(self.len);
         for shard in &mut self.shards {
             all.append(&mut shard.packed.drain_live());
         }
-        self.rebalance_entries(all);
+        let world = GridMapper::world_of(all.iter().map(|(_, r)| r))
+            .unwrap_or_else(|| Rect::new([0.0; D], [1.0; D]));
+        let mapper = GridMapper::new(&world);
+        let mut keys: Vec<u128> = all.iter().map(|(_, r)| mapper.key(r)).collect();
+        keys.sort_unstable();
+        let map = ShardMap::from_sorted_keys(self.shards.len(), &world, &keys);
+        let mut parts: Vec<Vec<(ProcessId, Rect<D>)>> = vec![Vec::new(); self.shards.len()];
+        for (id, rect) in all {
+            parts[map.shard_of(&rect)].push((id, rect));
+        }
+        self.heaviest_at_rebalance = parts.iter().map(Vec::len).max().unwrap_or(0);
+        for (shard, part) in self.shards.iter_mut().zip(parts) {
+            shard.packed = PackedRTree::bulk_load(part);
+            shard.packed.set_delta_fraction(self.delta_fraction);
+            shard.grid = StabGrid::build(&shard.packed);
+            shard.hints.clear();
+        }
+        self.map = Some(map);
+        self.stale_world = false;
+        self.rebalances += 1;
         self.rearm_leases(leases);
     }
 
@@ -2251,30 +2101,6 @@ impl<const D: usize> ShardedOracle<D> {
                 self.shards[s].packed.set_lease(id, rect, deadline);
             }
         }
-    }
-
-    /// The redistribution tail of [`ShardedOracle::rebalance`], over
-    /// an already-drained entry set.
-    fn rebalance_entries(&mut self, all: Vec<(ProcessId, Rect<D>)>) {
-        let world = GridMapper::world_of(all.iter().map(|(_, r)| r))
-            .unwrap_or_else(|| Rect::new([0.0; D], [1.0; D]));
-        let mapper = GridMapper::new(&world);
-        let mut keys: Vec<u128> = all.iter().map(|(_, r)| mapper.key(r)).collect();
-        keys.sort_unstable();
-        let map = ShardMap::from_sorted_keys(self.shards.len(), &world, &keys);
-        let mut parts: Vec<Vec<(ProcessId, Rect<D>)>> = vec![Vec::new(); self.shards.len()];
-        for (id, rect) in all {
-            parts[map.shard_of(&rect)].push((id, rect));
-        }
-        for (shard, part) in self.shards.iter_mut().zip(parts) {
-            shard.packed = PackedRTree::bulk_load(part);
-            shard.packed.set_delta_fraction(self.delta_fraction);
-            shard.grid = StabGrid::build(&shard.packed);
-            shard.hints.clear();
-        }
-        self.map = Some(map);
-        self.stale_world = false;
-        self.rebalances += 1;
     }
 
     /// Fills `out` with the sorted, deduplicated set of subscribers
@@ -2839,9 +2665,10 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_is_repaired_by_a_boundary_shift() {
+    fn imbalance_is_repaired_by_one_redistribute() {
         for mode in [CompactionMode::Synchronous, CompactionMode::Concurrent] {
             let mut oracle: ShardedOracle<2> = ShardedOracle::new(8);
+            oracle.set_compaction_mode(mode);
             // A huge fraction so compaction never kicks in and the
             // rebalance path is isolated.
             oracle.set_delta_fraction(1e9);
@@ -2851,7 +2678,7 @@ mod tests {
             oracle.flush();
             assert_eq!(oracle.rebalance_count(), 1, "initial full rebalance");
 
-            // Pile ~2000 in-world entries onto one spot: the owning
+            // Pile 2000 in-world entries onto one spot: the owning
             // shard blows past 4x ideal + 64.
             let hot = grid_rect(3);
             let hot_shard = oracle.shard_of(&hot).expect("map exists");
@@ -2860,30 +2687,65 @@ mod tests {
             }
             let before = oracle.shard_len(hot_shard);
             let flush = oracle.flush();
-            assert!(flush.split_rebalanced, "mode {mode:?}: {flush:?}");
-            assert!(!flush.rebalanced, "no full redistribute, mode {mode:?}");
-            assert_eq!(
-                flush.rebuilt_shards, 0,
-                "handoff migration rebuilds nothing"
-            );
-            assert!(
-                flush.migrated_entries > 0,
-                "crossing entries migrated: {flush:?}"
-            );
-            assert_eq!(oracle.rebalance_count(), 1, "full count unchanged");
-            assert_eq!(oracle.split_rebalance_count(), 1);
-            // The overloaded shard shed entries to its neighbor.
+            assert!(flush.rebalanced, "mode {mode:?}: {flush:?}");
+            assert_eq!(flush.rebuilt_shards, 8, "mode {mode:?}: {flush:?}");
+            assert_eq!(oracle.rebalance_count(), 2, "mode {mode:?}");
+            assert_eq!(oracle.split_rebalance_count(), 0);
             let after = oracle.shard_len(hot_shard);
-            assert!(after < before, "hot shard {before} -> {after}");
-            // Matching stays exact across the shifted boundary.
+            assert!(
+                after < before,
+                "mode {mode:?}: hot shard {before} -> {after}"
+            );
+            // Matching stays exact across the new boundaries: 2000
+            // piled plus the 2048/256 = 8 original copies of slot 3.
             let mut hits = Vec::new();
             oracle.match_point_into(&hot.center(), &mut hits);
-            // 2000 piled plus the 2048/256 = 8 original copies of slot 3.
-            assert_eq!(
-                hits.len(),
-                2008,
-                "matching exact across the shifted boundary"
-            );
+            assert_eq!(hits.len(), 2008, "mode {mode:?}");
+        }
+    }
+
+    #[test]
+    fn an_imbalance_a_redistribute_cannot_repair_is_not_retried_every_flush() {
+        // 4,000 copies of one rectangle share one curve key, so they
+        // stay in one shard under any quantile split: the first
+        // redistribute leaves that shard past 4x ideal + 64.
+        for mode in [CompactionMode::Synchronous, CompactionMode::Concurrent] {
+            let mut oracle: ShardedOracle<2> = ShardedOracle::new(8);
+            oracle.set_compaction_mode(mode);
+            oracle.set_delta_fraction(1e9);
+            let mut model: Vec<(ProcessId, Rect<2>)> = Vec::new();
+            for i in 0..2048 {
+                oracle.insert(pid(i), grid_rect(i % 256));
+                model.push((pid(i), grid_rect(i % 256)));
+            }
+            oracle.flush();
+            let hot = grid_rect(3);
+            for i in 0..4000 {
+                oracle.insert(pid(10_000 + i), hot);
+                model.push((pid(10_000 + i), hot));
+            }
+            oracle.flush();
+            let rebalances = oracle.rebalance_count();
+            let heaviest = (0..8).map(|s| oracle.shard_len(s)).max().unwrap_or(0);
+            assert!(heaviest > 4 * (6048 / 8) + 64, "still imbalanced");
+
+            for _ in 0..5 {
+                let flush = oracle.flush();
+                assert_eq!(flush.rebuilt_shards, 0, "mode {mode:?}: {flush:?}");
+            }
+            let mut hits = Vec::new();
+            for i in [3u64, 0, 77, 200, 255] {
+                let p = grid_rect(i).center();
+                oracle.match_point_into(&p, &mut hits);
+                let mut want: Vec<ProcessId> = model
+                    .iter()
+                    .filter(|(_, r)| r.contains_point(&p))
+                    .map(|&(id, _)| id)
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(hits, want, "mode {mode:?} at {p:?}");
+            }
+            assert_eq!(oracle.rebalance_count(), rebalances, "mode {mode:?}");
         }
     }
 

@@ -343,7 +343,9 @@ fn checked_restore_accepts_matching_map_and_rejects_moved_boundaries() {
     // Reject: one boundary moved since the checkpoint was cut.
     let b = expected.boundaries();
     assert!(b[0] > 0, "first boundary must be shiftable");
-    let moved = expected.with_boundary(0, b[0] - 1);
+    let mut shifted = b.to_vec();
+    shifted[0] -= 1;
+    let moved = ShardMap::from_boundaries(expected.world(), shifted);
     assert_ne!(moved.boundaries(), expected.boundaries());
     match ShardedOracle::restore_bytes_checked(bytes.clone(), &moved) {
         Err(SnapshotError::StaleBoundaries {
@@ -441,6 +443,86 @@ fn batch_answers(oracle: &mut ShardedOracle<2>, probes: &[Point<2>]) -> Vec<Vec<
     (0..probes.len())
         .map(|i| batch.matches(i).to_vec())
         .collect()
+}
+
+/// Both compaction modes run one merge routine on the same frozen
+/// input, so when no mutation lands mid-merge they must leave
+/// byte-identical shards. A seeded insert/remove/move script drives a
+/// synchronous and a concurrent oracle in lockstep (the concurrent one
+/// drained after every flush); after every round their snapshots and
+/// batched answers agree, and compactions really ran.
+#[test]
+fn synchronous_and_concurrent_compaction_write_the_same_bytes() {
+    let mut sync: ShardedOracle<2> = ShardedOracle::new(4);
+    let mut conc: ShardedOracle<2> = ShardedOracle::new(4);
+    conc.set_compaction_mode(CompactionMode::Concurrent);
+    for oracle in [&mut sync, &mut conc] {
+        // Enough workers that concurrent merges are never staggered
+        // to a later flush than their synchronous twins.
+        oracle.set_threads(4);
+        oracle.set_delta_fraction(0.05);
+        for i in 0..400 {
+            oracle.insert(ProcessId::from_raw(i), lattice_rect(i));
+        }
+    }
+    let mut live: Vec<(ProcessId, Rect<2>)> = (0..400)
+        .map(|i| (ProcessId::from_raw(i), lattice_rect(i)))
+        .collect();
+    let probes: Vec<Point<2>> = (0..400).map(|i| grown_rect(i).center()).collect();
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |bound: usize| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize % bound
+    };
+    let mut next_id = 1_000u64;
+    let mut compactions = 0;
+    for round in 0..12 {
+        for _ in 0..40 {
+            match next(3) {
+                0 => {
+                    let rect = grown_rect(next(400) as u64);
+                    let id = ProcessId::from_raw(next_id);
+                    next_id += 1;
+                    sync.insert(id, rect);
+                    conc.insert(id, rect);
+                    live.push((id, rect));
+                }
+                1 => {
+                    let (id, rect) = live.swap_remove(next(live.len()));
+                    assert!(sync.remove(id, &rect) && conc.remove(id, &rect));
+                }
+                _ => {
+                    let at = next(live.len());
+                    let (id, old) = live[at];
+                    let shift = next(5) as f64 * 0.5;
+                    let new = Rect::new(
+                        [old.lo(0) + shift, old.lo(1)],
+                        [old.hi(0) + shift, old.hi(1)],
+                    );
+                    assert!(sync.move_entry(id, &old, new) && conc.move_entry(id, &old, new));
+                    live[at].1 = new;
+                }
+            }
+        }
+        let flush = sync.flush();
+        conc.flush();
+        conc.finish_compactions();
+        compactions += flush.compacted_shards;
+        assert_eq!(
+            sync.snapshot_bytes(),
+            conc.snapshot_bytes(),
+            "round {round}"
+        );
+        assert_eq!(
+            batch_answers(&mut sync, &probes),
+            batch_answers(&mut conc, &probes),
+            "round {round}"
+        );
+    }
+    assert!(compactions >= 4, "the script compacted {compactions} times");
+    assert_eq!(sync.compaction_count(), conc.compaction_count());
 }
 
 /// Length and `drtree_rtree::bytes::checksum` of

@@ -37,8 +37,9 @@
 //!   over-approximate, which costs pruning quality, never
 //!   correctness).
 //!
-//! [`PackedRTree::compact`] folds both back into a fresh Hilbert
-//! bulk-load; [`PackedRTree::needs_compaction`] says when the delta
+//! [`PackedRTree::compact`] folds both back into fresh packed levels
+//! (the same freeze → merge → install routine as below, run inline);
+//! [`PackedRTree::needs_compaction`] says when the delta
 //! has outgrown the configured fraction of the packed slots
 //! ([`PackedRTree::set_delta_fraction`]), so a churning consumer (the
 //! pub/sub broker's subscription oracle) pays one `O(N log N)` merge
@@ -53,7 +54,7 @@
 //! shared core plus a copy of the delta — in `O(delta)` time, while
 //! the live tree keeps answering exact queries and absorbing new
 //! mutations into a *second-generation* delta overlaid on the frozen
-//! state. [`FrozenShard::merge`] performs the bulk-load off-path
+//! state. [`FrozenShard::merge`] performs the merge off-path
 //! (e.g. on a [`crate::parallel::Job`]), and
 //! [`PackedRTree::install`] swaps the merged core in, re-applies the
 //! removals that landed mid-compaction, and carries the
@@ -1958,11 +1959,11 @@ impl<K, const D: usize> PackedRTree<K, D> {
         delta > 0 && delta as f64 > self.delta_fraction * self.core.len() as f64
     }
 
-    /// Merges the staging buffer and reclaims tombstoned slots with one
-    /// fresh Hilbert bulk-load of the live entries, **inline** — the
-    /// synchronous path (the [`PackedRTree::freeze`] /
-    /// [`PackedRTree::install`] pair is the pause-free one). A no-op
-    /// (reported as such) when the delta layer is empty.
+    /// Merges the staging buffer and reclaims tombstoned slots
+    /// **inline**: [`PackedRTree::freeze`], [`FrozenShard::merge`] and
+    /// [`PackedRTree::install`] back to back, so the synchronous and
+    /// the pause-free path share one merge algorithm and write the same
+    /// bytes. A no-op (reported as such) when the delta layer is empty.
     ///
     /// # Panics
     ///
@@ -1982,15 +1983,8 @@ impl<K, const D: usize> PackedRTree<K, D> {
         if stats.is_noop() {
             return stats;
         }
-        let node_size = self.core.node_size;
-        let fraction = self.delta_fraction;
-        let leases = std::mem::take(&mut self.leases);
-        let entries = self.drain_live();
-        *self = Self::bulk_load_with_node_size(node_size, entries);
-        self.delta_fraction = fraction;
-        self.leases = leases;
-        self.sweep_leases();
-        stats
+        let merged = self.freeze().merge();
+        self.install(merged)
     }
 
     /// [`PackedRTree::compact`] gated by

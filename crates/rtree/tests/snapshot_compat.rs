@@ -2,7 +2,9 @@
 //! every byte the default layout ever wrote must load and re-save
 //! unchanged, and the two retired layout experiments (f32-quantized
 //! interior MBRs, cache-line-padded fanout) must be refused with a
-//! typed error — never served, never a panic.
+//! typed error — never served, never a panic. Compaction is pinned the
+//! same way: whatever merge algorithm runs, the compacted tree saves
+//! to the bytes a full rebuild of its live entries wrote.
 
 use std::sync::Arc;
 
@@ -57,6 +59,56 @@ fn default_layout_bytes_match_the_pinned_digest_and_resave_identically() {
         .expect("loads")
         .save();
     assert_eq!(again, bytes, "load(save(load(b))) == b");
+}
+
+/// A delta that stays inside the packed world: 64 × 64 unit boxes
+/// packed, 200 boxes staged strictly inside, every fifth interior
+/// packed entry tombstoned. The live entries span exactly the packed
+/// world, so compaction merges by sorted splice instead of re-sorting.
+fn in_world_tree() -> PackedRTree<usize, 2> {
+    let entries: Vec<(usize, Rect<2>)> = (0..4_096usize)
+        .map(|i| {
+            let x = (i % 64) as f64 * 2.0;
+            let y = (i / 64) as f64 * 2.0;
+            (i, Rect::new([x, y], [x + 1.0, y + 1.0]))
+        })
+        .collect();
+    let mut tree = PackedRTree::bulk_load(entries.clone());
+    for i in 0..200usize {
+        let x = 10.0 + (i % 20) as f64 * 5.3;
+        let y = 10.0 + (i / 20) as f64 * 9.1;
+        tree.stage_insert(10_000 + i, Rect::new([x, y], [x + 0.5, y + 0.5]));
+    }
+    for (key, rect) in entries.iter().step_by(5) {
+        let interior = (0..2).all(|d| rect.lo(d) > 0.0 && rect.hi(d) < 127.0);
+        if interior {
+            tree.remove_entry(key, rect).expect("packed entry exists");
+        }
+    }
+    tree
+}
+
+/// Length and [`checksum`] of `save()` after `compact()` on each
+/// fixture, captured when compaction still re-bulk-loaded every live
+/// entry: the merge that replaced it must write the same bytes, on the
+/// re-sort path (`mid_churn_tree`, whose world shrinks and grows) and
+/// on the splice path (`in_world_tree`).
+const COMPACTED_MID_CHURN: (usize, u64) = (41_600, 16_789_237_551_319_808_589);
+const COMPACTED_IN_WORLD: (usize, u64) = (163_072, 3_395_689_282_256_015_545);
+
+#[test]
+fn compaction_writes_the_bytes_a_full_rebuild_wrote() {
+    for (mut tree, pinned, what) in [
+        (mid_churn_tree(), COMPACTED_MID_CHURN, "mid-churn"),
+        (in_world_tree(), COMPACTED_IN_WORLD, "in-world"),
+    ] {
+        let live = tree.len();
+        let stats = tree.compact();
+        assert!(!stats.is_noop(), "{what}: the fixture carries a delta");
+        assert_eq!((tree.len(), tree.delta_len()), (live, 0), "{what}");
+        let bytes = tree.save();
+        assert_eq!((bytes.len(), checksum(&bytes)), pinned, "{what}");
+    }
 }
 
 /// Offset of the core header's layout-flags word inside a tree buffer:

@@ -466,32 +466,6 @@ impl<const D: usize> ShardMap<D> {
         assert!(shard < k, "shard {shard} out of range");
         ((shard + k - 1) % k, (shard + 1) % k)
     }
-
-    /// A copy of this map with boundary `index` moved to `key` — the
-    /// delta-aware rebalancing primitive. Shifting one boundary
-    /// re-splits only the two adjacent shards' curve ranges, so an
-    /// overloaded shard can shed entries to its curve neighbor while
-    /// every other shard's assignment (and any in-flight compaction of
-    /// it) stays untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or `key` would break the
-    /// ascending boundary order.
-    pub fn with_boundary(&self, index: usize, key: u128) -> Self {
-        assert!(
-            index < self.boundaries.len(),
-            "boundary {index} out of range"
-        );
-        assert!(
-            (index == 0 || self.boundaries[index - 1] <= key)
-                && (index + 1 >= self.boundaries.len() || key <= self.boundaries[index + 1]),
-            "boundary {index} -> {key} breaks the ascending order"
-        );
-        let mut map = self.clone();
-        map.boundaries[index] = key;
-        map
-    }
 }
 
 #[cfg(test)]
@@ -752,46 +726,6 @@ mod tests {
         // One shard: self-neighboring, not a panic.
         let one = ShardMap::new(1, &world);
         assert_eq!(one.neighbors(0), (0, 0));
-    }
-
-    #[test]
-    fn boundary_shift_moves_entries_between_adjacent_shards_only() {
-        let world: Rect<2> = Rect::new([0.0, 0.0], [1000.0, 1000.0]);
-        let map = ShardMap::new(4, &world);
-        let rects: Vec<Rect<2>> = (0..4096)
-            .map(|i| {
-                let x = (i % 64) as f64 * 15.0 + 1.0;
-                let y = (i / 64) as f64 * 15.0 + 1.0;
-                Rect::new([x, y], [x + 5.0, y + 5.0])
-            })
-            .collect();
-        let before: Vec<usize> = rects.iter().map(|r| map.shard_of(r)).collect();
-        // Shift boundary 1 (between shards 1 and 2) to the midpoint of
-        // its legal range: only assignments between those two shards
-        // may change, and some must.
-        let b = map.boundaries();
-        let shifted = map.with_boundary(1, b[0] + (b[1] - b[0]) / 2);
-        let mut moved = 0usize;
-        for (r, &was) in rects.iter().zip(&before) {
-            let now = shifted.shard_of(r);
-            if now != was {
-                assert!(
-                    (was == 1 && now == 2) || (was == 2 && now == 1),
-                    "entry moved {was} -> {now}: non-adjacent reassignment"
-                );
-                moved += 1;
-            }
-        }
-        assert!(moved > 0, "shifting a boundary must move something");
-    }
-
-    #[test]
-    #[should_panic(expected = "breaks the ascending order")]
-    fn boundary_shift_rejects_disorder() {
-        let world: Rect<2> = Rect::new([0.0, 0.0], [100.0, 100.0]);
-        let map = ShardMap::new(4, &world);
-        let too_high = map.boundaries()[2] + 1;
-        let _ = map.with_boundary(1, too_high);
     }
 
     #[test]
