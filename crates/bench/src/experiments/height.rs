@@ -5,7 +5,9 @@
 //! For a sweep of N and (m, M) the table reports the measured height
 //! against ⌈log_m N⌉, the maximum observed degree against M, and the
 //! per-process memory (children-table entries) against the lemma's
-//! bound.
+//! bound. Every row is checked, not only printed: height ≤
+//! ⌈log_m N⌉ + 1, max degree ≤ M, and mem max ≤ M·log²N/log m. The
+//! full sweep extends to N = 1,024.
 
 use drtree_core::{DrTreeConfig, SplitMethod};
 
@@ -15,6 +17,10 @@ use crate::Table;
 use super::{build_uniform, n_sweep};
 
 /// Runs the experiment; `fast` shrinks the sweep.
+///
+/// # Panics
+///
+/// If a row breaks one of Lemma 3.1's bounds.
 pub fn run(fast: bool) -> Vec<Table> {
     let mut t = Table::new(
         "T-HEIGHT — height and memory vs N (Lemma 3.1)",
@@ -35,26 +41,53 @@ pub fn run(fast: bool) -> Vec<Table> {
     } else {
         &[(2, 4), (2, 6), (4, 8)]
     };
-    for &n in &n_sweep(fast) {
+    let mut sizes = n_sweep(fast);
+    if !fast {
+        sizes.extend([512, 1_024]);
+    }
+    for n in sizes {
         for &(m, max) in degree_settings {
             let config =
                 DrTreeConfig::with_degree(m, max, SplitMethod::Quadratic).expect("valid degree");
             let cluster = build_uniform(n, config, 1000 + n as u64 + m as u64);
             assert!(cluster.check_legal().is_ok());
             let (mem_max, mem_mean) = cluster.memory_stats();
-            let logm = (n as f64).ln() / (m as f64).ln();
+            let logm = ((n as f64).ln() / (m as f64).ln()).ceil();
+            let mem_bound = max as f64 * (n as f64).ln().powi(2) / (m as f64).ln();
+            let height = cluster.height();
+            let degree = cluster.max_degree_observed();
+            let row = format!("N={n} (m, M)=({m}, {max})");
+            assert!(
+                height as f64 <= logm + 1.0,
+                "{row}: height {height} > ceil(log_m N) + 1 = {}",
+                logm + 1.0
+            );
+            assert!(degree <= max, "{row}: max degree {degree} > M");
+            assert!(
+                mem_max as f64 <= mem_bound,
+                "{row}: mem max {mem_max} > M·log²N/log m = {mem_bound:.0}"
+            );
             t.push(vec![
                 n.to_string(),
                 m.to_string(),
                 max.to_string(),
-                cluster.height().to_string(),
-                fmt_f(logm.ceil(), 0),
-                cluster.max_degree_observed().to_string(),
+                height.to_string(),
+                fmt_f(logm, 0),
+                degree.to_string(),
                 mem_max.to_string(),
                 fmt_f(mem_mean, 1),
-                fmt_f(max as f64 * (n as f64).ln().powi(2) / (m as f64).ln(), 0),
+                fmt_f(mem_bound, 0),
             ]);
         }
     }
     vec![t]
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fast_sweep_meets_lemma_3_1() {
+        let tables = super::run(true);
+        assert_eq!(tables[0].len(), 3, "one row per N of the fast sweep");
+    }
 }

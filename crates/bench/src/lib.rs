@@ -10,11 +10,12 @@
 //! cargo run -p drtree-bench --release --bin experiments -- height --fast
 //! ```
 //!
-//! The Criterion benches under `benches/` measure the raw operation
-//! costs (joins, publishes, splits, stabilization rounds, recovery),
-//! and the `scale` binary tracks the committed perf numbers
-//! (`BENCH_rtree.json`, `BENCH_shard.json`) with `--check` regression
-//! gates — see its module docs for every mode.
+//! The `scale` binary runs the two stabilization gates, `faults` and
+//! `federate`: rounds-to-legal recovery and exact delivery after
+//! scripted faults, committed as `BENCH_faults.json` and
+//! `BENCH_federate.json` and checked in CI with `--check` — see its
+//! module docs. Performance is measured by the end-to-end benchmark
+//! (`e2e/`) alone.
 //!
 //! # Example
 //!

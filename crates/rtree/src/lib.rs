@@ -6,7 +6,7 @@
 //! methods shared with the distributed protocol:
 //!
 //! * [`RTree`] — the classical pointer-based R-tree (insert, delete,
-//!   point and window queries, STR bulk load);
+//!   point and window queries);
 //! * [`PackedRTree`] — a flat, cache-friendly tree: all node MBRs in
 //!   contiguous per-level arrays, built bottom-up from a Hilbert-curve
 //!   sort of entry centers, with iterative searches and `O(log N)`
@@ -35,7 +35,7 @@
 //! |---|---|---|
 //! | layout | one heap `Box` per node | one flat array per level (a `Vec`, or a view of a loaded snapshot) |
 //! | persistence | none | [`PackedRTree::save`] / zero-copy [`PackedRTree::load`] |
-//! | build | incremental inserts, or STR [`RTree::bulk_load`] | Hilbert [`PackedRTree::bulk_load`] only |
+//! | build | incremental inserts | Hilbert [`PackedRTree::bulk_load`] only |
 //! | insert/remove | yes, self-balancing | delta layer: [`PackedRTree::stage_insert`] / [`PackedRTree::remove_entry`] (tombstones), folded in by [`PackedRTree::compact`] |
 //! | move an entry | remove + insert | [`PackedRTree::update`] refit, `O(log N)`, allocation-free |
 //! | query cost | pointer chasing per node | contiguous scans, ~order-of-magnitude faster at scale |
@@ -44,9 +44,7 @@
 //! Use the pointer tree when the entry set churns one-by-one and the
 //! paper's split semantics matter (it is the *protocol model*); use the
 //! packed tree for read-heavy serving paths: matching oracles, audit
-//! passes, baseline routing, benchmark probes. `BENCH_rtree.json` (repo
-//! root; regenerated by `cargo run -p drtree-bench --release --bin
-//! scale -- rtree`) tracks the measured gap per PR.
+//! passes, baseline routing, benchmark probes.
 //!
 //! # Example
 //!
@@ -78,7 +76,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bulk;
 #[allow(unsafe_code)]
 pub mod bytes;
 mod config;

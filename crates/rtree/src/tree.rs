@@ -412,16 +412,6 @@ impl<K, const D: usize> RTree<K, D> {
     pub(crate) fn root(&self) -> &Node<K, D> {
         &self.root
     }
-
-    /// Assembles a tree from a prebuilt root (bulk loading).
-    pub(crate) fn from_parts(config: RTreeConfig, root: Node<K, D>, len: usize) -> Self {
-        Self {
-            config,
-            root,
-            len,
-            reinsertion: false,
-        }
-    }
 }
 
 impl<K, const D: usize> SpatialIndex<K, D> for RTree<K, D> {

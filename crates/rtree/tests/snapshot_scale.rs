@@ -1,16 +1,17 @@
-//! Release-only scale test: a 500k-entry snapshot must round-trip
-//! byte-exactly and serve queries immediately after `load`. CI runs
-//! this via `cargo test --release -p drtree-rtree`; under a debug build
-//! the bulk load alone would dominate the suite, so it is ignored
-//! there.
+//! Release-only scale test: a 500k-entry snapshot must restore far
+//! faster than the bulk build it replaces, round-trip byte-exactly and
+//! serve queries immediately after `load`. CI runs this via
+//! `cargo test --release -p drtree-rtree`; under a debug build the bulk
+//! load alone would dominate the suite, so it is ignored there.
+
+use std::time::Instant;
 
 use drtree_rtree::PackedRTree;
 use drtree_spatial::{Point, Rect};
 
 const N: usize = 500_000;
 
-/// Deterministic workload: a jittered grid of small boxes, the same
-/// shape the `scale` bench uses, so coverage matches what we gate on.
+/// Deterministic workload: a jittered grid of small boxes.
 fn entries() -> Vec<(usize, Rect<2>)> {
     let side = (N as f64).sqrt().ceil() as usize;
     (0..N)
@@ -45,11 +46,42 @@ fn probe_points() -> Vec<Point<2>> {
     ignore = "500k bulk load is release-only; run with `cargo test --release`"
 )]
 fn five_hundred_k_snapshot_round_trips() {
-    let mut tree = PackedRTree::bulk_load(entries());
+    // Zero-copy restore must stay in a different complexity class than
+    // the bulk build it replaces: `load` validates the header and sets
+    // up column views, so only losing zero-copy restore can bring it
+    // within 50x of the Hilbert bulk load (steady state is several
+    // hundred x). Best of 3 builds and 5 loads, input copies untimed.
+    const RESTORE_GATE: f64 = 50.0;
+    let all = entries();
+    let mut build_ns = u128::MAX;
+    let mut built = None;
+    for _ in 0..3 {
+        let input = all.clone();
+        let t0 = Instant::now();
+        let tree = PackedRTree::bulk_load(input);
+        build_ns = build_ns.min(t0.elapsed().as_nanos());
+        built = Some(tree);
+    }
+    let mut tree = built.expect("three builds ran");
+    let clean = tree.save();
+    let mut load_ns = u128::MAX;
+    for _ in 0..5 {
+        let input = clean.clone();
+        let t0 = Instant::now();
+        let restored = PackedRTree::<usize, 2>::load(input).expect("snapshot loads");
+        load_ns = load_ns.min(t0.elapsed().as_nanos());
+        assert_eq!(restored.len(), N, "restore is lossless");
+    }
+    let ratio = build_ns as f64 / load_ns.max(1) as f64;
+    assert!(
+        ratio >= RESTORE_GATE,
+        "restore of {N} entries is only {ratio:.1}x faster than bulk build \
+         ({load_ns} ns vs {build_ns} ns; gate {RESTORE_GATE}x)"
+    );
+
     // Leave the delta layer non-empty: stage a band of fresh entries
     // and tombstone a band of packed ones, so the snapshot carries all
     // three sections (core, staged, tombstones).
-    let all = entries();
     for (i, (_, rect)) in all.iter().take(1_000).enumerate() {
         tree.stage_insert(N + i, *rect);
     }
