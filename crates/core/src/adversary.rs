@@ -729,35 +729,6 @@ fn apply_event<const D: usize>(
     }
 }
 
-/// A timestamp-free projection of the overlay structure: per process
-/// and level, the parent pointer, the instance MBR, and every cached
-/// child's id, MBR and count (heartbeat clocks excluded, so perpetual
-/// gossip does not perturb it). Two equal digests a check stride apart
-/// mean no reorganization is still playing out in the message queues.
-fn structure_digest<const D: usize>(cluster: &DrTreeCluster<D>) -> Vec<u64> {
-    fn eat_rect<const D: usize>(out: &mut Vec<u64>, r: &Rect<D>) {
-        for d in 0..D {
-            out.push(r.lo(d).to_bits());
-            out.push(r.hi(d).to_bits());
-        }
-    }
-    let mut out = Vec::new();
-    for (id, st) in cluster.snapshot() {
-        out.push(id.raw());
-        for (l, inst) in &st.levels {
-            out.push(u64::from(*l));
-            out.push(inst.parent.raw());
-            eat_rect(&mut out, &inst.mbr);
-            for (c, info) in &inst.children {
-                out.push(c.raw());
-                eat_rect(&mut out, &info.mbr);
-                out.push(info.count as u64);
-            }
-        }
-    }
-    out
-}
-
 /// Drives `schedule` against `cluster` with pipelined background
 /// publish traffic, then measures recovery and post-recovery delivery
 /// exactness. See the [module docs](self) for the full contract.
@@ -809,7 +780,7 @@ pub fn run_convergence<const D: usize>(
             let event_id = cluster.inject(publisher, point);
             live.push((event_id, r));
         }
-        cluster.run_round();
+        cluster.run_span(1);
         live.retain(|&(event_id, injected)| {
             if cluster.metrics().tag_inflight(event_id) == 0 {
                 fault_samples.push(r + 1 - injected);
@@ -835,7 +806,7 @@ pub fn run_convergence<const D: usize>(
     // the p999 gate exists to expose.
     let mut extra = 0u64;
     while !live.is_empty() && extra < cfg.drain_margin {
-        cluster.run_round();
+        cluster.run_span(1);
         extra += 1;
         let now = schedule.duration + extra;
         live.retain(|&(event_id, injected)| {
@@ -862,16 +833,17 @@ pub fn run_convergence<const D: usize>(
     // rewire it, eating any event published meanwhile. Recovery is
     // therefore declared only when legality holds at two consecutive
     // checks with an unchanged structure digest; the recorded rounds
-    // are those to the first of the two.
+    // are those to the first of the two. Neither check reads a clock,
+    // so sleeping nodes' clocks are caught up once, afterwards.
     let mut recovery_rounds = None;
     let mut executed = 0u64;
-    let mut candidate: Option<(u64, Vec<u64>)> = None;
+    let mut candidate: Option<(u64, u64)> = None;
     loop {
         if cluster.check_legal().is_ok() {
-            let digest = structure_digest(cluster);
-            match &candidate {
-                Some((first, prev)) if *prev == digest => {
-                    recovery_rounds = Some(*first);
+            let digest = cluster.structure_digest();
+            match candidate {
+                Some((first, prev)) if prev == digest => {
+                    recovery_rounds = Some(first);
                     break;
                 }
                 _ => candidate = Some((executed, digest)),
@@ -883,9 +855,10 @@ pub fn run_convergence<const D: usize>(
             break;
         }
         let step = cfg.check_stride.max(1).min(schedule.budget - executed);
-        cluster.run_rounds(step);
+        cluster.run_span(step);
         executed += step;
     }
+    cluster.net.materialize_clocks();
 
     // Post-recovery exactness: pipelined delivery must equal the
     // sequential reference and miss no matching subscriber.

@@ -38,7 +38,7 @@ use crate::contact::ContactOracle;
 use crate::corruption::CorruptionKind;
 use crate::legal::{self, Snapshot, Violation};
 use crate::message::{DrtMessage, DrtTimer, PubEvent};
-use crate::protocol::node::DrtNode;
+use crate::protocol::node::{DrtNode, TOPOLOGY_MARK};
 use crate::state::NodeState;
 
 /// Outcome of a single published event (the measurement unit of the
@@ -118,14 +118,21 @@ impl Accounting {
     /// Books the deliveries the engine logged since the last call.
     /// Marks of events outside the open call — background traffic
     /// nobody accounts, stragglers of a force-finalized event — are
-    /// dropped, so nothing accumulates.
-    fn absorb(&mut self, marks: impl Iterator<Item = (u64, ProcessId)>) {
+    /// dropped, so nothing accumulates. Returns whether some node moved
+    /// its topmost parent pointer ([`TOPOLOGY_MARK`]).
+    fn absorb(&mut self, marks: impl Iterator<Item = (u64, ProcessId)>) -> bool {
+        let mut reparented = false;
         for (event_id, receiver) in marks {
+            if event_id == TOPOLOGY_MARK {
+                reparented = true;
+                continue;
+            }
             let index = usize::try_from(event_id.wrapping_sub(self.first_event));
             if let Some(report) = index.ok().and_then(|i| self.reports.get_mut(i)) {
                 report.receivers.push(receiver);
             }
         }
+        reparented
     }
 
     /// Event `index` of the call went quiescent (or was force-
@@ -204,6 +211,12 @@ pub struct Overlay<const D: usize, Q> {
     all_ids: Vec<ProcessId>,
     /// Scratch of the per-step contact computation.
     oracle: ContactOracle,
+    /// The oracle's last answer, while no input of it changed: no node
+    /// moved its topmost parent ([`TOPOLOGY_MARK`]), none was added,
+    /// crashed or corrupted.
+    contact: Option<Option<ProcessId>>,
+    /// The answer every live node's contact hint reflects, if one does.
+    hinted: Option<Option<ProcessId>>,
     accounting: Accounting,
 }
 
@@ -343,6 +356,8 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
             next_event_id: 0,
             all_ids: Vec::new(),
             oracle: ContactOracle::default(),
+            contact: None,
+            hinted: None,
             accounting: Accounting::default(),
         }
     }
@@ -365,6 +380,7 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
                 *node.state_mut() = state;
             }
         }
+        self.contact = None;
         // Two steps warm the heartbeat caches; on a legal state the
         // CHECK_* modules are no-ops.
         self.run_for(2 * self.step());
@@ -425,9 +441,13 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
         let node = DrtNode::new(self.config, filter);
         let id = self.net.add_process(node);
         self.all_ids.push(id);
+        self.contact = None;
         let contact = self.fresh_contact();
         if let Some(n) = self.net.process_mut(id) {
             n.set_contact_hint(contact.or(Some(id)));
+        }
+        if self.hinted != Some(contact) {
+            self.hinted = None;
         }
         id
     }
@@ -451,6 +471,7 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
             self.advance_with(contact, self.step());
             contact = self.fresh_contact();
         }
+        self.net.materialize_clocks();
         id
     }
 
@@ -464,6 +485,14 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
     /// Advances the clock by `span`, refreshing the contact oracle at
     /// step granularity.
     pub fn run_for(&mut self, span: u64) {
+        self.run_span(span);
+        self.net.materialize_clocks();
+    }
+
+    /// [`Overlay::run_for`], leaving sleeping nodes' clocks behind: the
+    /// body of every public call that runs steps, each of which
+    /// materializes the clocks once before it returns.
+    pub(crate) fn run_span(&mut self, span: u64) {
         let step = self.step();
         let deadline = self.now() + span;
         while self.now() < deadline {
@@ -472,20 +501,40 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
         }
     }
 
-    /// Advances by `span` (at most a step) under `contact`, the
-    /// oracle's answer on this state.
-    fn advance_with(&mut self, contact: Option<ProcessId>, span: u64) {
-        for (id, n) in self.net.iter_mut() {
-            n.set_contact_hint(contact.or(Some(id)));
-        }
-        self.net.advance(span);
-        self.accounting.absorb(self.net.drain_marks());
+    /// Wakes every node (see [`drtree_sim::RoundSchedule`]): each runs
+    /// in the next round however quiescent it is. Calling this before
+    /// every round gives the run in which no node ever sleeps, which an
+    /// elided run equals.
+    pub fn wake_all(&mut self) {
+        self.net.wake_all();
     }
 
-    /// [`Overlay::contact`] on the cluster's reused scratch.
+    /// Advances by `span` (at most a step) under `contact`, the
+    /// oracle's answer on this state. Hints are rewritten (which wakes
+    /// every node) only when the answer changed.
+    fn advance_with(&mut self, contact: Option<ProcessId>, span: u64) {
+        if self.hinted != Some(contact) {
+            for (id, n) in self.net.iter_mut() {
+                n.set_contact_hint(contact.or(Some(id)));
+            }
+            self.hinted = Some(contact);
+        }
+        self.net.advance(span);
+        if self.accounting.absorb(self.net.drain_marks()) {
+            self.contact = None;
+        }
+    }
+
+    /// [`Overlay::contact`] on the cluster's reused scratch, rerun only
+    /// when one of its inputs changed since the last answer.
     fn fresh_contact(&mut self) -> Option<ProcessId> {
+        if let Some(contact) = self.contact {
+            return contact;
+        }
         let tops = self.net.iter().map(|(id, n)| (id, n.parent_of(n.top())));
-        self.oracle.root(self.all_ids.len(), tops)
+        let contact = self.oracle.root(self.all_ids.len(), tops);
+        self.contact = Some(contact);
+        contact
     }
 
     fn height_under(&self, contact: Option<ProcessId>) -> u32 {
@@ -503,15 +552,18 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
     /// (rounds, or simulated time), or `None` once `max` has elapsed.
     pub fn stabilize(&mut self, max: u64) -> Option<u64> {
         let start = self.now();
-        loop {
+        let took = loop {
+            // Legality reads no clock, so the clocks wait for the end.
             if self.check_legal().is_ok() {
-                return Some(self.now() - start);
+                break Some(self.now() - start);
             }
             if self.now() - start >= max {
-                return None;
+                break None;
             }
-            self.run_for(self.step());
-        }
+            self.run_span(self.step());
+        };
+        self.net.materialize_clocks();
+        took
     }
 
     /// Checks Definition 3.1/3.2 on the current global state.
@@ -534,6 +586,23 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
             .iter()
             .map(|(id, n)| (id, n.state().clone()))
             .collect()
+    }
+
+    /// FNV-1a over every live node's [timestamp-free
+    /// projection](DrtNode) in id order: parent pointers, instance MBRs
+    /// and cached children, no clocks. Two equal digests a check stride
+    /// apart mean no reorganization is still playing out in the message
+    /// queues. Reads the nodes in place.
+    pub fn structure_digest(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (_, node) in self.net.iter() {
+            node.structure_words(|word| {
+                for b in word.to_le_bytes() {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            });
+        }
+        hash
     }
 
     /// The contact oracle (§3.2): the root of the largest tree
@@ -564,18 +633,20 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
         // One step for the request to arrive and the LEAVE to be sent,
         // one for it to propagate; then the process is gone.
         self.run_for(2 * self.step());
-        self.net.crash(id);
+        self.crash(id);
     }
 
     /// Uncontrolled departure (crash failure): the subscriber vanishes
     /// silently.
     pub fn crash(&mut self, id: ProcessId) {
+        self.contact = None;
         self.net.crash(id);
     }
 
     /// Applies an adversarial corruption to one subscriber's memory
     /// (Lemma 3.6's transient faults). Returns `false` if it is dead.
     pub fn corrupt(&mut self, id: ProcessId, kind: CorruptionKind) -> bool {
+        self.contact = None;
         let universe = &self.all_ids;
         self.net
             .corrupt(id, |node, rng| kind.apply(node.state_mut(), universe, rng))
@@ -625,6 +696,7 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
         id: ProcessId,
         f: impl FnOnce(&mut NodeState<D>, &mut StdRng),
     ) -> bool {
+        self.contact = None;
         self.net.corrupt(id, |node, rng| f(node.state_mut(), rng))
     }
 
@@ -663,7 +735,8 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
         let step = self.step();
         let span = self.drain_steps(contact) * step;
         self.advance_with(contact, step);
-        self.run_for(span - step);
+        self.run_span(span - step);
+        self.net.materialize_clocks();
         self.settle(0, event_id, span);
         // If the drain budget did not suffice (loss, corrupted
         // overlays), retire the id so late traffic cannot re-create
@@ -741,7 +814,7 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
             if std::mem::take(&mut first_step) {
                 self.advance_with(contact, step);
             } else {
-                self.run_for(step);
+                self.run_span(step);
             }
             let expired = self.now() >= deadline;
             let mut i = 0;
@@ -760,6 +833,7 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
         // circulates in a corrupted overlay from re-creating per-tag
         // counter entries nobody would ever clear.
         self.net.retire_tags_below(self.next_event_id);
+        self.net.materialize_clocks();
         self.accounting.close(self.net.iter(), events)
     }
 

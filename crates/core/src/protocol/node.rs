@@ -20,6 +20,12 @@ pub(crate) type Ctx<'a, const D: usize> = Context<'a, DrtMessage<D>, DrtTimer>;
 /// depth — see [`crate::DrTreeCluster::MAX_PUBLISH_WINDOW`].
 pub(crate) const RECENT_EVENTS: usize = 1024;
 
+/// The mark a node makes ([`Context::mark`]) when a callback moved its
+/// topmost parent pointer — the contact oracle's only per-node input —
+/// so the cluster reruns the oracle only then. Event ids count up from
+/// 0 and never reach it.
+pub(crate) const TOPOLOGY_MARK: u64 = u64::MAX;
+
 /// Hasher of the seen-event set. Event ids are sequential `u64`s the
 /// harness allocates (never outside input, so no collision attack to
 /// resist): one odd multiply spreads them over the table's low (bucket)
@@ -271,6 +277,155 @@ impl<const D: usize> Process for DrtNode<D> {
 
     fn on_message(&mut self, from: ProcessId, msg: DrtMessage<D>, ctx: &mut Ctx<'_, D>) {
         self.now = ctx.now();
+        let parent = self.parent_of(self.top());
+        self.dispatch(from, msg, ctx);
+        self.mark_if_reparented(parent, ctx);
+    }
+
+    fn on_timer(&mut self, timer: DrtTimer, ctx: &mut Ctx<'_, D>) {
+        self.now = ctx.now();
+        let parent = self.parent_of(self.top());
+        match timer {
+            DrtTimer::Tick => {
+                self.tick(ctx);
+                // In the asynchronous engine the tick re-arms itself;
+                // the round engine drives ticks externally instead.
+                if self.config.tick_interval > 0 {
+                    ctx.set_timer(self.config.tick_interval, DrtTimer::Tick);
+                }
+            }
+        }
+        self.mark_if_reparented(parent, ctx);
+    }
+
+    fn quiescence_key(&self, now: u64, key: &mut Vec<u64>) -> bool {
+        self.steady_key(now, key)
+    }
+
+    fn same_message(a: &DrtMessage<D>, b: &DrtMessage<D>) -> bool {
+        a == b
+    }
+
+    /// A steady round refreshes exactly the clocks that read the round:
+    /// `now`, every cached child's `last_seen`, and the topmost parent
+    /// ack (the clocks `steady_key` requires to read the round).
+    fn catch_up(&mut self, since: u64, now: u64) {
+        self.now = now;
+        for inst in self.state.levels.values_mut() {
+            if inst.last_parent_ack == since {
+                inst.last_parent_ack = now;
+            }
+            for info in inst.children.values_mut() {
+                if info.last_seen == since {
+                    info.last_seen = now;
+                }
+            }
+        }
+    }
+}
+
+impl<const D: usize> DrtNode<D> {
+    /// Logs [`TOPOLOGY_MARK`] when a callback moved the topmost parent
+    /// pointer away from `before`: the contact oracle's input changed.
+    fn mark_if_reparented(&self, before: ProcessId, ctx: &mut Ctx<'_, D>) {
+        if self.parent_of(self.top()) != before {
+            ctx.mark(TOPOLOGY_MARK);
+        }
+    }
+
+    /// The timestamp-free projection of the node's place in the overlay,
+    /// as a word sequence: its id, then per instance the level, the
+    /// parent pointer and the MBR, and every cached child's id, MBR and
+    /// count. Clocks are left out, so perpetual heartbeats do not move
+    /// it. [`crate::Overlay::structure_digest`] hashes it over every
+    /// node; [`DrtNode::steady_key`] extends it.
+    pub(crate) fn structure_words(&self, mut emit: impl FnMut(u64)) {
+        fn rect<const D: usize>(emit: &mut impl FnMut(u64), r: &Rect<D>) {
+            for d in 0..D {
+                emit(r.lo(d).to_bits());
+                emit(r.hi(d).to_bits());
+            }
+        }
+        emit(self.id.raw());
+        for (&l, inst) in &self.state.levels {
+            emit(u64::from(l));
+            emit(inst.parent.raw());
+            rect(&mut emit, &inst.mbr);
+            for (c, info) in &inst.children {
+                emit(c.raw());
+                rect(&mut emit, &info.mbr);
+                emit(info.count as u64);
+            }
+        }
+    }
+
+    /// The round engine's quiescence key (see
+    /// [`Process::quiescence_key`]): [`DrtNode::structure_words`] plus
+    /// every other field a tick or handler reads, with the clocks a
+    /// steady round refreshes written as one marker.
+    ///
+    /// Which clocks may sleep, and why the rest may not:
+    /// * every cached child's `last_seen` must read `now` (a child that
+    ///   stopped heartbeating ages towards eviction);
+    /// * the topmost `last_parent_ack` of a non-root must read `now` (a
+    ///   silent parent ages towards CHECK_PARENT's timeout); every other
+    ///   `last_parent_ack` is never compared with the clock except to
+    ///   clamp a future value, so it may be any past value;
+    /// * a cover cooldown still running, or a believed root whose oracle
+    ///   names another root (its join retry is timed), keeps the node
+    ///   awake; so does a self-arming tick (the event engine's).
+    pub(crate) fn steady_key(&self, now: u64, key: &mut Vec<u64>) -> bool {
+        let root = self.believes_root();
+        if self.config.tick_interval > 0
+            || (self.config.cover_swap && self.cover_suspended_until > now)
+            || (root && self.contact_hint.is_some_and(|c| c != self.id))
+        {
+            return false;
+        }
+        let top = self.top();
+        let inert = self.state.levels.iter().all(|(&l, inst)| {
+            let ack = inst.last_parent_ack;
+            ack <= now
+                && (l != top || inst.parent == self.id || ack == now)
+                && inst.children.values().all(|info| info.last_seen == now)
+        });
+        if !inert {
+            return false;
+        }
+        self.structure_words(|w| key.push(w));
+        let rect = |key: &mut Vec<u64>, r: &Rect<D>| {
+            key.extend((0..D).flat_map(|d| [r.lo(d).to_bits(), r.hi(d).to_bits()]));
+        };
+        rect(key, &self.state.filter);
+        for inst in self.state.levels.values() {
+            let ack = inst.last_parent_ack;
+            key.push(if ack == now { u64::MAX } else { ack });
+            key.push(u64::from(inst.underloaded));
+            for info in inst.children.values() {
+                rect(key, &info.filter);
+                key.push(u64::from(info.underloaded));
+            }
+        }
+        let p = &self.pubsub;
+        key.extend([
+            p.received_total,
+            p.false_positive_total,
+            p.fp_self,
+            p.samples,
+            p.hyp_fp.len() as u64,
+            p.hyp_fp.values().sum(),
+            p.recent.len() as u64,
+            p.recent.back().map_or(u64::MAX, |&e| e),
+            self.join_sent_at.map_or(u64::MAX, |t| t),
+            u64::from(self.join_sent_at.is_some()),
+            self.contact_hint.map_or(u64::MAX, |c| c.raw()),
+            u64::from(self.contact_hint.is_some()),
+            self.cover_suspended_until,
+        ]);
+        true
+    }
+
+    fn dispatch(&mut self, from: ProcessId, msg: DrtMessage<D>, ctx: &mut Ctx<'_, D>) {
         match msg {
             DrtMessage::Join {
                 joiner,
@@ -328,22 +483,6 @@ impl<const D: usize> Process for DrtNode<D> {
         }
     }
 
-    fn on_timer(&mut self, timer: DrtTimer, ctx: &mut Ctx<'_, D>) {
-        self.now = ctx.now();
-        match timer {
-            DrtTimer::Tick => {
-                self.tick(ctx);
-                // In the asynchronous engine the tick re-arms itself;
-                // the round engine drives ticks externally instead.
-                if self.config.tick_interval > 0 {
-                    ctx.set_timer(self.config.tick_interval, DrtTimer::Tick);
-                }
-            }
-        }
-    }
-}
-
-impl<const D: usize> DrtNode<D> {
     /// The periodic stabilization pipeline (§3.3): every check event the
     /// paper triggers "periodically … for each level where the
     /// subscriber is active", in a fixed deterministic order.

@@ -61,28 +61,6 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// The timestamp-free projection `adversary::structure_digest` uses:
-/// parent pointers, instance MBRs and cached children, no clocks.
-fn structure_digest(cluster: &DrTreeCluster<2>) -> u64 {
-    let mut out = Vec::new();
-    for (id, st) in cluster.snapshot() {
-        out.push(id.raw());
-        for (l, inst) in &st.levels {
-            out.push(u64::from(*l));
-            out.push(inst.parent.raw());
-            out.extend((0..2).flat_map(|d| [inst.mbr.lo(d).to_bits(), inst.mbr.hi(d).to_bits()]));
-            for (c, info) in &inst.children {
-                out.push(c.raw());
-                out.extend(
-                    (0..2).flat_map(|d| [info.mbr.lo(d).to_bits(), info.mbr.hi(d).to_bits()]),
-                );
-                out.push(info.count as u64);
-            }
-        }
-    }
-    fnv(out)
-}
-
 /// `[structure, rounds, recovery rounds, sent, delivered, dropped,
 /// duplicated, reordered, per-label digest, probe bills digest]`.
 fn fingerprint(schedule: &FaultSchedule<2>) -> [u64; 10] {
@@ -101,7 +79,7 @@ fn fingerprint(schedule: &FaultSchedule<2>) -> [u64; 10] {
         .collect();
     let m = cluster.metrics();
     [
-        structure_digest(&cluster),
+        cluster.structure_digest(),
         cluster.round(),
         report.recovery_rounds.unwrap_or(u64::MAX),
         m.sent(),

@@ -63,28 +63,6 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// The timestamp-free projection `determinism_pin.rs` uses: parent
-/// pointers, instance MBRs and cached children, no clocks.
-fn structure_digest(cluster: &AsyncDrTreeCluster<2>) -> u64 {
-    let mut out = Vec::new();
-    for (id, st) in cluster.snapshot() {
-        out.push(id.raw());
-        for (l, inst) in &st.levels {
-            out.push(u64::from(*l));
-            out.push(inst.parent.raw());
-            out.extend((0..2).flat_map(|d| [inst.mbr.lo(d).to_bits(), inst.mbr.hi(d).to_bits()]));
-            for (c, info) in &inst.children {
-                out.push(c.raw());
-                out.extend(
-                    (0..2).flat_map(|d| [info.mbr.lo(d).to_bits(), info.mbr.hi(d).to_bits()]),
-                );
-                out.push(info.count as u64);
-            }
-        }
-    }
-    fnv(out)
-}
-
 /// `[structure, now, stabilization time, sent, delivered, dropped,
 /// to_dead, duplicated, reordered, per-label digest]`.
 fn fingerprint() -> [u64; 10] {
@@ -119,7 +97,7 @@ fn fingerprint() -> [u64; 10] {
     let took = cluster.stabilize(2_000_000).expect("recovers");
     let m = cluster.metrics();
     [
-        structure_digest(&cluster),
+        cluster.structure_digest(),
         cluster.now(),
         took,
         m.sent(),

@@ -376,7 +376,18 @@ impl<const D: usize> Broker<D> {
     /// The budget is a few root-path traversals.
     fn converge(&mut self) {
         let rounds = 8 * (u64::from(self.cluster.height()) + 2);
-        self.cluster.stabilize(rounds);
+        self.repair(rounds);
+    }
+
+    /// [`Broker::stabilize`] on the serving path: a repair that runs out
+    /// of `max_rounds` is counted ([`RoutingStats::unconverged`]), never
+    /// dropped.
+    pub(crate) fn repair(&mut self, max_rounds: u64) -> Option<u64> {
+        let took = self.cluster.stabilize(max_rounds);
+        if took.is_none() {
+            self.stats.absorb_unconverged();
+        }
+        took
     }
 
     /// Publishes `event` from subscriber `publisher`, auditing the

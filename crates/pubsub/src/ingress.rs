@@ -625,7 +625,7 @@ impl<const D: usize> CommitState<D> {
     /// the transiently illegal post-leave overlay (which would cost
     /// false negatives), and records both steps for replay.
     fn depart_repair(&mut self, id: ProcessId) {
-        self.broker.stabilize(LEAVE_STABILIZE_BUDGET);
+        self.broker.repair(LEAVE_STABILIZE_BUDGET);
         if self.config.audit_log {
             self.audit.push(AuditRecord::Unsubscribe { id });
             self.audit.push(AuditRecord::Stabilize {

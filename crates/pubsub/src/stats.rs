@@ -35,6 +35,7 @@ pub struct RoutingStats {
     ingress_p99_ns: u64,
     ingress_p999_ns: u64,
     ingress_max_ns: u64,
+    unconverged: u64,
 }
 
 impl RoutingStats {
@@ -51,6 +52,19 @@ impl RoutingStats {
         self.false_positives += report.false_positives.len() as u64;
         self.false_negatives += report.false_negatives.len() as u64;
         self.messages += report.messages;
+    }
+
+    /// One structural command (a join, a move, a departure) ran its
+    /// overlay repair out of budget before a legitimate configuration.
+    pub fn absorb_unconverged(&mut self) {
+        self.unconverged += 1;
+    }
+
+    /// Structural commands whose overlay repair exhausted its budget:
+    /// the overlay the next publish disseminates through may be
+    /// illegitimate. Expected 0; tests assert it.
+    pub fn unconverged(&self) -> u64 {
+        self.unconverged
     }
 
     /// Number of published events.

@@ -97,6 +97,7 @@ fn randomized_workload_has_zero_false_negatives_and_low_fp() {
     }
     let stats = *broker.stats();
     assert_eq!(stats.false_negatives(), 0, "{stats}");
+    assert_eq!(stats.unconverged(), 0, "a join's repair ran out of budget");
     assert_eq!(stats.events(), 40);
     // Uniform low-selectivity workloads are the adversarial case for
     // per-delivery FP (most deliveries are the up-path); the population-
@@ -352,6 +353,11 @@ fn batch_committed_right_after_a_join_misses_nobody() {
                 );
             }
         }
+        assert_eq!(
+            broker.stats().unconverged(),
+            0,
+            "seed {seed}: a join's repair ran out of budget"
+        );
     }
 }
 

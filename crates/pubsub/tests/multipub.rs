@@ -263,6 +263,11 @@ fn run_concurrent_scenario(publishers: usize, seed: u64, auto_drain: bool) {
     // The handed-back broker is intact and agrees on the totals.
     let broker = multi.finish();
     assert_eq!(broker.stats().events(), commits);
+    assert_eq!(
+        broker.stats().unconverged(),
+        0,
+        "a join or departure repair ran out of budget"
+    );
 }
 
 #[test]

@@ -90,6 +90,15 @@ pub(crate) struct Links {
     faults: FaultProfile,
 }
 
+impl Links {
+    /// `true` when no link is down and no knob is on: the only plane on
+    /// which the round engine lets a process sleep, since a process
+    /// that is not called draws nothing from the RNG.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.blocked.is_empty() && self.partition_links.is_empty() && self.faults.is_quiet()
+    }
+}
+
 /// One fault-knob Bernoulli draw; never touches the RNG for an inactive
 /// knob, so enabling a knob is the only thing that changes a seeded
 /// trace. Not generic, so told to inline across crates: a quiet
@@ -149,12 +158,16 @@ impl<P: Process> World<P> {
     }
 }
 
-/// The link and fault controls, the same on either engine.
+/// The link and fault controls, the same on either engine. Each is a
+/// fault-plane change, so each first wakes every process
+/// ([`Network::wake_all`]); while any link is down or any knob is on,
+/// none goes back to sleep.
 impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// Blocks the directed link `from → to`: messages crossing it are
     /// dropped (settling their tags) until [`Network::unblock_link`] or
     /// [`Network::unblock_all`].
     pub fn block_link(&mut self, from: ProcessId, to: ProcessId) {
+        self.wake_all();
         self.world.links.blocked.insert((from, to));
     }
 
@@ -162,12 +175,14 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// of [`Network::block_link`]. Also removes any partition cut on
     /// that link, so a manual repair overrides an installed partition.
     pub fn unblock_link(&mut self, from: ProcessId, to: ProcessId) {
+        self.wake_all();
         self.world.links.blocked.remove(&(from, to));
         self.world.links.partition_links.remove(&(from, to));
     }
 
     /// Removes all link blocks, manual and partition-installed.
     pub fn unblock_all(&mut self) {
+        self.wake_all();
         self.world.links.blocked.clear();
         self.world.links.partition_links.clear();
     }
@@ -180,6 +195,7 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// every partition cut while manual [`Network::block_link`] blocks
     /// survive.
     pub fn partition(&mut self, groups: &[Vec<ProcessId>]) {
+        self.wake_all();
         let cuts = &mut self.world.links.partition_links;
         for (i, a) in groups.iter().enumerate() {
             for b in groups.iter().skip(i + 1) {
@@ -196,6 +212,7 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// Heals every partition cut. Manual link blocks survive, even on
     /// links that were also partition-cut.
     pub fn heal(&mut self) {
+        self.wake_all();
         self.world.links.partition_links.clear();
     }
 
@@ -203,6 +220,7 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// fault windows (loss bursts, duplication/reorder windows) open
     /// and close mid-run.
     pub fn set_faults(&mut self, faults: FaultProfile) {
+        self.wake_all();
         self.world.links.faults = faults;
     }
 

@@ -179,12 +179,18 @@ impl Metrics {
     }
 
     pub(crate) fn record_sent(&mut self, label: &'static str) {
-        self.sent += 1;
+        self.record_sent_n(label, 1);
+    }
+
+    /// `n` sends under `label` at once: a round's standing messages of
+    /// the sleeping processes, billed without running them.
+    pub(crate) fn record_sent_n(&mut self, label: &'static str, n: u64) {
+        self.sent += n;
         // Same address, else same text: equal strings stay one counter.
         let same = |l: &str| std::ptr::eq(l, label) || l == label;
         match self.per_label.iter_mut().find(|(l, _)| same(l)) {
-            Some((_, n)) => *n += 1,
-            None => self.per_label.push((label, 1)),
+            Some((_, count)) => *count += n,
+            None => self.per_label.push((label, n)),
         }
     }
 
@@ -211,7 +217,16 @@ impl Metrics {
     }
 
     pub(crate) fn record_delivered(&mut self) {
-        self.delivered += 1;
+        self.record_delivered_n(1);
+    }
+
+    pub(crate) fn record_delivered_n(&mut self, n: u64) {
+        self.delivered += n;
+    }
+
+    /// `n` untagged messages found nobody at their address.
+    pub(crate) fn record_to_dead_n(&mut self, n: u64) {
+        self.to_dead += n;
     }
 
     pub(crate) fn record_dropped(&mut self) {

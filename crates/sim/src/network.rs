@@ -97,6 +97,20 @@ pub trait Schedule<P: Process> {
     /// Moves the clock `span` units on, running every callback that
     /// falls due.
     fn advance(&mut self, world: &mut World<P>, span: u64);
+
+    /// `id` is alive again at a crashed slot.
+    fn revived(&mut self, _id: ProcessId) {}
+
+    /// `id` must run from the next round on: the harness is about to
+    /// touch it. Its clocks are caught up first.
+    fn wake(&mut self, _world: &mut World<P>, _id: ProcessId) {}
+
+    /// [`Schedule::wake`] on every process.
+    fn wake_all(&mut self, _world: &mut World<P>) {}
+
+    /// Catches up the clocks of every sleeping process to now, leaving
+    /// it asleep.
+    fn materialize_clocks(&mut self, _world: &mut World<P>) {}
 }
 
 /// The live process at `id`, if any. Over the table alone, so a caller
@@ -217,11 +231,29 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
         self.world.process(id)
     }
 
-    /// Mutable access to a live process. Intended for harness
-    /// bookkeeping; for *adversarial* state mutation use
-    /// [`Network::corrupt`].
+    /// Mutable access to a live process (which wakes it: see
+    /// [`crate::RoundSchedule`]). Intended for harness bookkeeping; for
+    /// *adversarial* state mutation use [`Network::corrupt`].
     pub fn process_mut(&mut self, id: ProcessId) -> Option<&mut P> {
+        self.queue.wake(&mut self.world, id);
         live_mut(&mut self.world.procs, id)
+    }
+
+    /// Wakes every sleeping process: each runs again from the next round
+    /// on, its clocks caught up. A network on which this is called
+    /// before every round executes every process every round, exactly
+    /// as if no process ever slept — the reference an elided run is
+    /// compared with. Every fault-plane change calls it.
+    pub fn wake_all(&mut self) {
+        self.queue.wake_all(&mut self.world);
+    }
+
+    /// Catches up the clocks of every sleeping process, so that every
+    /// process reads as if it had run every round. [`Network::process`]
+    /// and [`Network::iter`] show a sleeper's clocks as of its last
+    /// catch-up; a harness that reads clocks calls this first.
+    pub fn materialize_clocks(&mut self) {
+        self.queue.materialize_clocks(&mut self.world);
     }
 
     /// Iterates over `(id, process)` pairs in id order.
@@ -234,8 +266,9 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     }
 
     /// Mutable [`Network::iter`] (harness bookkeeping over every live
-    /// process without collecting [`Network::ids`]).
+    /// process without collecting [`Network::ids`]); wakes every process.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (ProcessId, &mut P)> {
+        self.queue.wake_all(&mut self.world);
         self.world
             .procs
             .iter_mut()
@@ -285,6 +318,7 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
             Some(slot @ None) => {
                 *slot = Some(process);
                 self.world.live += 1;
+                self.queue.revived(id);
                 self.world
                     .call(&mut self.queue, id, |proc, ctx| proc.on_start(ctx));
                 true
@@ -297,6 +331,7 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// paper's *transient fault*). Returns `false` if the process is
     /// not alive.
     pub fn corrupt(&mut self, id: ProcessId, mutate: impl FnOnce(&mut P, &mut StdRng)) -> bool {
+        self.queue.wake(&mut self.world, id);
         let World { procs, rng, .. } = &mut self.world;
         let Some(p) = live_mut(procs, id) else {
             return false;
@@ -306,7 +341,8 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     }
 
     /// Injects a message from outside the system: billed like any
-    /// send, never faulted, delivered on the engine's normal schedule.
+    /// send, never faulted, delivered on the engine's normal schedule
+    /// (and waking its recipient).
     pub fn send_external(&mut self, to: ProcessId, msg: P::Msg) {
         self.world.metrics.record_send(&msg);
         self.queue.inject(&mut self.world, to, msg);

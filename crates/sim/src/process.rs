@@ -115,6 +115,40 @@ pub trait Process {
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Timer>) {
         let _ = ctx;
     }
+
+    /// The round engine's quiescence test: appends to `key` the
+    /// process's whole state as of clock `now`, writing every clock that
+    /// reads `now` as one fixed marker and every other clock as is.
+    /// Returns `false` when some clock could still change what the
+    /// process does as time passes on its own (a timeout not yet due, a
+    /// cooldown not yet over): such a process must keep running.
+    ///
+    /// The engine compares the key written before a round (at `now - 1`)
+    /// with the one written after it (at `now`). Equal keys mean the
+    /// round only refreshed clocks; if the process's next inbox also
+    /// equals this one, every later round would do the same, so the
+    /// engine stops calling it (see [`crate::RoundSchedule`]) and moves
+    /// its refreshed clocks with [`Process::catch_up`]. Default: never
+    /// quiescent, so the process runs every round.
+    fn quiescence_key(&self, now: u64, key: &mut Vec<u64>) -> bool {
+        let _ = (now, key);
+        false
+    }
+
+    /// Whether two messages are the same, for the quiescence test: a
+    /// sleeping process is woken when a sender's message to it differs
+    /// from last round's. Default: never the same.
+    fn same_message(a: &Self::Msg, b: &Self::Msg) -> bool {
+        let _ = (a, b);
+        false
+    }
+
+    /// Moves every clock a steady round refreshes — exactly those that
+    /// read `since`, the round the process went to sleep — to `now`, as
+    /// the rounds it skipped would have. Default: no clocks.
+    fn catch_up(&mut self, since: u64, now: u64) {
+        let _ = (since, now);
+    }
 }
 
 impl<M: Clone + MessageLabel> MessageLabel for Box<M> {

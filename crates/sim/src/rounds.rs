@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 
 use crate::network::{Network, Schedule, World};
-use crate::{Process, ProcessId};
+use crate::{MessageLabel, Process, ProcessId};
 
 /// Synchronous round-based engine.
 ///
@@ -20,6 +20,39 @@ use crate::{Process, ProcessId};
 /// outside the allocated id range (the protocol under corruption forges
 /// references to nonexistent processes) are parked in a side map with
 /// the same one-round lifetime.
+///
+/// # Quiescent processes sleep
+///
+/// A round costs what changed in it, not the number of processes. After
+/// a round in which a process's state changed only in the clocks the
+/// round refreshed (its [`Process::quiescence_key`] reads the same
+/// before and after) and its next inbox equals this one, every later
+/// round would repeat it. The engine then stops calling the process:
+/// it *sleeps*.
+///
+/// * **Standing messages.** What a sleeper sent in its last round it
+///   sends every round. Those sends are billed to [`crate::Metrics`]
+///   per label, arithmetically, and delivered for real only to
+///   recipients that are awake (merged into their inboxes in sender
+///   order, as if the sleeper had run).
+/// * **Lazy clocks.** A sleeper's refreshed clocks are moved on
+///   ([`Process::catch_up`]) when it wakes and on
+///   [`Network::materialize_clocks`]; until then [`Network::process`]
+///   shows them as of its last catch-up.
+/// * **What wakes a process.** A sender whose messages to it differ from
+///   last round's (including a sender that crashed), a timer or an
+///   injection ([`Network::send_external`]) addressed to it,
+///   [`Network::process_mut`], [`Network::corrupt`],
+///   [`Network::revive`], and [`Network::iter_mut`] or
+///   [`Network::wake_all`] for everyone. Every fault-plane change wakes
+///   everyone, and while a link is down, a knob is on, a reordered
+///   message is parked or the periodic tick is off, nobody sleeps: no
+///   RNG draw is ever skipped.
+///
+/// Between calls on the network, every counter, RNG draw and (after
+/// [`Network::materialize_clocks`]) every process state therefore
+/// equals a run in which every process is called every round — which is
+/// what calling [`Network::wake_all`] before every round produces.
 ///
 /// # Example
 ///
@@ -45,6 +78,9 @@ pub type RoundNetwork<P> = Network<P, RoundSchedule<P>>;
 /// A message waiting in an inbox, with its sender.
 type Queued<P> = (ProcessId, <P as Process>::Msg);
 
+/// A message as sent: sender, recipient, message.
+type Sent<P> = (ProcessId, ProcessId, <P as Process>::Msg);
+
 /// The round engine's in-flight state: what was sent last round and is
 /// delivered in this one.
 #[derive(Clone)]
@@ -54,6 +90,16 @@ pub struct RoundSchedule<P: Process> {
     /// Last round's buffers, drained this round and then reused as the
     /// next `inboxes` (capacity retained).
     scratch: Vec<Vec<Queued<P>>>,
+    /// Per slot, how many messages at the tail of its `inboxes` buffer
+    /// arrived between rounds (injections, a revived process's start)
+    /// rather than from the round's senders; `late_due` is the same for
+    /// `scratch`.
+    late: Vec<u32>,
+    late_due: Vec<u32>,
+    /// Slots whose `inboxes` (`filled_due`: `scratch`) buffer received
+    /// a message, so that what nobody drained is found without a scan.
+    filled: Vec<usize>,
+    filled_due: Vec<usize>,
     /// Messages to ids outside the allocated range (forged references);
     /// dropped after one round unless the id is allocated meanwhile.
     overflow: BTreeMap<ProcessId, Vec<Queued<P>>>,
@@ -62,6 +108,226 @@ pub struct RoundSchedule<P: Process> {
     timers: BTreeMap<u64, Vec<(ProcessId, P::Timer)>>,
     tick: Option<P::Timer>,
     round: u64,
+    /// `true` while a round runs its callbacks.
+    in_round: bool,
+    sleep: Sleep<P>,
+}
+
+/// Who sleeps, and what the sleepers send: see [`RoundSchedule`].
+#[derive(Clone)]
+struct Sleep<P: Process> {
+    /// Live slots called in the coming round.
+    awake: Bits,
+    /// Live slots not called in the coming round.
+    asleep: Bits,
+    /// Slots that slept last round: what they sent then is in flight as
+    /// their standing messages, not in any inbox.
+    fed: Bits,
+    /// Slots whose next inbox differs from their last one, or that must
+    /// run next round for another reason.
+    disturbed: Bits,
+    /// Per slot, the round its clocks were last caught up to.
+    since: Vec<u64>,
+    /// Per slot, the messages a sleeper sends every round (its last
+    /// round's sends), kept while it is asleep or fed.
+    standing: Vec<Vec<Sent<P>>>,
+    /// Per slot, the fed slots with standing messages to it, ascending.
+    feeders: Vec<Vec<u32>>,
+    /// Standing sends per round of the sleepers, per label and in all.
+    bill: Vec<(&'static str, u64)>,
+    billed: u64,
+    /// Standing messages sent last round, delivered (or counted
+    /// delivered) this round.
+    in_flight: u64,
+    /// `true` while this round's sends are recorded in `out` (and, until
+    /// the next round starts, whether last round's were).
+    capturing: bool,
+    /// Whether some process ended this round with a quiescence key
+    /// while sends were not yet recorded.
+    keyed: bool,
+    /// This round's sends, by sender, and last round's.
+    out: Vec<Sent<P>>,
+    out_prev: Vec<Sent<P>>,
+    /// Processes whose last round was steady: `(slot, its sends in out)`.
+    candidates: Vec<(usize, usize, usize)>,
+    key: Vec<u64>,
+    key_before: Vec<u64>,
+    /// An awake inbox merged with its feeders' standing messages
+    /// (`true`: standing, already counted delivered).
+    merged: Vec<(ProcessId, P::Msg, bool)>,
+}
+
+/// A fixed-width bit set over process slots.
+#[derive(Clone, Debug, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn grow(&mut self, len: usize) {
+        let words = len.div_ceil(64);
+        if self.0.len() < words {
+            self.0.resize(words, 0);
+        }
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    fn set(&mut self, i: usize) {
+        if let Some(w) = self.0.get_mut(i / 64) {
+            *w |= 1 << (i % 64);
+        }
+    }
+
+    fn unset(&mut self, i: usize) {
+        if let Some(w) = self.0.get_mut(i / 64) {
+            *w &= !(1 << (i % 64));
+        }
+    }
+
+    /// The first set bit at or after `from`.
+    fn next(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.0.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if word != 0 {
+                return Some(w * 64 + word.trailing_zeros() as usize);
+            }
+            w += 1;
+            word = *self.0.get(w)?;
+        }
+    }
+}
+
+impl<P: Process> Sleep<P> {
+    fn new() -> Self {
+        Self {
+            awake: Bits::default(),
+            asleep: Bits::default(),
+            fed: Bits::default(),
+            disturbed: Bits::default(),
+            since: Vec::new(),
+            standing: Vec::new(),
+            feeders: Vec::new(),
+            bill: Vec::new(),
+            billed: 0,
+            in_flight: 0,
+            capturing: false,
+            keyed: false,
+            out: Vec::new(),
+            out_prev: Vec::new(),
+            candidates: Vec::new(),
+            key: Vec::new(),
+            key_before: Vec::new(),
+            merged: Vec::new(),
+        }
+    }
+
+    /// Adds (`add`) or removes a sleeper's standing sends from
+    /// the per-round bill.
+    fn rebill(&mut self, slot: usize, add: bool) {
+        for (_, _, msg) in &self.standing[slot] {
+            let label = msg.label();
+            let same = |l: &str| std::ptr::eq(l, label) || l == label;
+            match self.bill.iter_mut().find(|(l, _)| same(l)) {
+                Some((_, n)) if add => *n += 1,
+                Some((_, n)) => *n -= 1,
+                None => self.bill.push((label, 1)),
+            }
+        }
+        let n = self.standing[slot].len() as u64;
+        if add {
+            self.billed += n;
+        } else {
+            self.billed -= n;
+        }
+    }
+
+    /// Wakes `slot` (if asleep) for the round after `now`, catching its
+    /// clocks up to `now` first.
+    fn wake(&mut self, world: &mut World<P>, slot: usize, now: u64) {
+        if !self.asleep.get(slot) {
+            return;
+        }
+        if let Some(proc) = world.procs[slot].as_mut() {
+            if self.since[slot] < now {
+                proc.catch_up(self.since[slot], now);
+            }
+        }
+        self.since[slot] = now;
+        self.asleep.unset(slot);
+        self.awake.set(slot);
+        self.rebill(slot, false);
+    }
+
+    /// The sleepers' standing sends of one round: last round's arrive,
+    /// this round's leave.
+    fn bill_round(&mut self, world: &mut World<P>) {
+        world.metrics.record_delivered_n(self.in_flight);
+        self.in_flight = self.billed;
+        for &(label, n) in &self.bill {
+            if n > 0 {
+                world.metrics.record_sent_n(label, n);
+            }
+        }
+    }
+
+    /// Marks the recipients whose messages from one sender differ
+    /// between `prev` and `cur` (over-marking when there are many).
+    fn disturb_changed(disturbed: &mut Bits, cur: &[Sent<P>], prev: &[Sent<P>]) {
+        let same = |a: &Sent<P>, b: &Sent<P>| a.1 == b.1 && P::same_message(&a.2, &b.2);
+        if cur.len() == prev.len() && cur.iter().zip(prev).all(|(a, b)| same(a, b)) {
+            return;
+        }
+        let many = cur.len() + prev.len() > 32;
+        for &(_, to, _) in cur.iter().chain(prev) {
+            let differs = many || {
+                let mut a = cur.iter().filter(|s| s.1 == to);
+                let mut b = prev.iter().filter(|s| s.1 == to);
+                loop {
+                    match (a.next(), b.next()) {
+                        (None, None) => break false,
+                        (Some(x), Some(y)) if same(x, y) => {}
+                        _ => break true,
+                    }
+                }
+            };
+            if differs {
+                disturbed.set(to.raw() as usize);
+            }
+        }
+    }
+
+    /// `fed` becomes the set of this round's sleepers, with the feeder
+    /// lists following it.
+    fn refeed(&mut self) {
+        for w in 0..self.fed.0.len() {
+            let (fed, asleep) = (self.fed.0[w], self.asleep.0[w]);
+            let mut left = fed & !asleep;
+            while left != 0 {
+                let slot = w * 64 + left.trailing_zeros() as usize;
+                left &= left - 1;
+                let standing = std::mem::take(&mut self.standing[slot]);
+                for &(_, to, _) in &standing {
+                    self.feeders[to.raw() as usize].retain(|&f| f as usize != slot);
+                }
+                self.standing[slot] = standing;
+                self.standing[slot].clear();
+            }
+            let mut entered = asleep & !fed;
+            while entered != 0 {
+                let slot = w * 64 + entered.trailing_zeros() as usize;
+                entered &= entered - 1;
+                for &(_, to, _) in &self.standing[slot] {
+                    let list = &mut self.feeders[to.raw() as usize];
+                    if let Err(at) = list.binary_search(&(slot as u32)) {
+                        list.insert(at, slot as u32);
+                    }
+                }
+            }
+            self.fed.0[w] = asleep;
+        }
+    }
 }
 
 impl<P: Process> RoundNetwork<P> {
@@ -70,11 +336,17 @@ impl<P: Process> RoundNetwork<P> {
         let schedule = RoundSchedule {
             inboxes: Vec::new(),
             scratch: Vec::new(),
+            late: Vec::new(),
+            late_due: Vec::new(),
+            filled: Vec::new(),
+            filled_due: Vec::new(),
             overflow: BTreeMap::new(),
             delayed: BTreeMap::new(),
             timers: BTreeMap::new(),
             tick: None,
             round: 0,
+            in_round: false,
+            sleep: Sleep::new(),
         };
         Self::with_schedule(seed, schedule)
     }
@@ -90,6 +362,7 @@ impl<P: Process> RoundNetwork<P> {
     /// Replaces (or removes) the periodic tick. Used by experiments
     /// that must suspend stabilization for a window (Lemma 3.7's ∆).
     pub fn set_tick(&mut self, tick: Option<P::Timer>) {
+        self.wake_all();
         self.queue.tick = tick;
     }
 
@@ -130,19 +403,43 @@ impl<P: Process> RoundNetwork<P> {
 }
 
 impl<P: Process> RoundSchedule<P> {
-    fn enqueue(&mut self, from: ProcessId, to: ProcessId, msg: P::Msg) {
+    /// Queues a message for next round; `false` if `to` is outside the
+    /// allocated range (it waits in `overflow`).
+    fn enqueue(&mut self, from: ProcessId, to: ProcessId, msg: P::Msg) -> bool {
         match self.inboxes.get_mut(to.raw() as usize) {
-            Some(inbox) => inbox.push((from, msg)),
-            None => self.overflow.entry(to).or_default().push((from, msg)),
+            Some(inbox) => {
+                if inbox.is_empty() {
+                    self.filled.push(to.raw() as usize);
+                }
+                inbox.push((from, msg));
+                true
+            }
+            None => {
+                self.overflow.entry(to).or_default().push((from, msg));
+                false
+            }
+        }
+    }
+
+    /// A message arriving between rounds: after the round's senders in
+    /// `to`'s inbox, and `to` runs next round.
+    fn enqueue_late(&mut self, world: &mut World<P>, from: ProcessId, to: ProcessId, msg: P::Msg) {
+        let slot = to.raw() as usize;
+        if self.enqueue(from, to, msg) {
+            self.late[slot] += 1;
+            self.sleep.wake(world, slot, self.round);
         }
     }
 
     fn run_round(&mut self, world: &mut World<P>) {
         self.round += 1;
+        let before = self.round - 1;
         // The accumulating buffers become this round's deliveries; the
         // drained buffers from last round (already empty, capacity
         // intact) start accumulating the next round's messages.
         std::mem::swap(&mut self.inboxes, &mut self.scratch);
+        std::mem::swap(&mut self.late, &mut self.late_due);
+        std::mem::swap(&mut self.filled, &mut self.filled_due);
         // Forged-destination messages never find a process: drop them
         // with this round.
         for (_, msg) in std::mem::take(&mut self.overflow).into_values().flatten() {
@@ -152,31 +449,59 @@ impl<P: Process> RoundSchedule<P> {
         // later traffic already overtook them in earlier rounds. Ones
         // addressed outside the allocated range end like overflow.
         for (from, to, msg) in self.delayed.remove(&self.round).unwrap_or_default() {
-            match self.scratch.get_mut(to.raw() as usize) {
-                Some(buf) => buf.push((from, msg)),
+            let slot = to.raw() as usize;
+            match self.scratch.get_mut(slot) {
+                Some(buf) => {
+                    if buf.is_empty() {
+                        self.filled_due.push(slot);
+                    }
+                    buf.push((from, msg));
+                    self.late_due[slot] += 1;
+                    self.sleep.wake(world, slot, before);
+                }
                 None => world.metrics.record_to_dead(&msg),
             }
         }
         let due_timers = self.timers.remove(&self.round).unwrap_or_default();
-        // Callbacks cannot add or crash processes, so the live slots
-        // are fixed for the round: walk them directly, in id order.
-        for slot in 0..world.procs.len() {
-            if world.procs[slot].is_none() {
-                continue;
-            }
+        for &(at, _) in &due_timers {
+            let slot = at.raw() as usize;
+            self.sleep.wake(world, slot, before);
+            self.sleep.disturbed.set(slot);
+        }
+        self.sleep.bill_round(world);
+        // Nobody sleeps while the RNG could be drawn for a message, a
+        // parked message could land, or ticks are off (a process with
+        // nothing to do is then not called at all).
+        let quiet = self.tick.is_some() && world.links.is_quiet() && self.delayed.is_empty();
+        // Whose inbox changes is told by comparing each sender's sends
+        // with last round's, so a round may put processes to sleep (or
+        // leave them asleep) only if last round's sends were recorded
+        // too. Sends are recorded from the round after some process
+        // first ended a round with a quiescence key until the plane
+        // turns noisy (which wakes everyone): processes that never
+        // report one pay nothing, and neither does a round in which
+        // nobody can sleep yet, beyond looking for the first key.
+        let captured_last = self.sleep.capturing;
+        self.sleep.capturing = quiet && (captured_last || self.sleep.keyed);
+        let sleepy = captured_last && self.sleep.capturing;
+        let mut detecting = quiet && !self.sleep.capturing;
+        self.sleep.keyed = false;
+        self.in_round = true;
+        let mut prev_cursor = 0;
+        let mut next = 0;
+        // Callbacks cannot add, crash or wake processes, so the awake
+        // slots are fixed for the round: walk them in id order.
+        while let Some(slot) = self.sleep.awake.next(next) {
+            next = slot + 1;
             let id = ProcessId::from_raw(slot as u64);
-            // Deliver last round's messages. The buffer is swapped out
-            // locally so effects can enqueue into `self` while
-            // delivery walks it; it returns cleared, capacity intact.
-            if !self.scratch[slot].is_empty() {
-                let mut deliveries = std::mem::take(&mut self.scratch[slot]);
-                for (from, msg) in deliveries.drain(..) {
-                    world.metrics.settle(&msg);
-                    world.metrics.record_delivered();
-                    world.call(self, id, |proc, ctx| proc.on_message(from, msg, ctx));
-                }
-                self.scratch[slot] = deliveries;
-            }
+            let steady_before = sleepy
+                && !self.sleep.disturbed.get(slot)
+                && world.process(id).is_some_and(|proc| {
+                    self.sleep.key_before.clear();
+                    proc.quiescence_key(before, &mut self.sleep.key_before)
+                });
+            let out_start = self.sleep.out.len();
+            self.deliver(world, slot);
             // One-shot timers due this round (in most rounds none are,
             // and the scan is over an empty list).
             for (_, timer) in due_timers.iter().filter(|(at, _)| *at == id) {
@@ -186,12 +511,207 @@ impl<P: Process> RoundSchedule<P> {
             if let Some(tick) = self.tick.clone() {
                 world.call(self, id, |proc, ctx| proc.on_timer(tick, ctx));
             }
+            if sleepy {
+                self.after_callbacks(world, slot, out_start, &mut prev_cursor, steady_before);
+            } else if detecting
+                && world.process(id).is_some_and(|proc| {
+                    self.sleep.key.clear();
+                    proc.quiescence_key(self.round, &mut self.sleep.key)
+                })
+            {
+                self.sleep.keyed = true;
+                detecting = false;
+            }
         }
-        // Anything still sitting in the delivery buffers was addressed
-        // to a dead process; drop it but keep the buffer capacity.
-        for buf in &mut self.scratch {
-            for (_, msg) in buf.drain(..) {
-                world.metrics.record_to_dead(&msg);
+        self.in_round = false;
+        // What is left in the delivery buffers was addressed to a
+        // sleeper (delivered: it expected exactly this) or to a dead
+        // process; drop it but keep the buffer capacity.
+        for slot in std::mem::take(&mut self.filled_due) {
+            let alive = world.procs[slot].is_some();
+            for (_, msg) in self.scratch[slot].drain(..) {
+                if alive {
+                    world.metrics.settle(&msg);
+                    world.metrics.record_delivered();
+                } else {
+                    world.metrics.record_to_dead(&msg);
+                }
+            }
+            self.late_due[slot] = 0;
+        }
+        self.end_round(world);
+    }
+
+    /// Delivers `slot`'s inbox: last round's messages from the awake
+    /// senders merged, in sender order, with the standing messages of
+    /// last round's sleepers; then what arrived between rounds.
+    fn deliver(&mut self, world: &mut World<P>, slot: usize) {
+        let id = ProcessId::from_raw(slot as u64);
+        let late = std::mem::take(&mut self.late_due[slot]) as usize;
+        if late > 0 {
+            self.sleep.disturbed.set(slot);
+        }
+        if self.scratch[slot].is_empty() && self.sleep.feeders[slot].is_empty() {
+            return;
+        }
+        // The buffer is swapped out locally so effects can enqueue into
+        // `self` while delivery walks it; it returns cleared, capacity
+        // intact.
+        let mut deliveries = std::mem::take(&mut self.scratch[slot]);
+        if self.sleep.feeders[slot].is_empty() {
+            for (from, msg) in deliveries.drain(..) {
+                world.metrics.settle(&msg);
+                world.metrics.record_delivered();
+                world.call(self, id, |proc, ctx| proc.on_message(from, msg, ctx));
+            }
+        } else {
+            let mut merged = std::mem::take(&mut self.sleep.merged);
+            let mut round_left = deliveries.len() - late;
+            let mut real = deliveries.drain(..).peekable();
+            for &feeder in &self.sleep.feeders[slot] {
+                while round_left > 0 && real.peek().is_some_and(|m| m.0.raw() < u64::from(feeder)) {
+                    let (from, msg) = real.next().expect("peeked");
+                    merged.push((from, msg, false));
+                    round_left -= 1;
+                }
+                let standing = &self.sleep.standing[feeder as usize];
+                for (from, _, msg) in standing.iter().filter(|s| s.1 == id) {
+                    merged.push((*from, msg.clone(), true));
+                }
+            }
+            merged.extend(real.map(|(from, msg)| (from, msg, false)));
+            for (from, msg, standing) in merged.drain(..) {
+                if !standing {
+                    world.metrics.settle(&msg);
+                    world.metrics.record_delivered();
+                }
+                world.call(self, id, |proc, ctx| proc.on_message(from, msg, ctx));
+            }
+            self.sleep.merged = merged;
+        }
+        self.scratch[slot] = deliveries;
+    }
+
+    /// Bookkeeping after `slot`'s callbacks in a round where sleeping is
+    /// possible: whose next inbox its sends changed, and whether it may
+    /// sleep.
+    fn after_callbacks(
+        &mut self,
+        world: &World<P>,
+        slot: usize,
+        out_start: usize,
+        prev_cursor: &mut usize,
+        steady_before: bool,
+    ) {
+        let id = ProcessId::from_raw(slot as u64);
+        let s = &mut self.sleep;
+        // What it sent last round: as a sleeper, its standing messages;
+        // else its entries in last round's log.
+        let prev: &[Sent<P>] = if s.fed.get(slot) {
+            &s.standing[slot]
+        } else {
+            while s.out_prev.get(*prev_cursor).is_some_and(|m| m.0 < id) {
+                *prev_cursor += 1;
+            }
+            let start = *prev_cursor;
+            while s.out_prev.get(*prev_cursor).is_some_and(|m| m.0 == id) {
+                *prev_cursor += 1;
+            }
+            &s.out_prev[start..*prev_cursor]
+        };
+        Sleep::<P>::disturb_changed(&mut s.disturbed, &s.out[out_start..], prev);
+        if !steady_before || s.disturbed.get(slot) {
+            return;
+        }
+        let Some(proc) = world.process(id) else {
+            return;
+        };
+        s.key.clear();
+        if !proc.quiescence_key(self.round, &mut s.key) || s.key != s.key_before {
+            return;
+        }
+        // Standing messages go to other live processes and carry no
+        // tag: they are billed and delivered without per-tag books.
+        let deliverable = s.out[out_start..]
+            .iter()
+            .all(|(_, to, msg)| *to != id && world.process(*to).is_some() && msg.tag().is_none());
+        if deliverable {
+            s.candidates.push((slot, out_start, s.out.len()));
+        }
+    }
+
+    /// The round is over: the feeder lists follow this round's sleepers,
+    /// steady processes with an unchanged next inbox fall asleep, and
+    /// sleepers whose next inbox changed wake.
+    fn end_round(&mut self, world: &mut World<P>) {
+        let now = self.round;
+        let s = &mut self.sleep;
+        s.refeed();
+        for (slot, start, end) in std::mem::take(&mut s.candidates) {
+            if s.disturbed.get(slot) {
+                continue;
+            }
+            s.standing[slot].clear();
+            s.standing[slot].extend_from_slice(&s.out[start..end]);
+            s.rebill(slot, true);
+            s.asleep.set(slot);
+            s.awake.unset(slot);
+            s.since[slot] = now;
+        }
+        let mut next = 0;
+        while let Some(slot) = s.disturbed.next(next) {
+            next = slot + 1;
+            s.wake(world, slot, now);
+        }
+        s.disturbed.0.fill(0);
+        std::mem::swap(&mut s.out, &mut s.out_prev);
+        s.out.clear();
+    }
+
+    /// Wakes every sleeper that sends to or hears from `id`, which just
+    /// crashed, and settles its standing messages in flight to `id`.
+    fn crash_wakes(&mut self, world: &mut World<P>, id: ProcessId) {
+        let slot = id.raw() as usize;
+        let now = self.round;
+        let s = &mut self.sleep;
+        // Last round's sleepers sent to it: those copies find nobody.
+        let feeders = std::mem::take(&mut s.feeders[slot]);
+        for &feeder in &feeders {
+            let lost = s.standing[feeder as usize]
+                .iter()
+                .filter(|m| m.1 == id)
+                .count() as u64;
+            world.metrics.record_to_dead_n(lost);
+            s.in_flight -= lost;
+        }
+        let mut woken: Vec<usize> = feeders.iter().map(|&f| f as usize).collect();
+        s.feeders[slot] = feeders;
+        s.feeders[slot].clear();
+        // This round's new sleepers would send to it next round.
+        let mut next = 0;
+        while let Some(x) = s.asleep.next(next) {
+            next = x + 1;
+            if !s.fed.get(x) && s.standing[x].iter().any(|m| m.1 == id) {
+                woken.push(x);
+            }
+        }
+        // Whoever it sent to last will miss it.
+        let last: &[Sent<P>] = if s.asleep.get(slot) || s.fed.get(slot) {
+            &s.standing[slot]
+        } else {
+            let start = s.out_prev.partition_point(|m| m.0 < id);
+            let end = s.out_prev.partition_point(|m| m.0 <= id);
+            &s.out_prev[start..end]
+        };
+        woken.extend(last.iter().map(|m| m.1.raw() as usize));
+        if s.asleep.get(slot) {
+            s.asleep.unset(slot);
+            s.rebill(slot, false);
+        }
+        s.awake.unset(slot);
+        for x in woken {
+            if x < s.since.len() {
+                s.wake(world, x, now);
             }
         }
     }
@@ -208,21 +728,38 @@ impl<P: Process> Schedule<P> for RoundSchedule<P> {
 
     fn allocate(&mut self, id: ProcessId) {
         // Messages sent to this id before it existed now have a home.
-        self.inboxes
-            .push(self.overflow.remove(&id).unwrap_or_default());
+        let inbox = self.overflow.remove(&id).unwrap_or_default();
+        let slot = self.inboxes.len();
+        if !inbox.is_empty() {
+            self.filled.push(slot);
+        }
+        self.late.push(inbox.len() as u32);
+        self.inboxes.push(inbox);
         self.scratch.push(Vec::new());
+        self.late_due.push(0);
+        let s = &mut self.sleep;
+        for bits in [&mut s.awake, &mut s.asleep, &mut s.fed, &mut s.disturbed] {
+            bits.grow(slot + 1);
+        }
+        s.since.push(self.round);
+        s.standing.push(Vec::new());
+        s.feeders.push(Vec::new());
+        s.awake.set(slot);
     }
 
-    /// The process and its queued messages vanish.
+    /// The process and its queued messages vanish; whoever sleeps and
+    /// talks to it wakes.
     fn crashed(&mut self, world: &mut World<P>, id: ProcessId) {
         for (_, msg) in self.inboxes[id.raw() as usize].drain(..) {
             world.metrics.record_to_dead(&msg);
         }
+        self.crash_wakes(world, id);
     }
 
     /// Normally into next round's inbox, or — under the reorder knob,
     /// drawn for either copy alike — parked for a later round while
-    /// its tag stays in flight.
+    /// its tag stays in flight. Sent outside a round (by a starting
+    /// process), it arrives like an injection.
     fn place(
         &mut self,
         world: &mut World<P>,
@@ -231,8 +768,14 @@ impl<P: Process> Schedule<P> for RoundSchedule<P> {
         msg: P::Msg,
         _extra: bool,
     ) {
+        if self.in_round && self.sleep.capturing {
+            self.sleep.out.push((from, to, msg.clone()));
+        }
         match world.reorder_delay() {
-            0 => self.enqueue(from, to, msg),
+            0 if self.in_round => {
+                self.enqueue(from, to, msg);
+            }
+            0 => self.enqueue_late(world, from, to, msg),
             delay => self
                 .delayed
                 .entry(self.round + 1 + delay)
@@ -241,9 +784,43 @@ impl<P: Process> Schedule<P> for RoundSchedule<P> {
         }
     }
 
-    /// Queued for delivery at the start of the next round.
-    fn inject(&mut self, _world: &mut World<P>, to: ProcessId, msg: P::Msg) {
-        self.enqueue(to, to, msg);
+    /// Queued for delivery at the start of the next round, waking `to`.
+    fn inject(&mut self, world: &mut World<P>, to: ProcessId, msg: P::Msg) {
+        self.enqueue_late(world, to, to, msg);
+    }
+
+    fn revived(&mut self, id: ProcessId) {
+        let slot = id.raw() as usize;
+        self.sleep.awake.set(slot);
+        self.sleep.since[slot] = self.round;
+    }
+
+    fn wake(&mut self, world: &mut World<P>, id: ProcessId) {
+        if (id.raw() as usize) < self.sleep.since.len() {
+            self.sleep.wake(world, id.raw() as usize, self.round);
+        }
+    }
+
+    fn wake_all(&mut self, world: &mut World<P>) {
+        let mut next = 0;
+        while let Some(slot) = self.sleep.asleep.next(next) {
+            next = slot + 1;
+            self.sleep.wake(world, slot, self.round);
+        }
+    }
+
+    fn materialize_clocks(&mut self, world: &mut World<P>) {
+        let s = &mut self.sleep;
+        let mut next = 0;
+        while let Some(slot) = s.asleep.next(next) {
+            next = slot + 1;
+            if s.since[slot] < self.round {
+                if let Some(proc) = world.procs[slot].as_mut() {
+                    proc.catch_up(s.since[slot], self.round);
+                }
+                s.since[slot] = self.round;
+            }
+        }
     }
 
     fn arm(&mut self, at: ProcessId, delay: u64, timer: P::Timer) {
@@ -625,5 +1202,238 @@ mod tests {
         assert_eq!(net.process(id).unwrap().fired_at, None);
         net.run_rounds(1);
         assert_eq!(net.process(id).unwrap().fired_at, Some(5));
+    }
+
+    /// Beat of a heartbeating tree: up to the parent, ack back down, and
+    /// a poke from outside.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Beat {
+        Up,
+        Ack,
+        Poke,
+    }
+
+    impl MessageLabel for Beat {
+        fn label(&self) -> &'static str {
+            match self {
+                Beat::Up => "up",
+                Beat::Ack => "ack",
+                Beat::Poke => "poke",
+            }
+        }
+    }
+
+    /// Heartbeats its parent every tick, acks every heartbeat, and
+    /// counts its callbacks (`calls`, left out of its quiescence key).
+    /// A poke arms a one-shot alarm three rounds out.
+    #[derive(Clone, Debug)]
+    struct Beater {
+        parent: Option<ProcessId>,
+        now: u64,
+        last_ack: u64,
+        pokes: u64,
+        alarms: u64,
+        calls: u64,
+    }
+
+    fn beater(parent: Option<ProcessId>) -> Beater {
+        Beater {
+            parent,
+            now: 0,
+            last_ack: 0,
+            pokes: 0,
+            alarms: 0,
+            calls: 0,
+        }
+    }
+
+    impl Process for Beater {
+        type Msg = Beat;
+        /// `true`: the periodic tick; `false`: a poke's alarm.
+        type Timer = bool;
+
+        fn on_message(&mut self, from: ProcessId, msg: Beat, ctx: &mut Context<'_, Beat, bool>) {
+            self.calls += 1;
+            self.now = ctx.now();
+            match msg {
+                Beat::Up => ctx.send(from, Beat::Ack),
+                Beat::Ack => self.last_ack = self.now,
+                Beat::Poke => {
+                    self.pokes += 1;
+                    ctx.set_timer(3, false);
+                }
+            }
+        }
+
+        fn on_timer(&mut self, tick: bool, ctx: &mut Context<'_, Beat, bool>) {
+            self.calls += 1;
+            self.now = ctx.now();
+            match (tick, self.parent) {
+                (true, Some(parent)) => ctx.send(parent, Beat::Up),
+                (true, None) => {}
+                (false, _) => self.alarms += 1,
+            }
+        }
+
+        fn quiescence_key(&self, now: u64, key: &mut Vec<u64>) -> bool {
+            // A child whose parent went silent would time out: awake.
+            if self.parent.is_some() && self.last_ack != now {
+                return false;
+            }
+            key.extend([
+                self.pokes,
+                self.alarms,
+                self.parent.map_or(u64::MAX, |p| p.raw()),
+            ]);
+            true
+        }
+
+        fn same_message(a: &Beat, b: &Beat) -> bool {
+            a == b
+        }
+
+        fn catch_up(&mut self, since: u64, now: u64) {
+            self.now = now;
+            if self.last_ack == since {
+                self.last_ack = now;
+            }
+        }
+    }
+
+    /// A binary tree of `n` beaters (parent of `i` is `(i - 1) / 2`).
+    fn beat_tree(n: u64) -> RoundNetwork<Beater> {
+        let mut net = RoundNetwork::with_tick(3, true);
+        for i in 0..n {
+            let parent = (i > 0).then(|| ProcessId::from_raw((i - 1) / 2));
+            net.add_process(beater(parent));
+        }
+        net
+    }
+
+    fn calls(net: &RoundNetwork<Beater>) -> Vec<u64> {
+        net.iter().map(|(_, p)| p.calls).collect()
+    }
+
+    /// The raw ids of the processes that ran a callback in the next
+    /// round.
+    fn ran_next_round(net: &mut RoundNetwork<Beater>) -> Vec<u64> {
+        let before: Vec<(ProcessId, u64)> = net.iter().map(|(id, p)| (id, p.calls)).collect();
+        net.run_round();
+        before
+            .into_iter()
+            .filter(|&(id, n)| net.process(id).is_some_and(|p| p.calls != n))
+            .map(|(id, _)| id.raw())
+            .collect()
+    }
+
+    #[test]
+    fn an_idle_round_calls_nobody_and_bills_the_standing_messages() {
+        let mut net = beat_tree(15);
+        net.run_rounds(6);
+        let sent = net.metrics().sent();
+        let (up, ack) = (
+            net.metrics().label_count("up"),
+            net.metrics().label_count("ack"),
+        );
+        let delivered = net.metrics().delivered();
+        assert!(
+            ran_next_round(&mut net).is_empty(),
+            "an idle round called someone"
+        );
+        assert!(ran_next_round(&mut net).is_empty());
+        let m = net.metrics();
+        assert_eq!(
+            m.sent(),
+            sent + 2 * 2 * 14,
+            "two rounds of 14 ups and 14 acks"
+        );
+        assert_eq!(m.label_count("up"), up + 2 * 14);
+        assert_eq!(m.label_count("ack"), ack + 2 * 14);
+        assert_eq!(m.delivered(), delivered + 2 * 2 * 14);
+    }
+
+    #[test]
+    fn a_sleeping_network_equals_one_woken_before_every_round() {
+        let mut elided = beat_tree(15);
+        let mut eager = beat_tree(15);
+        for round in 0..40u64 {
+            if round % 9 == 4 {
+                for net in [&mut elided, &mut eager] {
+                    net.send_external(ProcessId::from_raw(round % 15), Beat::Poke);
+                }
+            }
+            eager.wake_all();
+            eager.run_round();
+            elided.run_round();
+        }
+        elided.materialize_clocks();
+        let state = |net: &RoundNetwork<Beater>| -> Vec<(u64, u64, u64, u64)> {
+            net.iter()
+                .map(|(_, p)| (p.now, p.last_ack, p.pokes, p.alarms))
+                .collect()
+        };
+        assert_eq!(state(&elided), state(&eager));
+        let (a, b) = (elided.metrics(), eager.metrics());
+        assert_eq!(
+            (a.sent(), a.delivered(), a.to_dead(), a.per_label()),
+            (b.sent(), b.delivered(), b.to_dead(), b.per_label())
+        );
+        assert!(
+            calls(&elided).iter().sum::<u64>() < calls(&eager).iter().sum::<u64>() / 2,
+            "the elided network slept"
+        );
+    }
+
+    #[test]
+    fn each_wake_trigger_wakes_exactly_whom_it_names() {
+        let mut net = beat_tree(15);
+        let settle = |net: &mut RoundNetwork<Beater>| {
+            net.run_rounds(4);
+            assert!(ran_next_round(net).is_empty(), "settled");
+        };
+        settle(&mut net);
+        let id = ProcessId::from_raw;
+
+        net.process_mut(id(5));
+        assert_eq!(ran_next_round(&mut net), [5], "process_mut");
+        settle(&mut net);
+
+        net.corrupt(id(6), |p, _| p.pokes += 10);
+        assert_eq!(ran_next_round(&mut net), [6], "corrupt");
+        settle(&mut net);
+
+        // The poke runs 9 at once; its alarm wakes 9 alone three rounds
+        // on, after 9 slept again.
+        net.send_external(id(9), Beat::Poke);
+        assert_eq!(ran_next_round(&mut net), [9], "send_external");
+        assert_eq!(ran_next_round(&mut net), [9], "the inbox without the poke");
+        assert!(ran_next_round(&mut net).is_empty());
+        assert_eq!(ran_next_round(&mut net), [9], "the timer coming due");
+        settle(&mut net);
+
+        // 4 heartbeats 1 and acks 9 and 10: they miss it from the round
+        // after next (its last sends still land next round), and 9 and
+        // 10, unacked, stay awake until it is back.
+        let crashed = net.crash(id(4)).expect("alive");
+        assert_eq!(ran_next_round(&mut net), [1, 9, 10], "crash");
+        net.revive(id(4), crashed);
+        assert_eq!(ran_next_round(&mut net), [1, 4, 9, 10], "revive");
+        settle(&mut net);
+
+        let _ = net.iter_mut().count();
+        assert_eq!(ran_next_round(&mut net).len(), 15, "iter_mut");
+        settle(&mut net);
+        net.wake_all();
+        assert_eq!(ran_next_round(&mut net).len(), 15, "wake_all");
+        settle(&mut net);
+        net.set_faults(FaultProfile::default());
+        assert_eq!(ran_next_round(&mut net).len(), 15, "a fault-plane change");
+        settle(&mut net);
+
+        // While a link is down, nobody sleeps.
+        net.block_link(id(14), id(6));
+        for _ in 0..5 {
+            assert_eq!(ran_next_round(&mut net).len(), 15, "under a blocked link");
+        }
     }
 }
