@@ -12,7 +12,7 @@
 //! subscription for every event) and a depth as deep as the containment
 //! chains (no height balancing).
 
-use drtree_rtree::{PackedRTree, SpatialIndex};
+use drtree_rtree::PackedRTree;
 use drtree_spatial::{ContainmentGraph, Point, Rect};
 
 use crate::{Baseline, RoutingOutcome};

@@ -8,7 +8,7 @@
 //! degenerates to if containment is ignored ("the propagation of an
 //! event may degenerate into a broadcast").
 
-use drtree_rtree::{PackedRTree, SpatialIndex};
+use drtree_rtree::PackedRTree;
 use drtree_spatial::{Point, Rect};
 
 use crate::{Baseline, RoutingOutcome};

@@ -17,7 +17,7 @@
 //! dimension and are reached in all their trees, so there are no false
 //! negatives.
 
-use drtree_rtree::{PackedRTree, SpatialIndex};
+use drtree_rtree::PackedRTree;
 use drtree_spatial::{Point, Rect};
 
 use crate::{Baseline, RoutingOutcome};

@@ -1,5 +1,6 @@
 //! Broker-level integration tests: the attribute-space API end to end,
-//! audited against the centralized R-tree oracle.
+//! with matching sets written out by hand or checked through each
+//! report's false-negative audit against the broker's own oracle.
 
 use drtree_core::DrTreeConfig;
 use drtree_pubsub::{Broker, BrokerError};

@@ -1,11 +1,11 @@
 //! Federation integration tests: federated delivery pinned to the
-//! single-broker oracle reference under interleaved churn with broker
+//! linear-scan reference under interleaved churn with broker
 //! crashes and rejoins mid-stream (both engines, 2/4/8 brokers),
 //! summary-MBR takeover exactness while a broker is down, and the
 //! warm-restore delta catch-up path.
 
-use drtree_core::ProcessId;
-use drtree_pubsub::{FedConfig, FedEngine, FederatedFabric, RejoinOutcome, ShardedOracle};
+use drtree_pubsub::{FedConfig, FedEngine, FederatedFabric, RejoinOutcome};
+use drtree_spatial::reference::Reference;
 use drtree_spatial::{Point, Rect};
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -70,9 +70,9 @@ proptest! {
     /// The tentpole exactness pin: across 2/4/8 brokers and both
     /// engines, under interleaved subscribe/relocate/unsubscribe churn
     /// with a broker crash and rejoin injected mid-stream, every
-    /// probe's federated delivery set equals a single-broker
-    /// [`ShardedOracle`] maintained with the very same operations —
-    /// op for op, no false negatives ever.
+    /// probe's federated delivery set equals what a single broker
+    /// owes it — the [`Reference`] maintained with the very same
+    /// operations — op for op, no false negatives ever.
     #[test]
     fn federated_delivery_equals_single_broker_oracle(
         k in prop_oneof![Just(2usize), Just(4), Just(8)],
@@ -82,8 +82,7 @@ proptest! {
     ) {
         let engine = if rounds_engine { FedEngine::Rounds } else { FedEngine::Event };
         let mut fabric = FederatedFabric::new(k, &world(), seed, engine, FedConfig::default());
-        let mut reference: ShardedOracle<2> = ShardedOracle::new(4);
-        let mut live: Vec<(u64, Rect<2>)> = Vec::new();
+        let mut reference = Reference::new();
 
         let crash_at = ops.len() / 3;
         let rejoin_at = 2 * ops.len() / 3;
@@ -104,40 +103,28 @@ proptest! {
             match op {
                 Op::Subscribe(rect) => {
                     let sub = fabric.subscribe(*rect);
-                    reference.insert(ProcessId::from_raw(sub), *rect);
-                    live.push((sub, *rect));
+                    reference.insert(sub, *rect);
                 }
                 Op::RelocateNth(n, rect) => {
-                    if !live.is_empty() {
-                        let slot = n % live.len();
-                        let (sub, old) = live[slot];
+                    if let Some((sub, _)) = reference.move_nth(*n, *rect) {
                         prop_assert!(fabric.relocate(sub, *rect));
-                        prop_assert!(reference.move_entry(
-                            ProcessId::from_raw(sub), &old, *rect));
-                        live[slot].1 = *rect;
                     }
                 }
                 Op::UnsubscribeNth(n) => {
-                    if !live.is_empty() {
-                        let slot = n % live.len();
-                        let (sub, rect) = live.swap_remove(slot);
+                    if let Some((sub, _)) = reference.remove_nth(*n) {
                         prop_assert!(fabric.unsubscribe(sub));
-                        prop_assert!(reference.remove(ProcessId::from_raw(sub), &rect));
                     }
                 }
                 Op::Probe(x, y) => {
                     // Quiesce the op stream at the probe (the exactness
                     // contract's comparison points), then compare the
-                    // delivery set to the single-broker oracle.
+                    // delivery set to the reference.
                     let point = Point::new([*x, *y]);
-                    let mut want = Vec::new();
-                    reference.match_point_into(&point, &mut want);
-                    let mut want: Vec<u64> = want.iter().map(|id| id.raw()).collect();
-                    want.sort_unstable();
+                    let want = reference.matching(&point);
                     let got = resolve(&mut fabric, point);
                     prop_assert_eq!(
                         &got, &want,
-                        "probe {} diverged from the single-broker oracle (k={}, {:?})",
+                        "probe {} diverged from the reference (k={}, {:?})",
                         i, k, engine
                     );
                 }
@@ -156,12 +143,8 @@ proptest! {
         for gx in 0..5 {
             for gy in 0..5 {
                 let point = Point::new([10.0 + 20.0 * gx as f64, 10.0 + 20.0 * gy as f64]);
-                let mut want = Vec::new();
-                reference.match_point_into(&point, &mut want);
-                let mut want: Vec<u64> = want.iter().map(|id| id.raw()).collect();
-                want.sort_unstable();
                 let got = resolve(&mut fabric, point);
-                prop_assert_eq!(&got, &want, "post-quiescence probe diverged");
+                prop_assert_eq!(&got, &reference.matching(&point), "post-quiescence probe diverged");
             }
         }
     }

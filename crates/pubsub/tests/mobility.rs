@@ -1,10 +1,9 @@
 //! Mobility property suite: the sharded oracle under interleaved
 //! move/subscribe/unsubscribe/publish sequences — every shard count,
 //! fused and fanned, compaction straddling the move stream — is pinned
-//! op-for-op to a rebuild-from-scratch packed-tree reference (zero
-//! false negatives); TTL lease expiry stays exact mid-sequence, on
-//! delta-staged entries, and on a snapshot-restored oracle before its
-//! first flush; seeded motion models drive whole trajectories through
+//! op-for-op to the linear-scan [`Reference`] (zero false negatives);
+//! TTL lease expiry stays exact mid-sequence, on delta-staged entries,
+//! and on a snapshot-restored oracle before its first flush; seeded motion models drive whole trajectories through
 //! the move path with per-tick delivery sets pinned; and the broker
 //! layers serialize `move_subscription` with publishes.
 
@@ -12,7 +11,7 @@ use drtree_core::{DrTreeConfig, ProcessId};
 use drtree_pubsub::{
     AuditRecord, Broker, BrokerError, CompactionMode, IngressConfig, MultiBroker, ShardedOracle,
 };
-use drtree_rtree::PackedRTree;
+use drtree_spatial::reference::Reference;
 use drtree_spatial::{Point, Rect, Schema};
 use drtree_workloads::{MotionField, MotionModel};
 use proptest::prelude::*;
@@ -20,15 +19,6 @@ use proptest::strategy::Just;
 
 fn schema() -> Schema {
     Schema::new(["x", "y"])
-}
-
-/// The reference answer: a fresh packed tree over the live entries.
-fn reference_matches(model: &[(ProcessId, Rect<2>)], point: &Point<2>) -> Vec<ProcessId> {
-    let tree: PackedRTree<ProcessId, 2> = PackedRTree::bulk_load(model.to_vec());
-    let mut hits: Vec<ProcessId> = tree.search_point(point).into_iter().copied().collect();
-    hits.sort_unstable();
-    hits.dedup();
-    hits
 }
 
 #[derive(Debug, Clone)]
@@ -72,8 +62,8 @@ proptest! {
     /// The headline exactness pin: interleaved moves, membership
     /// churn, publishes, and flushes for K = 1, 2, 4, 7 shards — both
     /// the fused single-thread fan and the parallel one, synchronous
-    /// and background compaction — always match a fresh sequential
-    /// rebuild, with zero false negatives.
+    /// and background compaction — always match the reference, with
+    /// zero false negatives.
     #[test]
     fn moving_hit_sets_match_rebuild_reference(
         ops in prop::collection::vec(arb_op(), 1..100),
@@ -88,7 +78,7 @@ proptest! {
                 oracle.set_delta_fraction(fraction);
                 oracle.set_threads(threads);
                 oracle.set_compaction_mode(mode);
-                let mut model: Vec<(ProcessId, Rect<2>)> = Vec::new();
+                let mut model = Reference::new();
                 let mut next_id = 0u64;
                 let mut moves = 0u64;
                 let mut hits = Vec::new();
@@ -99,29 +89,25 @@ proptest! {
                             let id = ProcessId::from_raw(next_id);
                             next_id += 1;
                             oracle.insert(id, *rect);
-                            model.push((id, *rect));
+                            model.insert(id, *rect);
                         }
                         Op::UnsubscribeNth(n) => {
-                            if !model.is_empty() {
-                                let (id, rect) = model.remove(n % model.len());
+                            if let Some((id, rect)) = model.remove_nth(*n) {
                                 prop_assert!(oracle.remove(id, &rect));
                             }
                         }
                         Op::MoveNth(n, new) => {
-                            if !model.is_empty() {
-                                let i = n % model.len();
-                                let (id, old) = model[i];
+                            if let Some((id, old)) = model.move_nth(*n, *new) {
                                 prop_assert!(
                                     oracle.move_entry(id, &old, *new),
                                     "K={shards}: live entry {id} must be movable"
                                 );
-                                model[i].1 = *new;
                                 moves += 1;
                             }
                         }
                         Op::Publish(point) => {
                             oracle.match_point_into(point, &mut hits);
-                            let want = reference_matches(&model, point);
+                            let want = model.matching(point);
                             prop_assert_eq!(
                                 &hits, &want,
                                 "K={} threads={} fraction={} at {:?}",
@@ -147,8 +133,8 @@ proptest! {
 
     /// Full seeded trajectories through the move path: every tick of
     /// every motion model translates the whole population via
-    /// `move_entry`, and each tick's delivery set is pinned to a fresh
-    /// rebuild — with compaction both never and always straddling the
+    /// `move_entry`, and each tick's delivery set is pinned to the
+    /// reference — with compaction both never and always straddling the
     /// tick stream.
     #[test]
     fn motion_model_ticks_stay_exact(
@@ -178,13 +164,13 @@ proptest! {
 
         let mut oracle: ShardedOracle<2> = ShardedOracle::new(4);
         oracle.set_delta_fraction(fraction);
-        let mut model: Vec<(ProcessId, Rect<2>)> = field
+        let mut model: Reference<ProcessId, 2> = field
             .rects()
             .iter()
             .enumerate()
             .map(|(i, r)| (ProcessId::from_raw(i as u64), *r))
             .collect();
-        for &(id, rect) in &model {
+        for &(id, rect) in model.entries() {
             oracle.insert(id, rect);
         }
         oracle.flush();
@@ -194,20 +180,18 @@ proptest! {
         for tick in 0..8u64 {
             field.step_into(&mut deltas);
             for &(mover, new) in &deltas {
-                let (id, old) = model[mover as usize];
+                let (id, old) = model.move_nth(mover as usize, new).expect("populated");
                 prop_assert!(oracle.move_entry(id, &old, new));
-                model[mover as usize].1 = new;
             }
             // Probe a small grid over the world each tick; the oracle
-            // must agree with a rebuild-from-scratch reference
-            // everywhere (zero false negatives, zero false positives).
+            // must agree with the reference everywhere (zero false
+            // negatives, zero false positives).
             for gx in 0..4 {
                 for gy in 0..4 {
                     let p = Point::new([gx as f64 * 30.0 + 2.0, gy as f64 * 30.0 + 2.0]);
                     oracle.match_point_into(&p, &mut hits);
-                    let want = reference_matches(&model, &p);
                     prop_assert_eq!(
-                        &hits, &want,
+                        &hits, &model.matching(&p),
                         "tick {} probe ({},{}) diverged", tick, gx, gy
                     );
                 }
@@ -219,7 +203,7 @@ proptest! {
 #[test]
 fn lease_expiry_mid_sequence_stays_exact() {
     let mut oracle: ShardedOracle<2> = ShardedOracle::new(2);
-    let mut model: Vec<(ProcessId, Rect<2>)> = (0..30)
+    let mut model: Reference<ProcessId, 2> = (0..30)
         .map(|i| {
             let x = (i % 6) as f64 * 15.0;
             let y = (i / 6) as f64 * 18.0;
@@ -229,7 +213,7 @@ fn lease_expiry_mid_sequence_stays_exact() {
             )
         })
         .collect();
-    for &(id, rect) in &model {
+    for &(id, rect) in model.entries() {
         oracle.insert(id, rect);
     }
     oracle.flush();
@@ -237,30 +221,30 @@ fn lease_expiry_mid_sequence_stays_exact() {
     // Arm staggered leases on the first six entries, then interleave
     // moves with clock advances — expiry in the middle of a "tick" of
     // motion must evict exactly the overdue entries and nothing else.
-    for (i, &(id, rect)) in model.iter().take(6).enumerate() {
+    for (i, &(id, rect)) in model.entries().iter().take(6).enumerate() {
         assert!(oracle.set_lease(id, &rect, (i as u64 + 1) * 10));
     }
     let mut hits = Vec::new();
     for step in 0..6u64 {
         // Move one un-leased entry mid-tick.
         let i = 10 + step as usize;
-        let (id, old) = model[i];
+        let (_, old) = model.entries()[i];
         let new = Rect::new(
             [old.lo(0) + 1.0, old.lo(1) + 1.0],
             [old.hi(0) + 1.0, old.hi(1) + 1.0],
         );
+        let (id, _) = model.move_nth(i, new).expect("populated");
         assert!(oracle.move_entry(id, &old, new));
-        model[i].1 = new;
 
         let now = (step + 1) * 10;
         let expired = oracle.expire_leases(now);
         assert_eq!(expired, 1, "exactly one lease crosses each deadline");
-        model.remove(0);
+        model.remove_nth(0);
 
         for probe in 0..8 {
             let p = Point::new([probe as f64 * 12.0 + 1.0, probe as f64 * 11.0 + 1.0]);
             oracle.match_point_into(&p, &mut hits);
-            assert_eq!(hits, reference_matches(&model, &p), "step {step}");
+            assert_eq!(hits, model.matching(&p), "step {step}");
         }
         assert_eq!(oracle.len(), model.len());
     }
@@ -333,7 +317,7 @@ fn lease_expiry_works_on_a_restored_oracle_before_its_first_flush() {
 #[test]
 fn counters_distinguish_in_place_moves_from_rekeys() {
     let mut oracle: ShardedOracle<2> = ShardedOracle::new(4);
-    let mut model: Vec<(ProcessId, Rect<2>)> = (0..64)
+    let mut model: Reference<ProcessId, 2> = (0..64)
         .map(|i| {
             let x = (i % 8) as f64 * 12.0;
             let y = (i / 8) as f64 * 12.0;
@@ -343,7 +327,7 @@ fn counters_distinguish_in_place_moves_from_rekeys() {
             )
         })
         .collect();
-    for &(id, rect) in &model {
+    for &(id, rect) in model.entries() {
         oracle.insert(id, rect);
     }
     oracle.flush();
@@ -357,14 +341,14 @@ fn counters_distinguish_in_place_moves_from_rekeys() {
             Rect::new([x, y], [x + 5.0, y + 5.0])
         })
         .collect();
-    let (id, old) = model[0];
+    let (id, old) = model.entries()[0];
     let home = oracle.shard_of(&old).expect("flushed oracle has a map");
     let same = *candidates
         .iter()
         .find(|c| oracle.shard_of(c) == Some(home) && **c != old)
         .expect("some candidate shares the shard");
     assert!(oracle.move_entry(id, &old, same));
-    model[0].1 = same;
+    model.move_nth(0, same);
     assert_eq!(oracle.moved_in_place_total(), 1);
     assert_eq!(oracle.rekeyed_total(), 0);
 
@@ -373,16 +357,16 @@ fn counters_distinguish_in_place_moves_from_rekeys() {
         .find(|c| oracle.shard_of(c).is_some_and(|s| s != home))
         .expect("some candidate crosses the boundary");
     assert!(oracle.move_entry(id, &same, away));
-    model[0].1 = away;
+    model.move_nth(0, away);
     assert_eq!(oracle.moved_in_place_total(), 1);
     assert_eq!(oracle.rekeyed_total(), 1);
 
     // Both kinds of move stay exact.
     let mut hits = Vec::new();
-    for probe in &model {
-        let p = Point::new([probe.1.lo(0) + 1.0, probe.1.lo(1) + 1.0]);
+    for (_, rect) in model.entries() {
+        let p = Point::new([rect.lo(0) + 1.0, rect.lo(1) + 1.0]);
         oracle.match_point_into(&p, &mut hits);
-        assert_eq!(hits, reference_matches(&model, &p));
+        assert_eq!(hits, model.matching(&p));
     }
 
     // A flush drains the pending counters into its report and the

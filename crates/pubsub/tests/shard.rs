@@ -1,15 +1,15 @@
-//! Property tests pinning the sharded oracle to a rebuild-from-scratch
-//! reference: for every shard count and every delta-layer compaction
+//! Property tests pinning the sharded oracle to the linear-scan
+//! [`Reference`]: for every shard count and every delta-layer compaction
 //! threshold (always-compact through never-compact), under random
 //! *interleaved* subscribe/unsubscribe/publish/flush sequences (the
 //! regime the paper's dissemination layer lives in — membership
-//! mutates while events flow), `ShardedOracle` must return hit-sets
-//! identical to one freshly bulk-loaded `PackedRTree` over the same
-//! live entry set, on both the single-probe and the batched path.
+//! mutates while events flow), `ShardedOracle` must return the
+//! reference's hit-set over the same live entries, on both the
+//! single-probe and the batched path.
 
 use drtree_core::ProcessId;
 use drtree_pubsub::{BatchMatches, CompactionMode, ShardedOracle};
-use drtree_rtree::PackedRTree;
+use drtree_spatial::reference::Reference;
 use drtree_spatial::{Point, Rect};
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -51,22 +51,13 @@ fn arb_delta_fraction() -> impl Strategy<Value = f64> {
     prop::sample::select(vec![0.0, 0.05, drtree_rtree::DEFAULT_DELTA_FRACTION, 1e9])
 }
 
-/// The reference answer: a fresh packed tree over the live entries.
-fn reference_matches(model: &[(ProcessId, Rect<2>)], point: &Point<2>) -> Vec<ProcessId> {
-    let tree: PackedRTree<ProcessId, 2> = PackedRTree::bulk_load(model.to_vec());
-    let mut hits: Vec<ProcessId> = tree.search_point(point).into_iter().copied().collect();
-    hits.sort_unstable();
-    hits.dedup();
-    hits
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Single-probe equivalence for K = 1, 2, 4, 7 under interleaved
     /// mutation, publishing, and flushing, at the sampled compaction
-    /// threshold — pinning the delta-layer oracle to a
-    /// rebuild-from-scratch reference whatever the delta's depth.
+    /// threshold — pinning the delta-layer oracle to the reference
+    /// whatever the delta's depth.
     #[test]
     fn sharded_hit_sets_match_packed_reference(
         ops in prop::collection::vec(arb_op(), 1..120),
@@ -75,7 +66,7 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let mut oracle: ShardedOracle<2> = ShardedOracle::new(shards);
             oracle.set_delta_fraction(fraction);
-            let mut model: Vec<(ProcessId, Rect<2>)> = Vec::new();
+            let mut model = Reference::new();
             let mut next_id = 0u64;
             let mut hits = Vec::new();
 
@@ -85,11 +76,10 @@ proptest! {
                         let id = ProcessId::from_raw(next_id);
                         next_id += 1;
                         oracle.insert(id, *rect);
-                        model.push((id, *rect));
+                        model.insert(id, *rect);
                     }
                     Op::UnsubscribeNth(n) => {
-                        if !model.is_empty() {
-                            let (id, rect) = model.remove(n % model.len());
+                        if let Some((id, rect)) = model.remove_nth(*n) {
                             prop_assert!(
                                 oracle.remove(id, &rect),
                                 "K={shards}: live entry not found for removal"
@@ -98,7 +88,7 @@ proptest! {
                     }
                     Op::Publish(point) => {
                         oracle.match_point_into(point, &mut hits);
-                        let want = reference_matches(&model, point);
+                        let want = model.matching(point);
                         prop_assert_eq!(
                             &hits, &want,
                             "K={} fraction={} at {:?}", shards, fraction, point
@@ -113,10 +103,10 @@ proptest! {
         }
     }
 
-    /// The batched path answers exactly like the single-probe path for
-    /// every shard count, probe by probe — with the delta layer at
-    /// every sampled depth (`fraction` controls how much of the data
-    /// is still staged when the probes run).
+    /// The batched path answers exactly like the single-probe path and
+    /// the reference for every shard count, probe by probe — with the
+    /// delta layer at every sampled depth (`fraction` controls how much
+    /// of the data is still staged when the probes run).
     #[test]
     fn batched_matches_equal_single_probes(
         rects in prop::collection::vec(arb_rect(), 0..150),
@@ -134,13 +124,13 @@ proptest! {
                 let mut oracle: ShardedOracle<2> = ShardedOracle::new(shards);
                 oracle.set_threads(threads);
                 oracle.set_delta_fraction(fraction);
-                let mut live: Vec<(ProcessId, Rect<2>)> = Vec::new();
+                let mut live = Reference::new();
                 for (i, rect) in rects.iter().enumerate() {
                     // Every third entry duplicates the previous id,
                     // modelling subscription sets (dedup must hold).
                     let id = ProcessId::from_raw((i - usize::from(i % 3 == 2)) as u64);
                     oracle.insert(id, *rect);
-                    live.push((id, *rect));
+                    live.insert(id, *rect);
                     // Flush mid-load a few times so part of the data is
                     // packed and part staged when the probes run.
                     if i % 50 == 49 {
@@ -148,10 +138,9 @@ proptest! {
                     }
                 }
                 for n in &removals {
-                    if live.is_empty() {
+                    let Some((id, rect)) = live.remove_nth(*n) else {
                         break;
-                    }
-                    let (id, rect) = live.remove(n % live.len());
+                    };
                     prop_assert!(oracle.remove(id, &rect));
                 }
                 let mut batch = BatchMatches::new();
@@ -164,6 +153,11 @@ proptest! {
                         batch.matches(i), single.as_slice(),
                         "K={} threads={} fraction={} probe {}", shards, threads, fraction, i
                     );
+                    prop_assert_eq!(
+                        &single, &live.matching(probe),
+                        "K={} threads={} fraction={} probe {} vs reference",
+                        shards, threads, fraction, i
+                    );
                 }
             }
         }
@@ -174,9 +168,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The concurrent-compaction oracle pinned, op for op, to the
-    /// synchronous-compaction oracle and the rebuild-from-scratch
-    /// reference, under interleaved subscribe/unsubscribe/publish with
-    /// flushes landing mid-compaction (an aggressive 2% fraction keeps
+    /// synchronous-compaction oracle and the reference, under
+    /// interleaved subscribe/unsubscribe/publish with flushes landing
+    /// mid-compaction (an aggressive 2% fraction keeps
     /// background merges almost always in flight, and every flush both
     /// installs finished merges and freezes fresh ones). K = 1, 2, 4, 7.
     #[test]
@@ -189,7 +183,7 @@ proptest! {
             concurrent.set_delta_fraction(0.02);
             let mut synchronous: ShardedOracle<2> = ShardedOracle::new(shards);
             synchronous.set_delta_fraction(0.02);
-            let mut model: Vec<(ProcessId, Rect<2>)> = Vec::new();
+            let mut model = Reference::new();
             let mut next_id = 0u64;
             let mut conc_hits = Vec::new();
             let mut sync_hits = Vec::new();
@@ -202,11 +196,10 @@ proptest! {
                         next_id += 1;
                         concurrent.insert(id, *rect);
                         synchronous.insert(id, *rect);
-                        model.push((id, *rect));
+                        model.insert(id, *rect);
                     }
                     Op::UnsubscribeNth(n) => {
-                        if !model.is_empty() {
-                            let (id, rect) = model.remove(n % model.len());
+                        if let Some((id, rect)) = model.remove_nth(*n) {
                             prop_assert!(concurrent.remove(id, &rect), "concurrent K={shards}");
                             prop_assert!(synchronous.remove(id, &rect), "synchronous K={shards}");
                         }
@@ -214,10 +207,10 @@ proptest! {
                     Op::Publish(point) => {
                         concurrent.match_point_into(point, &mut conc_hits);
                         synchronous.match_point_into(point, &mut sync_hits);
-                        let want = reference_matches(&model, point);
+                        let want = model.matching(point);
                         prop_assert_eq!(
                             &conc_hits, &want,
-                            "concurrent vs rebuild reference, K={} step {}", shards, step
+                            "concurrent vs reference, K={} step {}", shards, step
                         );
                         prop_assert_eq!(
                             &conc_hits, &sync_hits,
@@ -240,10 +233,10 @@ proptest! {
             }
             // Draining every in-flight merge must change no answer.
             concurrent.finish_compactions();
-            for (_, rect) in model.iter().take(8) {
+            for (_, rect) in model.entries().iter().take(8) {
                 let p = rect.center();
                 concurrent.match_point_into(&p, &mut conc_hits);
-                prop_assert_eq!(&conc_hits, &reference_matches(&model, &p));
+                prop_assert_eq!(&conc_hits, &model.matching(&p));
             }
         }
     }
@@ -271,13 +264,14 @@ fn unbounded_filters_and_outlier_probes_match_exactly() {
                 Rect::new([x, y], [x + 6.0, y + 6.0]),
             );
         }
-        let model: Vec<(u64, Rect<2>)> = [(0, everything), (1, half_open), (2, boxed)]
+        let model: Reference<ProcessId, 2> = [(0, everything), (1, half_open), (2, boxed)]
             .into_iter()
             .chain((0..64u64).map(|i| {
                 let x = (i % 8) as f64 * 12.0;
                 let y = (i / 8) as f64 * 12.0;
                 (10 + i, Rect::new([x, y], [x + 6.0, y + 6.0]))
             }))
+            .map(|(id, rect)| (ProcessId::from_raw(id), rect))
             .collect();
 
         let probes = vec![
@@ -290,12 +284,7 @@ fn unbounded_filters_and_outlier_probes_match_exactly() {
         oracle.match_batch_into(&probes, &mut batch);
         let mut single = Vec::new();
         for (i, p) in probes.iter().enumerate() {
-            let mut want: Vec<ProcessId> = model
-                .iter()
-                .filter(|(_, r)| r.contains_point(p))
-                .map(|(id, _)| ProcessId::from_raw(*id))
-                .collect();
-            want.sort_unstable();
+            let want = model.matching(p);
             oracle.match_point_into(p, &mut single);
             assert_eq!(single, want, "single, threads={threads}, probe {i}");
             assert_eq!(

@@ -2,8 +2,8 @@ use std::fmt;
 
 use crate::split::SplitMethod;
 
-/// Degree bounds and split method for an R-tree (or a DR-tree overlay,
-/// which reuses this configuration).
+/// Degree bounds and split method of an R-tree node — the DR-tree
+/// overlay's `DrTreeConfig::degree`.
 ///
 /// The paper's structural constraints (§2.2): every node holds between
 /// `m` and `M` entries (the root excepted), and "m must be chosen such

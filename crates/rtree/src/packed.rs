@@ -1,4 +1,4 @@
-//! The packed, cache-friendly R-tree backend.
+//! The packed, cache-friendly R-tree.
 //!
 //! [`PackedRTree`] stores the whole index in contiguous level arrays
 //! — vectors when built, views of the snapshot buffer when loaded, one
@@ -67,8 +67,8 @@ use drtree_spatial::hilbert::GridMapper;
 use drtree_spatial::{Point, Rect};
 
 use crate::bytes::{self, AlignedBytes, Col};
-use crate::index::{SnapshotKey, SpatialIndex};
-use crate::validate::SnapshotError;
+use crate::error::SnapshotError;
+use crate::key::SnapshotKey;
 
 /// Default node capacity; 16 balances depth against per-node scan cost
 /// (the flatbush default).
@@ -272,7 +272,7 @@ fn traverse_core_while<K, const D: usize>(
 /// # Example
 ///
 /// ```
-/// use drtree_rtree::{PackedRTree, SpatialIndex};
+/// use drtree_rtree::PackedRTree;
 /// use drtree_spatial::{Point, Rect};
 ///
 /// let entries: Vec<(u32, Rect<2>)> = (0..100)
@@ -1351,7 +1351,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     }
 
     /// Number of node levels, counting the leaf-node level as 1. An
-    /// empty tree has height 1, mirroring [`crate::RTree::height`].
+    /// empty tree has height 1.
     pub fn height(&self) -> usize {
         self.core.levels.len().max(1)
     }
@@ -2468,6 +2468,14 @@ impl<K, const D: usize> PackedRTree<K, D> {
         out
     }
 
+    /// Number of entries whose rectangle contains `point`, without
+    /// materializing them.
+    pub fn count_containing(&self, point: &Point<D>) -> usize {
+        let mut count = 0;
+        self.for_each_containing(point, |_, _| count += 1);
+        count
+    }
+
     /// Keys whose rectangle intersects `window`.
     pub fn search_intersecting(&self, window: &Rect<D>) -> Vec<&K> {
         let mut out = Vec::new();
@@ -2878,36 +2886,6 @@ impl<K, const D: usize> PackedRTree<K, D> {
         K: Clone,
     {
         Arc::make_mut(&mut self.core).levels[level].to_mut()[node] = rect;
-    }
-}
-
-impl<K, const D: usize> SpatialIndex<K, D> for PackedRTree<K, D> {
-    fn len(&self) -> usize {
-        PackedRTree::len(self)
-    }
-
-    fn for_each_containing<'a, F>(&'a self, point: &Point<D>, visit: F)
-    where
-        F: FnMut(&'a K, &'a Rect<D>),
-        K: 'a,
-    {
-        PackedRTree::for_each_containing(self, point, visit);
-    }
-
-    fn for_each_intersecting<'a, F>(&'a self, window: &Rect<D>, visit: F)
-    where
-        F: FnMut(&'a K, &'a Rect<D>),
-        K: 'a,
-    {
-        PackedRTree::for_each_intersecting(self, window, visit);
-    }
-
-    fn for_each_containing_batch<'a, F>(&'a self, points: &[Point<D>], visit: F)
-    where
-        F: FnMut(u32, &'a K, &'a Rect<D>),
-        K: 'a,
-    {
-        PackedRTree::for_each_containing_batch(self, points, visit);
     }
 }
 

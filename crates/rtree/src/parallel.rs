@@ -2,7 +2,7 @@
 //! background jobs for off-path maintenance.
 //!
 //! A sharded oracle answers one logical query by running the same
-//! probe (or probe batch) against `K` independent [`SpatialIndex`]
+//! probe (or probe batch) against `K` independent [`PackedRTree`]
 //! shards and merging the hits. The shards are disjoint data, so the
 //! fan is embarrassingly parallel; what needs care is the plumbing —
 //! each worker must own a distinct result buffer (no locks on the hot
@@ -27,7 +27,6 @@
 //! to exactly one owner of the index without any lock around the state
 //! itself.
 //!
-//! [`SpatialIndex`]: crate::SpatialIndex
 //! [`PackedRTree`]: crate::PackedRTree
 
 use std::fmt;

@@ -3,9 +3,8 @@
 //! When a node overflows (more than `M` children after an insertion), its
 //! children set is divided "in two groups, each having at least m
 //! elements". The paper supports three classical methods, all implemented
-//! here over plain rectangle slices so that the centralized [`RTree`]
-//! (this crate) and the distributed DR-tree (`drtree-core`) share the
-//! exact same partitioning logic:
+//! here over plain rectangle slices; the distributed DR-tree
+//! (`drtree-core`) calls them on the MBRs of an overflowing children set:
 //!
 //! * [`SplitMethod::Linear`] — Guttman's linear-time method: seeds with
 //!   the greatest normalized separation, remaining entries assigned in
@@ -19,8 +18,6 @@
 //!
 //! All methods guarantee both groups hold at least `m` entries whenever
 //! the input holds at least `2m`.
-//!
-//! [`RTree`]: crate::RTree
 
 mod linear;
 mod quadratic;
@@ -53,9 +50,9 @@ impl SplitMethod {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0` or `rects.len() < 2m` — callers (tree insertion
-    /// and the DR-tree split module) only split overflowing sets, which
-    /// always satisfy this.
+    /// Panics if `m == 0` or `rects.len() < 2m` — the caller (the
+    /// DR-tree split module) only splits overflowing sets, which always
+    /// satisfy this.
     pub fn split<const D: usize>(&self, rects: &[Rect<D>], m: usize) -> (Vec<usize>, Vec<usize>) {
         assert!(m >= 1, "split requires m >= 1");
         assert!(
@@ -147,30 +144,36 @@ fn distribute<const D: usize>(
 mod tests {
     use super::*;
     use drtree_spatial::Rect;
+    use proptest::prelude::*;
 
-    fn unit_grid(n: usize) -> Vec<Rect<2>> {
-        (0..n)
-            .map(|i| {
-                let x = (i % 10) as f64 * 2.0;
-                let y = (i / 10) as f64 * 2.0;
-                Rect::new([x, y], [x + 1.0, y + 1.0])
-            })
-            .collect()
+    fn arb_rect() -> impl Strategy<Value = Rect<2>> {
+        (0.0f64..100.0, 0.0f64..100.0, 0.1f64..30.0, 0.1f64..30.0)
+            .prop_map(|(x, y, w, h)| Rect::new([x, y], [x + w, y + h]))
     }
 
-    #[test]
-    fn all_methods_respect_bounds() {
-        for method in SplitMethod::ALL {
-            for n in [4usize, 5, 7, 9, 12] {
-                for m in 1..=n / 2 {
-                    let rects = unit_grid(n);
-                    let (a, b) = method.split(&rects, m);
-                    assert!(a.len() >= m, "{method} n={n} m={m}");
-                    assert!(b.len() >= m, "{method} n={n} m={m}");
-                    let mut all: Vec<usize> = a.iter().chain(b.iter()).copied().collect();
-                    all.sort_unstable();
-                    assert_eq!(all, (0..n).collect::<Vec<_>>(), "{method} partition");
-                }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every method partitions `0..n` into two groups of at least
+        /// `m`, for `m` ∈ 1..5 and `n` from `2m` up to the overflow size
+        /// `M + 1` at `M = 2m + m/2 + 1`. The rectangles cycle through
+        /// the first `distinct` of a random pool: a pool of one repeats
+        /// a single rectangle, a pool of `n` or more repeats none.
+        #[test]
+        fn all_methods_respect_bounds(
+            m in 1usize..5,
+            slack in 0usize..5,
+            pool in prop::collection::vec(arb_rect(), 12),
+            distinct in 1usize..=12,
+        ) {
+            let n = (2 * m + slack).min(2 * m + m / 2 + 2);
+            let rects: Vec<Rect<2>> = (0..n).map(|i| pool[i % distinct]).collect();
+            for method in SplitMethod::ALL {
+                let (a, b) = method.split(&rects, m);
+                prop_assert!(a.len() >= m && b.len() >= m, "{} n={} m={}", method, n, m);
+                let mut all: Vec<usize> = a.iter().chain(&b).copied().collect();
+                all.sort_unstable();
+                prop_assert_eq!(all, (0..n).collect::<Vec<_>>(), "{} partition", method);
             }
         }
     }
@@ -212,7 +215,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2m")]
     fn too_few_entries_panics() {
-        let rects = unit_grid(3);
+        let rects = vec![Rect::new([0.0, 0.0], [1.0, 1.0]); 3];
         let _ = SplitMethod::Quadratic.split(&rects, 2);
     }
 

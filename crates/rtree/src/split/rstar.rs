@@ -10,10 +10,8 @@
 //! breaking ties by minimum total area.
 //!
 //! The R\*-tree's *forced reinsertion* is a feature of tree insertion,
-//! not of the split itself; the centralized [`crate::RTree`] implements
-//! it behind [`crate::RTree::set_reinsertion`] while the distributed
-//! DR-tree realizes the same idea through its rejoin machinery
-//! (`INITIATE_NEW_CONNECTION`).
+//! not of the split itself; the distributed DR-tree realizes the same
+//! idea through its rejoin machinery (`INITIATE_NEW_CONNECTION`).
 
 use drtree_spatial::Rect;
 

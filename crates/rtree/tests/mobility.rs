@@ -6,6 +6,7 @@
 //! stale curve key left behind by a corrupted in-place move.
 
 use drtree_rtree::{DeltaRemoval, EntryUpdate, PackedRTree, PackedValidationError};
+use drtree_spatial::reference::Reference;
 use drtree_spatial::{Point, Rect};
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -271,45 +272,40 @@ proptest! {
     /// Random interleavings of moves, inserts, removes, lease arming,
     /// expiry drives, and compactions: after every operation the tree
     /// validates (delta invariants *and* curve-key freshness), and
-    /// every probe's hit set equals a shadow model scan.
+    /// every probe's hit set equals the reference's.
     #[test]
     fn random_move_sequences_stay_exact_and_valid(
         seed_entries in prop::collection::vec(arb_rect(), 8..64),
         ops in prop::collection::vec(arb_mob_op(), 1..80),
     ) {
         let mut next_key = seed_entries.len();
-        let mut model: Vec<(usize, Rect<2>)> =
-            seed_entries.into_iter().enumerate().collect();
-        let mut tree = PackedRTree::bulk_load(model.clone());
+        let mut model: Reference<usize, 2> = seed_entries.into_iter().enumerate().collect();
+        let mut tree = PackedRTree::bulk_load(model.entries().to_vec());
         let mut clock = 0u64;
 
         for op in ops {
             match op {
                 MobOp::Insert(r) => {
                     tree.stage_insert(next_key, r);
-                    model.push((next_key, r));
+                    model.insert(next_key, r);
                     next_key += 1;
                 }
                 MobOp::MoveNth(n, new) => {
-                    if !model.is_empty() {
-                        let i = n % model.len();
-                        let (k, old) = model[i];
+                    if let Some((k, old)) = model.move_nth(n, new) {
                         prop_assert!(
                             tree.update_entry(&k, &old, new).is_some(),
                             "model entry {k} must be movable"
                         );
-                        model[i].1 = new;
                     }
                 }
                 MobOp::RemoveNth(n) => {
-                    if !model.is_empty() {
-                        let (k, r) = model.remove(n % model.len());
+                    if let Some((k, r)) = model.remove_nth(n) {
                         prop_assert!(tree.remove_entry(&k, &r).is_some());
                     }
                 }
                 MobOp::LeaseNth(n, ttl) => {
                     if !model.is_empty() {
-                        let (k, r) = model[n % model.len()];
+                        let (k, r) = model.entries()[n % model.len()];
                         tree.set_lease(k, r, clock + ttl);
                     }
                 }
@@ -320,7 +316,7 @@ proptest! {
                         // the record; evict only what is still live.
                         if tree.contains_entry(&k, &r) {
                             prop_assert!(tree.remove_entry(&k, &r).is_some());
-                            model.retain(|&(mk, mr)| (mk, mr) != (k, r));
+                            prop_assert!(model.remove(k, &r));
                         }
                     }
                 }
@@ -331,13 +327,7 @@ proptest! {
                     let mut got: Vec<usize> =
                         tree.search_point(&p).into_iter().copied().collect();
                     got.sort_unstable();
-                    let mut want: Vec<usize> = model
-                        .iter()
-                        .filter(|(_, r)| r.contains_point(&p))
-                        .map(|(k, _)| *k)
-                        .collect();
-                    want.sort_unstable();
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(got, model.matching(&p));
                 }
             }
             prop_assert_eq!(tree.len(), model.len());

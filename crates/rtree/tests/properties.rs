@@ -1,14 +1,13 @@
-//! Property-based tests: the R-tree stays valid and complete under random
-//! operation sequences, for every split method; the packed backend
-//! returns *identical* result sets to the pointer tree (it is a drop-in
-//! oracle, not an approximation), including on the generated
-//! subscription workloads of `drtree-workloads`; and the packed
-//! backend's delta layer (staged inserts + tombstones) is invisible to
-//! every visitor — before and after compaction, and throughout a
-//! two-phase freeze/merge/install cycle with mutations landing
-//! mid-compaction.
+//! Property-based tests pinning the packed tree to the linear-scan
+//! [`Reference`]: on random rectangles and on the generated subscription
+//! workloads of `drtree-workloads`; with a populated delta layer
+//! (staged inserts + tombstones) before and after compaction; through
+//! in-place updates; throughout a two-phase freeze/merge/install cycle
+//! with mutations landing mid-compaction; and across snapshot
+//! round-trips taken anywhere in a churn sequence.
 
-use drtree_rtree::{PackedRTree, RTree, RTreeConfig, SplitMethod};
+use drtree_rtree::PackedRTree;
+use drtree_spatial::reference::Reference;
 use drtree_spatial::{Point, Rect};
 use drtree_workloads::SubscriptionWorkload;
 use proptest::prelude::*;
@@ -16,171 +15,53 @@ use proptest::strategy::Just;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Rect<2>),
-    RemoveNth(usize),
-    QueryPoint(Point<2>),
-}
-
 fn arb_rect() -> impl Strategy<Value = Rect<2>> {
     (0.0f64..100.0, 0.0f64..100.0, 0.1f64..30.0, 0.1f64..30.0)
         .prop_map(|(x, y, w, h)| Rect::new([x, y], [x + w, y + h]))
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => arb_rect().prop_map(Op::Insert),
-        1 => (0usize..64).prop_map(Op::RemoveNth),
-        2 => (0.0f64..130.0, 0.0f64..130.0).prop_map(|(x, y)| Op::QueryPoint(Point::new([x, y]))),
-    ]
+/// Sorted keys of a point query, duplicates kept: a key reported twice
+/// fails against the reference's deduplicated set.
+fn point_keys(tree: &PackedRTree<usize, 2>, p: &Point<2>) -> Vec<usize> {
+    let mut keys: Vec<usize> = tree.search_point(p).into_iter().copied().collect();
+    keys.sort_unstable();
+    keys
 }
 
-fn arb_config() -> impl Strategy<Value = RTreeConfig> {
-    (1usize..5, prop::sample::select(SplitMethod::ALL.to_vec()))
-        .prop_map(|(m, s)| RTreeConfig::new(m, 2 * m + m / 2 + 1, s).expect("valid bounds"))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn random_ops_preserve_invariants(
-        config in arb_config(),
-        reinsert in any::<bool>(),
-        ops in prop::collection::vec(arb_op(), 1..150),
-    ) {
-        let mut tree: RTree<usize, 2> = RTree::new(config);
-        tree.set_reinsertion(reinsert);
-        // shadow model: flat list of live entries
-        let mut model: Vec<(usize, Rect<2>)> = Vec::new();
-        let mut next_key = 0usize;
-
-        for op in ops {
-            match op {
-                Op::Insert(r) => {
-                    tree.insert(next_key, r);
-                    model.push((next_key, r));
-                    next_key += 1;
-                }
-                Op::RemoveNth(n) => {
-                    if !model.is_empty() {
-                        let (k, r) = model.remove(n % model.len());
-                        prop_assert!(tree.remove(&k, &r));
-                    }
-                }
-                Op::QueryPoint(p) => {
-                    let mut got: Vec<usize> =
-                        tree.search_point(&p).into_iter().copied().collect();
-                    got.sort_unstable();
-                    let mut want: Vec<usize> = model
-                        .iter()
-                        .filter(|(_, r)| r.contains_point(&p))
-                        .map(|(k, _)| *k)
-                        .collect();
-                    want.sort_unstable();
-                    prop_assert_eq!(got, want, "query mismatch");
-                }
-            }
-            prop_assert_eq!(tree.len(), model.len());
-            if let Err(e) = tree.validate() {
-                prop_assert!(false, "invariants broken: {}", e);
-            }
-        }
-    }
-
-    #[test]
-    fn window_query_matches_linear_scan(
-        rects in prop::collection::vec(arb_rect(), 1..120),
-        window in arb_rect(),
-    ) {
-        let mut tree: RTree<usize, 2> = RTree::new(RTreeConfig::default());
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(i, *r);
-        }
-        let mut got: Vec<usize> = tree.search_intersecting(&window).into_iter().copied().collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.intersects(&window))
-            .map(|(i, _)| i)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn height_is_logarithmic(
-        n in 10usize..400,
-        method in prop::sample::select(SplitMethod::ALL.to_vec()),
-    ) {
-        let m = 2usize;
-        let max = 6usize;
-        let mut tree: RTree<usize, 2> = RTree::new(RTreeConfig::new(m, max, method).unwrap());
-        for i in 0..n {
-            let x = (i % 20) as f64 * 5.0;
-            let y = (i / 20) as f64 * 5.0;
-            tree.insert(i, Rect::new([x, y], [x + 3.0, y + 3.0]));
-        }
-        // Lemma 3.1 shape: height bounded by log_m(N) plus a small constant.
-        let bound = (n as f64).log(m as f64).ceil() as usize + 2;
-        prop_assert!(tree.height() <= bound,
-            "height {} exceeds bound {} at n={}", tree.height(), bound, n);
-    }
-}
-
-/// Sorted key multiset of a point query against both backends.
-fn point_results(
-    pointer: &RTree<usize, 2>,
-    packed: &PackedRTree<usize, 2>,
-    p: &Point<2>,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut a: Vec<usize> = pointer.search_point(p).into_iter().copied().collect();
-    let mut b: Vec<usize> = packed.search_point(p).into_iter().copied().collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    (a, b)
+/// Sorted keys of a window query, duplicates kept.
+fn window_keys(tree: &PackedRTree<usize, 2>, w: &Rect<2>) -> Vec<usize> {
+    let mut keys: Vec<usize> = tree.search_intersecting(w).into_iter().copied().collect();
+    keys.sort_unstable();
+    keys
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn packed_matches_pointer_on_random_rects(
+    fn packed_matches_reference_on_random_rects(
         rects in prop::collection::vec(arb_rect(), 0..150),
         probes in prop::collection::vec(
             (0.0f64..140.0, 0.0f64..140.0), 1..20),
         windows in prop::collection::vec(arb_rect(), 0..6),
         node_size in 2usize..33,
     ) {
-        let entries: Vec<(usize, Rect<2>)> = rects.iter().copied().enumerate().collect();
-        let mut pointer: RTree<usize, 2> = RTree::new(RTreeConfig::default());
-        for (k, r) in &entries {
-            pointer.insert(*k, *r);
-        }
-        let packed = PackedRTree::bulk_load_with_node_size(node_size, entries);
+        let model: Reference<usize, 2> = rects.iter().copied().enumerate().collect();
+        let packed = PackedRTree::bulk_load_with_node_size(node_size, model.entries().to_vec());
         packed.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(packed.len(), pointer.len());
+        prop_assert_eq!(packed.len(), model.len());
 
         for (x, y) in probes {
             let p = Point::new([x, y]);
-            let (a, b) = point_results(&pointer, &packed, &p);
-            prop_assert_eq!(a, b, "point query at {:?}", p);
+            prop_assert_eq!(point_keys(&packed, &p), model.matching(&p), "point query at {:?}", p);
         }
         for w in windows {
-            let mut a: Vec<usize> =
-                pointer.search_intersecting(&w).into_iter().copied().collect();
-            let mut b: Vec<usize> =
-                packed.search_intersecting(&w).into_iter().copied().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "window query at {}", w);
+            prop_assert_eq!(window_keys(&packed, &w), model.intersecting(&w), "window query at {}", w);
         }
     }
 
     #[test]
-    fn packed_matches_pointer_on_generated_workloads(
+    fn packed_matches_reference_on_generated_workloads(
         seed in any::<u64>(),
         n in 1usize..400,
         workload_idx in 0usize..3,
@@ -188,29 +69,20 @@ proptest! {
         let (_, workload) = SubscriptionWorkload::standard()[workload_idx];
         let mut rng = StdRng::seed_from_u64(seed);
         let rects: Vec<Rect<2>> = workload.generate(n, &mut rng);
-        let entries: Vec<(usize, Rect<2>)> = rects.iter().copied().enumerate().collect();
-
-        let mut pointer: RTree<usize, 2> =
-            RTree::new(RTreeConfig::new(4, 16, SplitMethod::RStar).unwrap());
-        for (k, r) in &entries {
-            pointer.insert(*k, *r);
-        }
-        let packed = PackedRTree::bulk_load(entries);
+        let model: Reference<usize, 2> = rects.iter().copied().enumerate().collect();
+        let packed = PackedRTree::bulk_load(model.entries().to_vec());
         packed.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
 
         // Probe at every entry's center: the exact matching sets the
-        // broker oracle computes must agree between backends.
+        // broker oracle computes.
         for r in rects.iter().take(64) {
             let p = r.center();
-            let (a, b) = point_results(&pointer, &packed, &p);
-            prop_assert_eq!(a, b, "center probe at {:?}", p);
+            prop_assert_eq!(point_keys(&packed, &p), model.matching(&p), "center probe at {:?}", p);
         }
     }
 
-    /// Every [`drtree_rtree::SpatialIndex`] visitor returns identical
-    /// result sets with and without a populated delta layer: a tree
-    /// carrying staged inserts and tombstones must answer exactly like
-    /// a fresh bulk-load of its live entry set — before *and* after
+    /// Every visitor answers like the reference with a populated delta
+    /// layer — staged inserts and tombstones — before *and* after
     /// compaction.
     #[test]
     fn delta_layer_is_invisible_to_every_visitor(
@@ -223,19 +95,16 @@ proptest! {
         windows in prop::collection::vec(arb_rect(), 0..4),
         node_size in 2usize..33,
     ) {
-        let mut model: Vec<(usize, Rect<2>)> =
-            base.iter().copied().enumerate().collect();
-        let mut tree =
-            PackedRTree::bulk_load_with_node_size(node_size, model.clone());
+        let mut model: Reference<usize, 2> = base.iter().copied().enumerate().collect();
+        let mut tree = PackedRTree::bulk_load_with_node_size(node_size, model.entries().to_vec());
         for (i, r) in staged.iter().enumerate() {
             tree.stage_insert(base.len() + i, *r);
-            model.push((base.len() + i, *r));
+            model.insert(base.len() + i, *r);
         }
         for n in removals {
-            if model.is_empty() {
+            let Some((k, r)) = model.remove_nth(n) else {
                 break;
-            }
-            let (k, r) = model.remove(n % model.len());
+            };
             prop_assert!(
                 tree.remove_entry(&k, &r).is_some(),
                 "live entry ({k}, {r}) not found for removal"
@@ -244,56 +113,33 @@ proptest! {
         tree.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(tree.len(), model.len());
 
-        let reference = PackedRTree::bulk_load(model.clone());
-        let mut delta_tree = tree;
         for pass in ["delta", "compacted"] {
             if pass == "compacted" {
-                delta_tree.compact();
-                prop_assert_eq!(delta_tree.delta_len(), 0);
-                delta_tree
-                    .validate()
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                tree.compact();
+                prop_assert_eq!(tree.delta_len(), 0);
+                tree.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
             }
             for p in &probes {
-                let mut a: Vec<usize> =
-                    reference.search_point(p).into_iter().copied().collect();
-                let mut b: Vec<usize> =
-                    delta_tree.search_point(p).into_iter().copied().collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                prop_assert_eq!(a, b, "{} point query at {:?}", pass, p);
+                prop_assert_eq!(point_keys(&tree, p), model.matching(p), "{} point query at {:?}", pass, p);
             }
             for w in &windows {
-                let mut a: Vec<usize> =
-                    reference.search_intersecting(w).into_iter().copied().collect();
-                let mut b: Vec<usize> =
-                    delta_tree.search_intersecting(w).into_iter().copied().collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                prop_assert_eq!(a, b, "{} window query at {}", pass, w);
+                let want = model.intersecting(w);
+                prop_assert_eq!(&window_keys(&tree, w), &want, "{} window query at {}", pass, w);
                 // The abortable walk sees the same full set when never
                 // aborted.
-                let mut c = Vec::new();
-                delta_tree.for_each_intersecting_while(w, |&k, _| {
-                    c.push(k);
+                let mut walked = Vec::new();
+                tree.for_each_intersecting_while(w, |&k, _| {
+                    walked.push(k);
                     true
                 });
-                c.sort_unstable();
-                let mut d: Vec<usize> =
-                    delta_tree.search_intersecting(w).into_iter().copied().collect();
-                d.sort_unstable();
-                prop_assert_eq!(c, d, "{} abortable walk at {}", pass, w);
+                walked.sort_unstable();
+                prop_assert_eq!(walked, want, "{} abortable walk at {}", pass, w);
             }
-            // Batched visits equal per-probe visits.
             let mut batched: Vec<Vec<usize>> = vec![Vec::new(); probes.len()];
-            delta_tree
-                .for_each_containing_batch(&probes, |pi, &k, _| batched[pi as usize].push(k));
+            tree.for_each_containing_batch(&probes, |pi, &k, _| batched[pi as usize].push(k));
             for (i, p) in probes.iter().enumerate() {
                 batched[i].sort_unstable();
-                let mut want: Vec<usize> =
-                    delta_tree.search_point(p).into_iter().copied().collect();
-                want.sort_unstable();
-                prop_assert_eq!(&batched[i], &want, "{} batch probe {:?}", pass, p);
+                prop_assert_eq!(&batched[i], &model.matching(p), "{} batch probe {:?}", pass, p);
             }
         }
     }
@@ -303,30 +149,20 @@ proptest! {
         rects in prop::collection::vec(arb_rect(), 1..120),
         moves in prop::collection::vec((0usize..120, arb_rect()), 1..20),
     ) {
-        let entries: Vec<(usize, Rect<2>)> = rects.iter().copied().enumerate().collect();
-        let mut packed = PackedRTree::bulk_load_with_node_size(4, entries);
-        let mut model = rects.clone();
+        // Keys are positions, so the reference's n-th entry is key n.
+        let mut model: Reference<usize, 2> = rects.iter().copied().enumerate().collect();
+        let mut packed = PackedRTree::bulk_load_with_node_size(4, model.entries().to_vec());
         for (slot, rect) in moves {
             let slot = slot % packed.len();
             let (&key, _) = packed.entry(slot);
             packed.update(slot, rect);
-            model[key] = rect;
+            model.move_nth(key, rect);
             packed.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
         // After arbitrary moves the tree still answers exactly.
-        for (i, r) in model.iter().enumerate().take(40) {
+        for (i, (_, r)) in model.entries().iter().enumerate().take(40) {
             let p = r.center();
-            let mut got: Vec<usize> =
-                packed.search_point(&p).into_iter().copied().collect();
-            got.sort_unstable();
-            let mut want: Vec<usize> = model
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.contains_point(&p))
-                .map(|(k, _)| k)
-                .collect();
-            want.sort_unstable();
-            prop_assert_eq!(got, want, "after moving entry {}", i);
+            prop_assert_eq!(point_keys(&packed, &p), model.matching(&p), "after moving entry {}", i);
         }
     }
 
@@ -334,8 +170,8 @@ proptest! {
     /// visitor: with arbitrary staging, removals *between* freeze and
     /// install (hitting packed slots, the frozen staged prefix, and
     /// the second-generation delta alike), and fresh inserts overlaid
-    /// on the frozen core, the tree answers exactly like a fresh
-    /// bulk-load of the live set at every point of the cycle.
+    /// on the frozen core, the tree answers exactly like the reference
+    /// at every point of the cycle.
     #[test]
     fn frozen_epoch_is_invisible_to_every_visitor(
         base in prop::collection::vec(arb_rect(), 0..80),
@@ -348,18 +184,18 @@ proptest! {
             1..12),
         node_size in 2usize..33,
     ) {
-        let mut model: Vec<(usize, Rect<2>)> =
-            base.iter().copied().enumerate().collect();
-        let mut tree = PackedRTree::bulk_load_with_node_size(node_size, model.clone());
+        let mut model: Reference<usize, 2> = base.iter().copied().enumerate().collect();
+        let mut tree = PackedRTree::bulk_load_with_node_size(node_size, model.entries().to_vec());
         let mut next_key = base.len();
         for r in &staged {
             tree.stage_insert(next_key, *r);
-            model.push((next_key, *r));
+            model.insert(next_key, *r);
             next_key += 1;
         }
         for n in &pre_removals {
-            if model.is_empty() { break; }
-            let (k, r) = model.remove(n % model.len());
+            let Some((k, r)) = model.remove_nth(*n) else {
+                break;
+            };
             prop_assert!(tree.remove_entry(&k, &r).is_some());
         }
 
@@ -370,12 +206,11 @@ proptest! {
             if i % 2 == 0 {
                 if let Some(r) = pending_inserts.next() {
                     tree.stage_insert(next_key, *r);
-                    model.push((next_key, *r));
+                    model.insert(next_key, *r);
                     next_key += 1;
                 }
             }
-            if !model.is_empty() {
-                let (k, r) = model.remove(n % model.len());
+            if let Some((k, r)) = model.remove_nth(*n) {
                 prop_assert!(
                     tree.remove_entry(&k, &r).is_some(),
                     "mid-compaction removal of ({k}, {r}) not found"
@@ -384,52 +219,37 @@ proptest! {
         }
         for r in pending_inserts {
             tree.stage_insert(next_key, *r);
-            model.push((next_key, *r));
+            model.insert(next_key, *r);
             next_key += 1;
         }
         tree.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(tree.len(), model.len());
 
-        let check = |tree: &PackedRTree<usize, 2>, model: &[(usize, Rect<2>)], phase: &str|
-            -> Result<(), TestCaseError> {
+        let check = |tree: &PackedRTree<usize, 2>, phase: &str| -> Result<(), TestCaseError> {
             for p in &probes {
-                let mut got: Vec<usize> =
-                    tree.search_point(p).into_iter().copied().collect();
-                got.sort_unstable();
-                let mut want: Vec<usize> = model
-                    .iter()
-                    .filter(|(_, r)| r.contains_point(p))
-                    .map(|(k, _)| *k)
-                    .collect();
-                want.sort_unstable();
-                prop_assert_eq!(got, want, "{} point query at {:?}", phase, p);
+                let want = model.matching(p);
+                prop_assert_eq!(&point_keys(tree, p), &want, "{} point query at {:?}", phase, p);
                 // Batched form agrees.
                 let mut batched = Vec::new();
-                tree.for_each_containing_batch(
-                    std::slice::from_ref(p),
-                    |_, &k, _| batched.push(k),
-                );
+                tree.for_each_containing_batch(std::slice::from_ref(p), |_, &k, _| batched.push(k));
                 batched.sort_unstable();
-                let mut single: Vec<usize> =
-                    tree.search_point(p).into_iter().copied().collect();
-                single.sort_unstable();
-                prop_assert_eq!(batched, single, "{} batch probe {:?}", phase, p);
+                prop_assert_eq!(batched, want, "{} batch probe {:?}", phase, p);
             }
             Ok(())
         };
-        check(&tree, &model, "mid-compaction")?;
+        check(&tree, "mid-compaction")?;
 
         let merged = frozen.merge();
         merged.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
         tree.install(merged);
         tree.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(tree.len(), model.len());
-        check(&tree, &model, "installed")?;
+        check(&tree, "installed")?;
 
         // A trailing synchronous compact still agrees.
         tree.compact();
         tree.validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
-        check(&tree, &model, "recompacted")?;
+        check(&tree, "recompacted")?;
     }
 }
 
@@ -460,9 +280,11 @@ fn arb_churn_op() -> impl Strategy<Value = ChurnOp> {
 }
 
 /// Serialize `tree`, reload it on both the deferred-checksum and the
-/// eager-checksum paths, and require identical answers to every probe.
+/// eager-checksum paths, and require the reference's answer to every
+/// probe from all three.
 fn round_trip_matches(
     tree: &PackedRTree<usize, 2>,
+    model: &Reference<usize, 2>,
     probes: &[Point<2>],
     windows: &[Rect<2>],
 ) -> Result<(), TestCaseError> {
@@ -481,34 +303,40 @@ fn round_trip_matches(
     prop_assert_eq!(verified.len(), tree.len());
 
     for point in probes {
-        let mut want: Vec<usize> = tree.search_point(point).into_iter().copied().collect();
-        want.sort_unstable();
-        let mut lazy: Vec<usize> = restored.search_point(point).into_iter().copied().collect();
-        lazy.sort_unstable();
-        prop_assert_eq!(&lazy, &want, "restored point query diverged at {:?}", point);
-        let mut eager: Vec<usize> = verified.search_point(point).into_iter().copied().collect();
-        eager.sort_unstable();
+        let want = model.matching(point);
         prop_assert_eq!(
-            &eager,
+            &point_keys(tree, point),
             &want,
-            "verified point query diverged at {:?}",
+            "live point query at {:?}",
+            point
+        );
+        prop_assert_eq!(
+            &point_keys(&restored, point),
+            &want,
+            "restored point query at {:?}",
+            point
+        );
+        prop_assert_eq!(
+            &point_keys(&verified, point),
+            &want,
+            "verified point query at {:?}",
             point
         );
     }
     for window in windows {
-        let mut want: Vec<usize> = tree
-            .search_intersecting(window)
-            .into_iter()
-            .copied()
-            .collect();
-        want.sort_unstable();
-        let mut got: Vec<usize> = restored
-            .search_intersecting(window)
-            .into_iter()
-            .copied()
-            .collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, want, "restored window query diverged at {}", window);
+        let want = model.intersecting(window);
+        prop_assert_eq!(
+            &window_keys(tree, window),
+            &want,
+            "live window query at {}",
+            window
+        );
+        prop_assert_eq!(
+            &window_keys(&restored, window),
+            &want,
+            "restored window query at {}",
+            window
+        );
     }
     Ok(())
 }
@@ -525,8 +353,8 @@ proptest! {
             1..10),
         windows in prop::collection::vec(arb_rect(), 1..4),
     ) {
-        let mut model: Vec<(usize, Rect<2>)> = base.iter().copied().enumerate().collect();
-        let mut tree = PackedRTree::bulk_load(model.clone());
+        let mut model: Reference<usize, 2> = base.iter().copied().enumerate().collect();
+        let mut tree = PackedRTree::bulk_load(model.entries().to_vec());
         let mut next_key = model.len();
         let mut checkpoints = 0usize;
 
@@ -534,12 +362,11 @@ proptest! {
             match op {
                 ChurnOp::Stage(rect) => {
                     tree.stage_insert(next_key, *rect);
-                    model.push((next_key, *rect));
+                    model.insert(next_key, *rect);
                     next_key += 1;
                 }
                 ChurnOp::RemoveNth(n) => {
-                    if !model.is_empty() {
-                        let (key, rect) = model.remove(n % model.len());
+                    if let Some((key, rect)) = model.remove_nth(*n) {
                         prop_assert!(tree.remove_entry(&key, &rect).is_some());
                     }
                 }
@@ -554,14 +381,14 @@ proptest! {
                 // mid-delta, post-compaction) cover the delta states.
                 ChurnOp::Checkpoint if checkpoints < 3 => {
                     checkpoints += 1;
-                    round_trip_matches(&tree, &probes, &windows)?;
+                    round_trip_matches(&tree, &model, &probes, &windows)?;
                 }
                 ChurnOp::Checkpoint => {}
             }
         }
 
         prop_assert_eq!(tree.len(), model.len());
-        round_trip_matches(&tree, &probes, &windows)?;
+        round_trip_matches(&tree, &model, &probes, &windows)?;
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! * [`sample`] — the running example of the paper (subscriptions
 //!   `S1..S8`, events `a..d` of Figure 1), with coordinates chosen to
 //!   reproduce every containment/matching fact stated in the text.
+//! * [`reference`](mod@reference) — a linear-scan model of a spatial index, the
+//!   expected answer of the workspace's matching tests.
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@ pub mod filter;
 pub mod hilbert;
 mod point;
 mod rect;
+pub mod reference;
 pub mod sample;
 
 pub use containment::ContainmentGraph;

@@ -10,7 +10,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`spatial`] | `drtree-spatial` | rectangles, points, the filter language, containment graphs |
-//! | [`rtree`] | `drtree-rtree` | centralized R-tree + the linear/quadratic/R\* split methods |
+//! | [`rtree`] | `drtree-rtree` | packed (Hilbert bulk-loaded) R-tree + the linear/quadratic/R\* split methods |
 //! | [`sim`] | `drtree-sim` | deterministic discrete-event & round simulation engines |
 //! | [`core`] | `drtree-core` | the DR-tree protocol, legality checking, churn analysis |
 //! | [`pubsub`] | `drtree-pubsub` | the attribute-space broker + routing statistics |
@@ -67,6 +67,6 @@ pub use drtree_core::{
     PublishReport, SplitMethod,
 };
 pub use drtree_pubsub::{Broker, IngressConfig, MultiBroker, RoutingStats};
-pub use drtree_rtree::{PackedRTree, RTree, RTreeConfig, SpatialIndex};
+pub use drtree_rtree::{PackedRTree, RTreeConfig};
 pub use drtree_spatial::{ContainmentGraph, Event, FilterExpr, Op, Point, Rect, Schema};
 pub use drtree_workloads::{EventWorkload, PoissonChurn, SubscriptionWorkload};

@@ -1,10 +1,10 @@
 //! Cross-crate integration: workloads → overlay → broker → baselines,
-//! audited by the centralized R-tree oracle.
+//! checked against the linear-scan reference model.
 
 use drtree::{
     baselines::{Baseline, ContainmentTreeOverlay, FloodingOverlay, PerDimensionOverlay},
-    Broker, DrTreeCluster, DrTreeConfig, EventWorkload, Point, RTree, RTreeConfig, Schema,
-    SubscriptionWorkload,
+    spatial::reference::Reference,
+    Broker, DrTreeCluster, DrTreeConfig, EventWorkload, Point, Schema, SubscriptionWorkload,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,22 +26,14 @@ fn workload_to_broker_pipeline_has_exact_matching() {
     let ids: Vec<_> = filters.iter().map(|f| broker.subscribe_rect(*f)).collect();
     broker.stabilize(3_000).expect("stabilizes");
 
-    // Mirror into a centralized R-tree and replay events through both.
-    let mut oracle: RTree<usize, 2> = RTree::new(RTreeConfig::default());
-    for (i, f) in filters.iter().enumerate() {
-        oracle.insert(i, *f);
-    }
+    // Mirror into the reference model and replay events through both.
+    let oracle: Reference<_, 2> = ids.iter().copied().zip(filters.iter().copied()).collect();
     let events: Vec<Point<2>> = EventWorkload::Following.generate_with(25, &filters, &mut rng);
     for (k, e) in events.iter().enumerate() {
         let publisher = ids[k % ids.len()];
         let report = broker.publish_point(publisher, *e).unwrap();
-        let mut expected: Vec<_> = oracle
-            .search_point(e)
-            .into_iter()
-            .map(|&i| ids[i])
-            .filter(|&id| id != publisher)
-            .collect();
-        expected.sort_unstable();
+        let mut expected = oracle.matching(e);
+        expected.retain(|&id| id != publisher);
         let mut got = report.matching.clone();
         got.sort_unstable();
         assert_eq!(got, expected, "event {k} matching set");

@@ -1,9 +1,7 @@
 //! Reproduction of the paper's structural figures (1–6) as assertions.
 
 use drtree::spatial::sample;
-use drtree::{
-    ContainmentGraph, DrTreeCluster, DrTreeConfig, RTree, RTreeConfig, Rect, SplitMethod,
-};
+use drtree::{ContainmentGraph, DrTreeCluster, DrTreeConfig, Rect, SplitMethod};
 
 const S1: usize = 0;
 const S2: usize = 1;
@@ -27,25 +25,36 @@ fn fig1_containment_graph() {
     assert_eq!(g.roots(), &[S2, S3]);
 }
 
-/// Figures 2–3: the centralized R-tree over the sample subscriptions —
-/// all subscriptions in leaves, interior nodes only carry MBRs, height
-/// balanced with the paper's m=1..2, M=3 flavor of grouping.
+/// Figures 2–3: the R-tree the DR-tree distributes, over the sample
+/// subscriptions at the paper's (m, M) = (1, 3) with quadratic split —
+/// every subscriber a leaf, interior instances carrying only MBRs, the
+/// tree legal and height balanced, and every event delivered to exactly
+/// its Figure-1 subscription set from every publisher.
 #[test]
 fn fig2_rtree_over_sample() {
-    let mut tree: RTree<usize, 2> =
-        RTree::new(RTreeConfig::new(1, 3, SplitMethod::Quadratic).unwrap());
-    for (i, s) in sample::subscriptions().iter().enumerate() {
-        tree.insert(i, *s);
-    }
-    tree.validate().expect("valid R-tree");
-    assert_eq!(tree.len(), 8);
-    // 8 entries with M = 3 ⇒ at least 3 leaves ⇒ height ≥ 2 (balanced).
-    assert!(tree.height() >= 2);
-    // Every event matches exactly its Figure-1 subscription set.
-    for (_, event) in sample::events() {
-        let mut got: Vec<usize> = tree.search_point(&event).into_iter().copied().collect();
-        got.sort_unstable();
-        assert_eq!(got, sample::matching(&event));
+    let config = DrTreeConfig::with_degree(1, 3, SplitMethod::Quadratic).unwrap();
+    let mut cluster = DrTreeCluster::build(config, 2007, sample::subscriptions().as_ref());
+    cluster.check_legal().expect("legal configuration");
+    let ids = cluster.ids();
+    assert_eq!(ids.len(), 8);
+    // 8 subscribers with M = 3 ⇒ at least 3 leaf groups ⇒ height ≥ 2.
+    assert!(cluster.height() >= 2, "height {}", cluster.height());
+    assert!(cluster.max_degree_observed() <= 3);
+    for (label, event) in sample::events() {
+        for &publisher in &ids {
+            let report = cluster.publish_from(publisher, event);
+            let mut want: Vec<_> = sample::matching(&event)
+                .into_iter()
+                .map(|i| ids[i])
+                .filter(|&id| id != publisher)
+                .collect();
+            want.sort_unstable();
+            let mut got = report.matching.clone();
+            got.sort_unstable();
+            assert_eq!(got, want, "event {label} from {publisher}");
+            assert!(want.iter().all(|id| report.receivers.contains(id)));
+            assert!(report.false_negatives.is_empty(), "event {label}");
+        }
     }
 }
 
