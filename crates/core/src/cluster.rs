@@ -39,7 +39,6 @@ use crate::corruption::CorruptionKind;
 use crate::legal::{self, Snapshot, Violation};
 use crate::message::{DrtMessage, DrtTimer, PubEvent};
 use crate::protocol::node::{DrtNode, TOPOLOGY_MARK};
-use crate::state::NodeState;
 
 /// Outcome of a single published event (the measurement unit of the
 /// false-positive/false-negative experiments).
@@ -688,16 +687,6 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
     /// Removes all link blocks, manual and partition-installed.
     pub fn unblock_all(&mut self) {
         self.net.unblock_all();
-    }
-
-    /// Direct mutable access to a subscriber's state for custom faults.
-    pub fn corrupt_with(
-        &mut self,
-        id: ProcessId,
-        f: impl FnOnce(&mut NodeState<D>, &mut StdRng),
-    ) -> bool {
-        self.contact = None;
-        self.net.corrupt(id, |node, rng| f(node.state_mut(), rng))
     }
 
     /// Replaces a live subscriber's filter in place — the mobility

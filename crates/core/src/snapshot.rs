@@ -106,11 +106,6 @@ impl<const D: usize> TreeView<D> {
         self.instances.get(&(owner, level))
     }
 
-    /// Total number of instances (tree nodes) in the view.
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
     /// Degree distribution over internal instances: map degree → count.
     pub fn degree_histogram(&self) -> BTreeMap<usize, usize> {
         let mut hist = BTreeMap::new();

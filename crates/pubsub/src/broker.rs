@@ -543,36 +543,12 @@ impl<const D: usize> Broker<D> {
     }
 
     /// Compacts any oracle shard whose delta layer outgrew its budget
-    /// **now**, charging the cost to the rebuild/compaction columns of
-    /// [`Broker::stats`] instead of the next publish. Publishing pays
-    /// this lazily anyway; benches call it eagerly so publish timings
+    /// **now**, instead of on the next publish. Publishing pays this
+    /// lazily anyway; benches call it eagerly so publish timings
     /// measure matching, not maintenance. Returns the wall-clock time
-    /// spent (zero when every delta was within budget).
+    /// spent; the flush's counters accumulate on [`Broker::oracle`].
     pub fn flush_oracle(&mut self) -> Duration {
-        let flush = self.oracle.flush();
-        if flush.rebuilt_shards > 0 {
-            self.stats
-                .absorb_oracle_rebuild(flush.rebuilt_shards as u64, flush.elapsed);
-        }
-        if flush.compacted_shards > 0 {
-            self.stats.absorb_oracle_compaction(
-                flush.compacted_shards as u64,
-                flush.staged_absorbed as u64,
-                flush.tombstones_reclaimed as u64,
-            );
-        }
-        if flush.rebuilt_shards > 0 || flush.begun_compactions > 0 {
-            self.stats
-                .absorb_oracle_pause(flush.swap_ns, flush.compact_ns);
-        }
-        if flush.moved_in_place + flush.rekeyed + flush.leases_expired > 0 {
-            self.stats.absorb_oracle_moves(
-                flush.moved_in_place as u64,
-                flush.rekeyed as u64,
-                flush.leases_expired as u64,
-            );
-        }
-        flush.elapsed
+        self.oracle.flush().elapsed
     }
 
     /// A point-in-time [`OracleSnapshot`] of the live subscription
@@ -584,16 +560,12 @@ impl<const D: usize> Broker<D> {
         self.oracle.snapshot()
     }
 
-    /// Serializes the live subscription oracle into one flat,
-    /// versioned, checksummed buffer — the durable counterpart of
-    /// [`Broker::oracle_snapshot`]. A serving replica restores it with
-    /// [`ShardedOracle::restore_bytes`] (zero-copy, millisecond
-    /// cold-start) and answers exact matching queries as of snapshot
-    /// time without carrying any of the broker's overlay state. Safe
-    /// mid-churn: staged entries and tombstones travel with their
-    /// shards.
-    pub fn oracle_snapshot_bytes(&self) -> Vec<u8> {
-        self.oracle.snapshot_bytes()
+    /// The subscription oracle: exact matching, its maintenance
+    /// counters ([`ShardedOracle::rebuild_count`],
+    /// [`ShardedOracle::compaction_count`], the mobility and lease
+    /// totals) and its durable form ([`ShardedOracle::snapshot_bytes`]).
+    pub fn oracle(&self) -> &ShardedOracle<D> {
+        &self.oracle
     }
 
     /// Chooses where the oracle runs its one compaction routine and
@@ -673,11 +645,6 @@ impl<const D: usize> Broker<D> {
     /// Accumulated routing statistics over all publishes.
     pub fn stats(&self) -> &RoutingStats {
         &self.stats
-    }
-
-    /// Resets the accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = RoutingStats::default();
     }
 
     /// The underlying overlay (escape hatch for experiments).

@@ -135,6 +135,25 @@ fn rect_union<const D: usize>(a: &Rect<D>, b: &Rect<D>) -> Rect<D> {
     Rect::new(lo, hi)
 }
 
+/// Folds one applied op into a range's `(len, fingerprint)` summary:
+/// a subscribe or unsubscribe XORs its entry's [`entry_fingerprint`]
+/// in or out, a move swaps the old entry's for the new one's.
+fn fold_summary<const D: usize>(len: &mut u64, fingerprint: &mut u64, op: &FedOp<D>) {
+    match *op {
+        FedOp::Subscribe { sub, rect } => {
+            *len += 1;
+            *fingerprint ^= entry_fingerprint(sub, &rect);
+        }
+        FedOp::Unsubscribe { sub, rect } => {
+            *len -= 1;
+            *fingerprint ^= entry_fingerprint(sub, &rect);
+        }
+        FedOp::Move { sub, old, new } => {
+            *fingerprint ^= entry_fingerprint(sub, &old) ^ entry_fingerprint(sub, &new);
+        }
+    }
+}
+
 /// One held range's replica state: the entry store, the replication
 /// cursor, and the summary the holder advertises.
 #[derive(Debug)]
@@ -182,25 +201,23 @@ impl<const D: usize> RangeState<D> {
     /// Applies one op to the entry store, keeping the fingerprint and
     /// count honest (no-op removes and moves leave both untouched).
     fn apply(&mut self, op: &FedOp<D>) {
-        match *op {
+        let applied = match *op {
             FedOp::Subscribe { sub, rect } => {
                 self.oracle.insert(ProcessId::from_raw(sub), rect);
-                self.fingerprint ^= entry_fingerprint(sub, &rect);
-                self.len += 1;
                 self.grow_mbr(&rect);
+                true
             }
-            FedOp::Unsubscribe { sub, rect } => {
-                if self.oracle.remove(ProcessId::from_raw(sub), &rect) {
-                    self.fingerprint ^= entry_fingerprint(sub, &rect);
-                    self.len -= 1;
-                }
-            }
+            FedOp::Unsubscribe { sub, rect } => self.oracle.remove(ProcessId::from_raw(sub), &rect),
             FedOp::Move { sub, old, new } => {
-                if self.oracle.move_entry(ProcessId::from_raw(sub), &old, new) {
-                    self.fingerprint ^= entry_fingerprint(sub, &old) ^ entry_fingerprint(sub, &new);
+                let moved = self.oracle.move_entry(ProcessId::from_raw(sub), &old, new);
+                if moved {
                     self.grow_mbr(&new);
                 }
+                moved
             }
+        };
+        if applied {
+            fold_summary(&mut self.len, &mut self.fingerprint, op);
         }
     }
 
@@ -298,11 +315,6 @@ impl<const D: usize> FedNode<D> {
     /// The ranges this broker currently holds.
     pub fn held_ranges(&self) -> Vec<usize> {
         self.ranges.keys().copied().collect()
-    }
-
-    /// Publications this broker originated and has not yet resolved.
-    pub fn pending_events_len(&self) -> usize {
-        self.pending_events.len()
     }
 
     /// The auditable state of a held range.
@@ -841,10 +853,12 @@ pub struct FederatedFabric<const D: usize> {
     /// Every op ever issued, per range by sequence — the client-side
     /// retry ledger (never pruned; this is the harness, not a broker).
     issued: Vec<BTreeMap<u64, FedOp<D>>>,
-    /// The entry set each range must converge to: `sub → rect`.
-    expected: Vec<BTreeMap<u64, Rect<D>>>,
     /// Live subscriptions: `sub → (range, rect)`.
     subs: BTreeMap<u64, (usize, Rect<D>)>,
+    /// What each range must converge to, folded from the issued ops:
+    /// `(live entry count, XOR of [`entry_fingerprint`])`, the summary
+    /// [`FederatedFabric::check_legal`] compares every holder against.
+    ledger: Vec<(u64, u64)>,
     next_sub: u64,
     next_event: u64,
     outstanding: BTreeMap<u64, Outstanding<D>>,
@@ -882,8 +896,8 @@ impl<const D: usize> FederatedFabric<D> {
             clock: 0,
             seq: vec![0; k],
             issued: vec![BTreeMap::new(); k],
-            expected: vec![BTreeMap::new(); k],
             subs: BTreeMap::new(),
+            ledger: vec![(0, 0); k],
             next_sub: 0,
             next_event: 0,
             outstanding: BTreeMap::new(),
@@ -973,17 +987,8 @@ impl<const D: usize> FederatedFabric<D> {
         self.seq[range] += 1;
         let seq = self.seq[range];
         self.issued[range].insert(seq, op.clone());
-        match &op {
-            FedOp::Subscribe { sub, rect } => {
-                self.expected[range].insert(*sub, *rect);
-            }
-            FedOp::Unsubscribe { sub, .. } => {
-                self.expected[range].remove(sub);
-            }
-            FedOp::Move { sub, new, .. } => {
-                self.expected[range].insert(*sub, *new);
-            }
-        }
+        let (len, fingerprint) = &mut self.ledger[range];
+        fold_summary(len, fingerprint, &op);
         let target = self.preferred_holder(range);
         self.net
             .send_external(self.peers[target], FedMessage::ClientOp { range, seq, op });
@@ -1299,16 +1304,13 @@ impl<const D: usize> FederatedFabric<D> {
                         view.pending
                     ));
                 }
-                if view.len != self.expected[range].len() as u64 {
+                let (want_len, want_fp) = self.ledger[range];
+                if view.len != want_len {
                     return Err(format!(
-                        "range {range} at broker {slot}: {} entries != expected {}",
-                        view.len,
-                        self.expected[range].len()
+                        "range {range} at broker {slot}: {} entries != expected {want_len}",
+                        view.len
                     ));
                 }
-                let want_fp = self.expected[range]
-                    .iter()
-                    .fold(0u64, |fp, (&sub, rect)| fp ^ entry_fingerprint(sub, rect));
                 if view.fingerprint != want_fp {
                     return Err(format!(
                         "range {range} at broker {slot}: fingerprint diverged"
@@ -1348,21 +1350,27 @@ impl<const D: usize> FederatedFabric<D> {
             let range = self.map.shard_of(&rect);
             self.subs.insert(sub, (range, rect));
             self.seq[range] += 1;
-            self.issued[range].insert(self.seq[range], FedOp::Subscribe { sub, rect });
-            self.expected[range].insert(sub, rect);
+            let op = FedOp::Subscribe { sub, rect };
+            let (len, fingerprint) = &mut self.ledger[range];
+            fold_summary(len, fingerprint, &op);
+            self.issued[range].insert(self.seq[range], op);
         }
         let k = self.peers.len();
+        let mut by_range: Vec<Vec<(u64, Rect<D>)>> = vec![Vec::new(); k];
+        for (&sub, &(range, rect)) in &self.subs {
+            by_range[range].push((sub, rect));
+        }
         for slot in 0..k {
             if self.down[slot] {
                 continue;
             }
-            for range in 0..k {
+            for (range, entries) in by_range.iter().enumerate() {
                 if !holder_slots(&self.map, range, self.cfg.replicas).contains(&slot) {
                     continue;
                 }
                 let mut oracle = ShardedOracle::new(self.cfg.oracle_shards);
-                for (&sub, rect) in &self.expected[range] {
-                    oracle.insert(ProcessId::from_raw(sub), *rect);
+                for &(sub, rect) in entries {
+                    oracle.insert(ProcessId::from_raw(sub), rect);
                 }
                 oracle.flush();
                 let version = self.seq[range];
@@ -1371,6 +1379,17 @@ impl<const D: usize> FederatedFabric<D> {
                 }
             }
         }
+    }
+
+    /// The union of each range's live filters (`None` for a range
+    /// holding none).
+    fn range_unions(&self) -> Vec<Option<Rect<D>>> {
+        let mut unions = vec![None; self.peers.len()];
+        for &(range, rect) in self.subs.values() {
+            let union: &mut Option<Rect<D>> = &mut unions[range];
+            *union = Some(union.map_or(rect, |u| rect_union(&u, &rect)));
+        }
+        unions
     }
 
     /// The reference delivery set: every live subscription whose
@@ -1526,8 +1545,8 @@ fn victim_slot(broker: usize, brokers: usize, k: usize) -> usize {
 ///
 /// Faulty phase: scheduled events are applied under their federated
 /// interpretation (broker crash/rejoin directly; partitions and
-/// regional crashes resolved through each broker's primary-range
-/// expected-entry union; fault windows verbatim on the inter-broker
+/// regional crashes resolved through the union of each broker's
+/// primary-range live filters; fault windows verbatim on the inter-broker
 /// links; corruption as a silent entry drop on a non-authoritative
 /// replica), while background subscribe/move/unsubscribe churn and a
 /// windowed publication stream keep the fabric busy. Live brokers are
@@ -1585,15 +1604,12 @@ pub fn run_federated_convergence<const D: usize>(
                     }
                 }
                 FaultEvent::Partition { region } => {
-                    // A broker sides with its owned range's expected
-                    // union center (brokers with an empty range stay
+                    // A broker sides with the center of its owned
+                    // range's live union (brokers with an empty range stay
                     // outside the cut).
+                    let unions = fabric.range_unions();
                     let (inside, outside): (Vec<usize>, Vec<usize>) = (0..k).partition(|&b| {
-                        fabric.expected[b]
-                            .values()
-                            .copied()
-                            .reduce(|a, c| rect_union(&a, &c))
-                            .is_some_and(|u| region.contains_point(&u.center()))
+                        unions[b].is_some_and(|u| region.contains_point(&u.center()))
                     });
                     if !inside.is_empty() && !outside.is_empty() {
                         fabric.partition_slots(&[inside, outside]);
@@ -1601,16 +1617,13 @@ pub fn run_federated_convergence<const D: usize>(
                 }
                 FaultEvent::Heal => fabric.heal(),
                 FaultEvent::RegionalCrash { region, max } => {
+                    let unions = fabric.range_unions();
                     let mut crashed = 0usize;
-                    for b in 0..k {
+                    for (b, union) in unions.iter().enumerate() {
                         if crashed >= *max {
                             break;
                         }
-                        let in_region = fabric.expected[b]
-                            .values()
-                            .copied()
-                            .reduce(|a, c| rect_union(&a, &c))
-                            .is_some_and(|u| region.contains_point(&u.center()));
+                        let in_region = union.is_some_and(|u| region.contains_point(&u.center()));
                         if in_region && fabric.crash_broker(b) {
                             broker_crashes += 1;
                             crashed += 1;
@@ -1765,6 +1778,58 @@ mod tests {
 
     fn fabric(k: usize, engine: FedEngine) -> FederatedFabric<2> {
         FederatedFabric::new(k, &world(), 7, engine, FedConfig::default())
+    }
+
+    /// `(len, fingerprint)` per range, folded from the live
+    /// subscriptions: what the running ledger must equal.
+    fn folded_ledger(fab: &FederatedFabric<2>) -> Vec<(u64, u64)> {
+        let mut want = vec![(0u64, 0u64); fab.brokers()];
+        for (&sub, &(range, rect)) in &fab.subs {
+            want[range].0 += 1;
+            want[range].1 ^= entry_fingerprint(sub, &rect);
+        }
+        want
+    }
+
+    #[test]
+    fn running_ledger_equals_a_fold_over_the_live_subscriptions() {
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut fab = fabric(4, FedEngine::Rounds);
+        let (mut same_range, mut cross_range) = (0u32, 0u32);
+        for _ in 0..400 {
+            let roll: f64 = rng.gen();
+            if roll < 0.4 || fab.subs.is_empty() {
+                fab.subscribe(random_rect(&mut rng, &world()));
+            } else {
+                let sub = rng.gen_range(0..fab.next_sub);
+                if roll < 0.8 {
+                    let new = random_rect(&mut rng, &world());
+                    if let Some(&(range, _)) = fab.subs.get(&sub) {
+                        if fab.map.shard_of(&new) == range {
+                            same_range += 1;
+                        } else {
+                            cross_range += 1;
+                        }
+                    }
+                    fab.relocate(sub, new);
+                } else {
+                    fab.unsubscribe(sub);
+                }
+            }
+            assert_eq!(fab.ledger, folded_ledger(&fab));
+        }
+        assert!(
+            same_range > 0 && cross_range > 0,
+            "both kinds of relocate ran"
+        );
+        let rects: Vec<Rect<2>> = (0..200).map(|_| random_rect(&mut rng, &world())).collect();
+        fab.bulk_populate(&rects);
+        assert_eq!(fab.ledger, folded_ledger(&fab));
+        assert!(
+            fab.settle(500),
+            "fabric never settled: {:?}",
+            fab.check_legal()
+        );
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! * **Observability** — an atomic [`RateMeter`] and a lock-free
 //!   log-bucketed [`LatencyHistogram`] billing every publication from
 //!   its *scheduled arrival time* (open-loop; queue wait is never
-//!   hidden — no coordinated omission), surfaced through
-//!   [`RoutingStats`].
+//!   hidden — no coordinated omission), read through
+//!   [`MultiBroker::rate`] and [`MultiBroker::latency`].
 //!
 //! Everything the commit loop does — subscribes, unsubscribes, drains,
 //! publisher joins and leaves — is serialized through the worker's
@@ -1036,25 +1036,11 @@ impl<const D: usize> MultiBroker<D> {
         self.call(|state| state.batches)
     }
 
-    /// The broker's accumulated [`RoutingStats`] with the ingress
-    /// columns folded in — a synchronous control round-trip.
+    /// The broker's accumulated [`RoutingStats`] — a synchronous
+    /// control round-trip. Ingress counts and latencies are on
+    /// [`MultiBroker::rate`] and [`MultiBroker::latency`].
     pub fn stats(&self) -> RoutingStats {
-        let shared = Arc::clone(&self.shared);
-        self.call(move |state| {
-            let mut stats = *state.broker.stats();
-            let rate = shared.rate.snapshot();
-            let lat = shared.latency.summary();
-            stats.absorb_ingress(
-                rate.submitted,
-                rate.committed,
-                rate.rejected,
-                lat.p50_ns,
-                lat.p99_ns,
-                lat.p999_ns,
-                lat.max_ns,
-            );
-            stats
-        })
+        self.call(|state| *state.broker.stats())
     }
 
     /// Takes (and clears) the audit log: every committed operation in

@@ -902,8 +902,8 @@ impl BatchMatches {
 /// * **Correctness under interleaving** — any assignment whatsoever
 ///   yields exact matching (every shard is probed), so the shard map
 ///   only affects performance; property tests pin the hit-sets to the
-///   unsharded [`PackedRTree`] under random interleaved
-///   subscribe/unsubscribe/publish sequences.
+///   linear-scan `Reference` model under random interleaved
+///   subscribe/unsubscribe/move/publish sequences.
 ///
 /// # Single vs batched probes
 ///
@@ -976,7 +976,6 @@ pub struct ShardedOracle<const D: usize> {
     rebalances: u64,
     compactions: u64,
     staged_absorbed: u64,
-    tombstones_reclaimed: u64,
     moves_in_place: u64,
     rekeys: u64,
     leases_expired: u64,
@@ -986,6 +985,13 @@ pub struct ShardedOracle<const D: usize> {
     pending_moved_in_place: usize,
     pending_rekeyed: usize,
     pending_leases_expired: usize,
+    /// TTL leases by id: `(rect, deadline)` per leased entry (an id
+    /// almost always holds one). [`ShardedOracle::remove`] drops an
+    /// entry's record and [`ShardedOracle::move_entry`] re-keys it, so
+    /// every record covers a live entry; redistribution and compaction
+    /// never touch the table. In memory only: snapshots carry no
+    /// leases.
+    leases: HashMap<ProcessId, Vec<(Rect<D>, u64)>, FastState>,
     // Reused scratch: per-shard hit buffers, the curve-sorted probe
     // permutation, and the per-shard merge cursors.
     point_bufs: Vec<Vec<ProcessId>>,
@@ -1023,13 +1029,13 @@ impl<const D: usize> ShardedOracle<D> {
             rebalances: 0,
             compactions: 0,
             staged_absorbed: 0,
-            tombstones_reclaimed: 0,
             moves_in_place: 0,
             rekeys: 0,
             leases_expired: 0,
             pending_moved_in_place: 0,
             pending_rekeyed: 0,
             pending_leases_expired: 0,
+            leases: HashMap::default(),
             point_bufs: vec![Vec::new(); shards],
             batch_bufs: vec![ShardBatchBuf::default(); shards],
             id_counts: HashMap::new(),
@@ -1076,11 +1082,6 @@ impl<const D: usize> ShardedOracle<D> {
     /// first installs whatever the workers finished.
     pub fn set_compaction_mode(&mut self, mode: CompactionMode) {
         self.mode = mode;
-    }
-
-    /// The configured compaction mode.
-    pub fn compaction_mode(&self) -> CompactionMode {
-        self.mode
     }
 
     /// Shards with a background merge currently in flight.
@@ -1491,11 +1492,6 @@ impl<const D: usize> ShardedOracle<D> {
         self.staged_absorbed
     }
 
-    /// Tombstoned slots reclaimed over the oracle's lifetime.
-    pub fn tombstones_reclaimed_total(&self) -> u64 {
-        self.tombstones_reclaimed
-    }
-
     /// Moves absorbed as same-shard delta patches over the oracle's
     /// lifetime ([`ShardedOracle::move_entry`], flushed or not).
     pub fn moved_in_place_total(&self) -> u64 {
@@ -1514,10 +1510,9 @@ impl<const D: usize> ShardedOracle<D> {
         self.leases_expired + self.pending_leases_expired as u64
     }
 
-    /// Armed lease records across all shards (dangling records
-    /// awaiting a compaction sweep included).
+    /// Entries holding an armed lease.
     pub fn lease_count(&self) -> usize {
-        self.shards.iter().map(|s| s.packed.lease_count()).sum()
+        self.leases.values().map(Vec::len).sum()
     }
 
     /// The shard `rect` is currently assigned to (`None` before the
@@ -1575,8 +1570,22 @@ impl<const D: usize> ShardedOracle<D> {
                     self.id_counts.remove(&id.raw());
                 }
             }
+            self.drop_lease(id, rect);
         }
         found
+    }
+
+    /// Forgets the lease on `(id, rect)`, if one is armed.
+    fn drop_lease(&mut self, id: ProcessId, rect: &Rect<D>) {
+        if self.leases.is_empty() {
+            return;
+        }
+        if let Some(held) = self.leases.get_mut(&id) {
+            held.retain(|(r, _)| r != rect);
+            if held.is_empty() {
+                self.leases.remove(&id);
+            }
+        }
     }
 
     fn remove_from(&mut self, s: usize, id: ProcessId, rect: &Rect<D>) -> bool {
@@ -1625,6 +1634,24 @@ impl<const D: usize> ShardedOracle<D> {
     /// layer. An armed lease follows the entry either way. Returns
     /// `false` when no live entry matches.
     pub fn move_entry(&mut self, id: ProcessId, old: &Rect<D>, new: Rect<D>) -> bool {
+        if !self.relocate(id, old, new) {
+            return false;
+        }
+        if !self.leases.is_empty() {
+            let lease = self
+                .leases
+                .get_mut(&id)
+                .and_then(|held| held.iter_mut().find(|(r, _)| r == old));
+            if let Some((rect, _)) = lease {
+                *rect = new;
+            }
+        }
+        true
+    }
+
+    /// [`ShardedOracle::move_entry`] minus the lease: moves the entry
+    /// and counts the move.
+    fn relocate(&mut self, id: ProcessId, old: &Rect<D>, new: Rect<D>) -> bool {
         if let Some(map) = &self.map {
             if !map.covers(&new) {
                 self.stale_world = true;
@@ -1654,28 +1681,18 @@ impl<const D: usize> ShardedOracle<D> {
             }
             return false;
         }
-        // Boundary handoff: locate the holder, take the lease out,
-        // remove through the delta layer, re-stage into the target.
-        let holder = if self.shards[guess].packed.contains_entry(&id, old) {
-            Some(guess)
-        } else {
-            (0..self.shards.len())
-                .find(|&s| s != guess && self.shards[s].packed.contains_entry(&id, old))
-        };
-        let Some(s) = holder else {
+        // Boundary handoff: remove through the delta layer, re-stage
+        // into the target.
+        let removed = self.remove_from(guess, id, old)
+            || (0..self.shards.len()).any(|s| s != guess && self.remove_from(s, id, old));
+        if !removed {
             return false;
-        };
-        let deadline = self.shards[s].packed.take_lease(&id, old);
-        let removed = self.remove_from(s, id, old);
-        debug_assert!(removed, "contains_entry found a live entry");
+        }
         let gainer = &mut self.shards[target];
         let idx = gainer.packed.staged_len() as u32;
         gainer.packed.stage_insert(id, new);
         gainer.grid.stage(idx, &new);
         gainer.hints.insert(id, idx | STAGED_HINT);
-        if let Some(deadline) = deadline {
-            gainer.packed.set_lease(id, new, deadline);
-        }
         // `remove_from` decremented for the departure; the arrival
         // restores it. Identity is preserved, so the id-count dedup
         // table is untouched.
@@ -1794,17 +1811,17 @@ impl<const D: usize> ShardedOracle<D> {
     /// Returns `false` when no live entry matches.
     pub fn set_lease(&mut self, id: ProcessId, rect: &Rect<D>, deadline: u64) -> bool {
         let guess = self.map.as_ref().map_or(0, |m| m.shard_of(rect));
-        let s = if self.shards[guess].packed.contains_entry(&id, rect) {
-            guess
-        } else {
-            match (0..self.shards.len())
-                .find(|&s| s != guess && self.shards[s].packed.contains_entry(&id, rect))
-            {
-                Some(s) => s,
-                None => return false,
-            }
-        };
-        self.shards[s].packed.set_lease(id, *rect, deadline);
+        let live = self.shards[guess].packed.contains_entry(&id, rect)
+            || (0..self.shards.len())
+                .any(|s| s != guess && self.shards[s].packed.contains_entry(&id, rect));
+        if !live {
+            return false;
+        }
+        let held = self.leases.entry(id).or_default();
+        match held.iter_mut().find(|(r, _)| r == rect) {
+            Some(lease) => lease.1 = deadline,
+            None => held.push((*rect, deadline)),
+        }
         true
     }
 
@@ -1813,16 +1830,23 @@ impl<const D: usize> ShardedOracle<D> {
     /// maintained), returning how many entries went away. Safe on a
     /// freshly restored oracle before its first flush: removal on a
     /// derived-stale shard patches an empty grid harmlessly, and the
-    /// deferred rebuild sees the entry already gone. Dangling lease
-    /// records (entry removed out-of-band) are dropped silently.
+    /// deferred rebuild sees the entry already gone. Entries go in id
+    /// order.
     pub fn expire_leases(&mut self, now: u64) -> usize {
+        let mut due: Vec<(ProcessId, Rect<D>)> = Vec::new();
+        for (&id, held) in &self.leases {
+            due.extend(
+                held.iter()
+                    .filter(|&&(_, deadline)| deadline <= now)
+                    .map(|&(rect, _)| (id, rect)),
+            );
+        }
+        due.sort_unstable_by_key(|&(id, _)| id);
         let mut expired = 0usize;
-        for s in 0..self.shards.len() {
-            while let Some((id, rect)) = self.shards[s].packed.pop_expired_lease(now) {
-                if self.remove(id, &rect) {
-                    expired += 1;
-                }
-            }
+        for (id, rect) in due {
+            let removed = self.remove(id, &rect);
+            debug_assert!(removed, "a lease outlived its entry");
+            expired += usize::from(removed);
         }
         self.pending_leases_expired += expired;
         expired
@@ -2015,7 +2039,6 @@ impl<const D: usize> ShardedOracle<D> {
         self.rebuilds += flush.rebuilt_shards as u64;
         self.compactions += flush.compacted_shards as u64;
         self.staged_absorbed += flush.staged_absorbed as u64;
-        self.tombstones_reclaimed += flush.tombstones_reclaimed as u64;
         self.moves_in_place += flush.moved_in_place as u64;
         self.rekeys += flush.rekeyed as u64;
         self.leases_expired += flush.leases_expired as u64;
@@ -2049,7 +2072,6 @@ impl<const D: usize> ShardedOracle<D> {
     /// entry, bulk-loading every shard fresh (deltas are absorbed in
     /// the same pass) — the oracle's one redistribute.
     fn rebalance(&mut self) {
-        let leases = self.collect_leases();
         let mut all: Vec<(ProcessId, Rect<D>)> = Vec::with_capacity(self.len);
         for shard in &mut self.shards {
             all.append(&mut shard.packed.drain_live());
@@ -2074,33 +2096,6 @@ impl<const D: usize> ShardedOracle<D> {
         self.map = Some(map);
         self.stale_world = false;
         self.rebalances += 1;
-        self.rearm_leases(leases);
-    }
-
-    /// Pulls every armed lease out of every shard, ahead of a full
-    /// redistribution ([`PackedRTree::drain_live`] drops lease records
-    /// with the rest of the delta state). Dangling records are dropped
-    /// here: re-arming checks liveness.
-    fn collect_leases(&mut self) -> Vec<(ProcessId, Rect<D>, u64)> {
-        let mut leases = Vec::new();
-        for shard in &mut self.shards {
-            leases.extend(shard.packed.take_leases());
-        }
-        leases
-    }
-
-    /// Re-arms collected leases on whichever shard the redistribution
-    /// assigned each entry to. Entries that vanished in between (a
-    /// dangling record swept along) are skipped —
-    /// [`PackedRTree::set_lease`] on a missing entry arms a record the
-    /// next compaction sweeps, so filter on liveness here.
-    fn rearm_leases(&mut self, leases: Vec<(ProcessId, Rect<D>, u64)>) {
-        for (id, rect, deadline) in leases {
-            let s = self.map.as_ref().map_or(0, |m| m.shard_of(&rect));
-            if self.shards[s].packed.contains_entry(&id, &rect) {
-                self.shards[s].packed.set_lease(id, rect, deadline);
-            }
-        }
     }
 
     /// Fills `out` with the sorted, deduplicated set of subscribers

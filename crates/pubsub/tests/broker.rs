@@ -299,9 +299,9 @@ fn flush_oracle_moves_rebuild_cost_off_the_publish_path() {
         let o = f64::from(i);
         broker.subscribe_rect(Rect::new([o, o], [o + 5.0, o + 5.0]));
     }
-    assert_eq!(broker.stats().oracle_rebuilds(), 0, "rebuilds are lazy");
+    assert_eq!(broker.oracle().rebuild_count(), 0, "rebuilds are lazy");
     broker.flush_oracle();
-    let after_flush = broker.stats().oracle_rebuilds();
+    let after_flush = broker.oracle().rebuild_count();
     assert!(after_flush > 0, "eager flush rebuilds dirty shards");
 
     // A publish right after an eager flush pays no further rebuilds.
@@ -309,7 +309,7 @@ fn flush_oracle_moves_rebuild_cost_off_the_publish_path() {
     broker
         .publish(publisher, &Event::new().with("x", 3.0).with("y", 3.0))
         .unwrap();
-    assert_eq!(broker.stats().oracle_rebuilds(), after_flush);
+    assert_eq!(broker.oracle().rebuild_count(), after_flush);
 
     // A second flush with nothing dirty is free.
     assert_eq!(broker.flush_oracle(), std::time::Duration::ZERO);
@@ -380,7 +380,7 @@ fn oracle_bytes_round_trip_serves_exact_matching() {
     broker.unsubscribe(ids[3]).unwrap();
     let late = broker.subscribe(&box_filter(0.0, 0.0, 25.0, 25.0)).unwrap();
 
-    let bytes = broker.oracle_snapshot_bytes();
+    let bytes = broker.oracle().snapshot_bytes();
     let mut replica =
         drtree_pubsub::ShardedOracle::<2>::restore_bytes(bytes).expect("replica restores");
     assert_eq!(replica.len(), broker.len());

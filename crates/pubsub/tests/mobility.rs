@@ -1,11 +1,16 @@
 //! Mobility property suite: the sharded oracle under interleaved
 //! move/subscribe/unsubscribe/publish sequences — every shard count,
 //! fused and fanned, compaction straddling the move stream — is pinned
-//! op-for-op to the linear-scan [`Reference`] (zero false negatives);
-//! TTL lease expiry stays exact mid-sequence, on delta-staged entries,
-//! and on a snapshot-restored oracle before its first flush; seeded motion models drive whole trajectories through
-//! the move path with per-tick delivery sets pinned; and the broker
-//! layers serialize `move_subscription` with publishes.
+//! op-for-op to the linear-scan [`Reference`] (zero false negatives),
+//! TTL leases armed, re-armed, moved and expired along the way; lease
+//! expiry stays exact mid-sequence, on delta-staged entries, on a
+//! snapshot-restored oracle before its first flush, and never outlives
+//! the entry it was armed on; seeded motion models drive whole
+//! trajectories through the move path with per-tick delivery sets
+//! pinned; and the broker layers serialize `move_subscription` with
+//! publishes.
+
+use std::collections::BTreeMap;
 
 use drtree_core::{DrTreeConfig, ProcessId};
 use drtree_pubsub::{
@@ -31,6 +36,11 @@ enum Op {
     /// Force a maintenance pass mid-sequence, so moves straddle
     /// compactions and (in concurrent mode) background merges.
     Flush,
+    /// Arm (or re-arm) a lease with this deadline on the n-th (mod
+    /// live) entry.
+    Lease(usize, u64),
+    /// Expire every lease whose deadline is `<=` this clock.
+    Expire(u64),
 }
 
 fn arb_rect() -> impl Strategy<Value = Rect<2>> {
@@ -46,6 +56,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => (0.0f64..460.0, 0.0f64..460.0)
             .prop_map(|(x, y)| Op::Publish(Point::new([x, y]))),
         1 => Just(Op::Flush),
+        1 => ((0usize..256), (0u64..40)).prop_map(|(n, d)| Op::Lease(n, d)),
+        1 => (0u64..40).prop_map(Op::Expire),
     ]
 }
 
@@ -60,10 +72,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The headline exactness pin: interleaved moves, membership
-    /// churn, publishes, and flushes for K = 1, 2, 4, 7 shards — both
-    /// the fused single-thread fan and the parallel one, synchronous
-    /// and background compaction — always match the reference, with
-    /// zero false negatives.
+    /// churn, lease arming and expiry, publishes, and flushes for
+    /// K = 1, 2, 4, 7 shards — both the fused single-thread fan and the
+    /// parallel one, synchronous and background compaction — always
+    /// match the reference, with zero false negatives. The reference's
+    /// lease map follows moves and drops with removals; expiry must
+    /// evict exactly the entries it holds as due.
     #[test]
     fn moving_hit_sets_match_rebuild_reference(
         ops in prop::collection::vec(arb_op(), 1..100),
@@ -79,6 +93,7 @@ proptest! {
                 oracle.set_threads(threads);
                 oracle.set_compaction_mode(mode);
                 let mut model = Reference::new();
+                let mut leases: BTreeMap<ProcessId, (Rect<2>, u64)> = BTreeMap::new();
                 let mut next_id = 0u64;
                 let mut moves = 0u64;
                 let mut hits = Vec::new();
@@ -94,6 +109,7 @@ proptest! {
                         Op::UnsubscribeNth(n) => {
                             if let Some((id, rect)) = model.remove_nth(*n) {
                                 prop_assert!(oracle.remove(id, &rect));
+                                leases.remove(&id);
                             }
                         }
                         Op::MoveNth(n, new) => {
@@ -102,6 +118,9 @@ proptest! {
                                     oracle.move_entry(id, &old, *new),
                                     "K={shards}: live entry {id} must be movable"
                                 );
+                                if let Some((rect, _)) = leases.get_mut(&id) {
+                                    *rect = *new;
+                                }
                                 moves += 1;
                             }
                         }
@@ -117,8 +136,28 @@ proptest! {
                         Op::Flush => {
                             oracle.flush();
                         }
+                        Op::Lease(n, deadline) => {
+                            if !model.is_empty() {
+                                let (id, rect) = model.entries()[n % model.len()];
+                                prop_assert!(oracle.set_lease(id, &rect, *deadline));
+                                leases.insert(id, (rect, *deadline));
+                            }
+                        }
+                        Op::Expire(now) => {
+                            let due: Vec<(ProcessId, Rect<2>)> = leases
+                                .iter()
+                                .filter(|&(_, &(_, deadline))| deadline <= *now)
+                                .map(|(&id, &(rect, _))| (id, rect))
+                                .collect();
+                            for (id, rect) in &due {
+                                prop_assert!(model.remove(*id, rect));
+                                leases.remove(id);
+                            }
+                            prop_assert_eq!(oracle.expire_leases(*now), due.len());
+                        }
                     }
                     prop_assert_eq!(oracle.len(), model.len());
+                    prop_assert_eq!(oracle.lease_count(), leases.len());
                 }
                 // Every move is accounted exactly once, as either a
                 // same-shard delta patch or a boundary re-key.
@@ -315,6 +354,27 @@ fn lease_expiry_works_on_a_restored_oracle_before_its_first_flush() {
 }
 
 #[test]
+fn a_removed_entrys_lease_does_not_evict_its_reinsertion() {
+    let mut oracle: ShardedOracle<2> = ShardedOracle::new(2);
+    let id = ProcessId::from_raw(1);
+    let rect = Rect::new([0.0, 0.0], [10.0, 10.0]);
+    oracle.insert(id, rect);
+    assert!(oracle.set_lease(id, &rect, 5));
+    assert!(oracle.remove(id, &rect));
+    oracle.insert(id, rect);
+    assert_eq!(
+        oracle.expire_leases(5),
+        0,
+        "the reinserted entry holds no lease"
+    );
+    assert_eq!(oracle.len(), 1);
+    assert_eq!(oracle.lease_count(), 0);
+    let mut hits = Vec::new();
+    oracle.match_point_into(&Point::new([5.0, 5.0]), &mut hits);
+    assert_eq!(hits, vec![id]);
+}
+
+#[test]
 fn counters_distinguish_in_place_moves_from_rekeys() {
     let mut oracle: ShardedOracle<2> = ShardedOracle::new(4);
     let mut model: Reference<ProcessId, 2> = (0..64)
@@ -404,13 +464,10 @@ fn broker_move_subscription_keeps_identity_and_delivery_exact() {
     assert!(report.receivers.contains(&mover));
     assert!(report.false_negatives.is_empty());
 
-    // The mobility columns surface through the broker stats once a
-    // flush reports them.
+    // The move is counted once, on the broker's oracle.
     broker.flush_oracle();
-    assert_eq!(
-        broker.stats().oracle_moved_in_place() + broker.stats().oracle_rekeyed(),
-        1
-    );
+    let oracle = broker.oracle();
+    assert_eq!(oracle.moved_in_place_total() + oracle.rekeyed_total(), 1);
 }
 
 #[test]

@@ -320,21 +320,6 @@ pub struct PackedRTree<K, const D: usize> {
     /// the bookkeeping [`PackedRTree::install`] needs to reconcile the
     /// merged core with mutations that landed mid-compaction.
     epoch: Option<CompactionEpoch>,
-    /// TTL lease records, identity-keyed by `(key, rect)`. Owners
-    /// drive expiry via [`PackedRTree::pop_expired_lease`]; records
-    /// whose entry was removed out-of-band are swept at the next
-    /// compaction. In-memory only — snapshots do not serialize leases.
-    leases: Vec<LeaseRecord<K, D>>,
-}
-
-/// One TTL lease over an entry, identity-keyed by `(key, rect)` so a
-/// lease follows the entry through [`PackedRTree::update_entry`]
-/// moves but dies with the entry it covers.
-#[derive(Debug, Clone)]
-struct LeaseRecord<K, const D: usize> {
-    key: K,
-    rect: Rect<D>,
-    deadline: u64,
 }
 
 /// The immutable packed tier: slot-ordered entry columns plus the
@@ -1322,7 +1307,6 @@ impl<K, const D: usize> PackedRTree<K, D> {
             staged_mbr: None,
             delta_fraction,
             epoch: None,
-            leases: Vec::new(),
         }
     }
 
@@ -1657,8 +1641,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
     /// [`PackedRTree::update`] (`O(log N)`, no allocation, slot
     /// identity kept); everything else falls back to remove+reinsert
     /// through the delta layer (tombstone or retire the old entry,
-    /// stage the new rectangle). A lease covering the entry follows it
-    /// to the new rectangle. Returns what happened so callers
+    /// stage the new rectangle). Returns what happened so callers
     /// maintaining slot- or stage-indexed side structures can patch
     /// themselves, or `None` when no live entry matches.
     pub fn update_entry(&mut self, key: &K, old: &Rect<D>, new: Rect<D>) -> Option<EntryUpdate<D>>
@@ -1666,7 +1649,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
         K: Clone + PartialEq,
     {
         if let Some(slot) = self.find_packed_slot(key, old) {
-            return Some(self.update_packed(slot, key, old, new));
+            return Some(self.update_packed(slot, key, new));
         }
         let index = self
             .staged_keys
@@ -1674,7 +1657,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
             .zip(&self.staged_rects)
             .enumerate()
             .position(|(i, (k, r))| k == key && r == old && self.is_staged_live(i))?;
-        Some(self.update_staged_at(index, key, old, new))
+        Some(self.update_staged_at(index, key, new))
     }
 
     /// [`PackedRTree::update_entry`] with the staged-tier linear scan
@@ -1701,23 +1684,17 @@ impl<K, const D: usize> PackedRTree<K, D> {
         {
             return None;
         }
-        Some(self.update_staged_at(index, key, old, new))
+        Some(self.update_staged_at(index, key, new))
     }
 
     /// The staged-tier move itself, after `index` is known to hold
     /// live `(key, old)`.
-    fn update_staged_at(
-        &mut self,
-        index: usize,
-        key: &K,
-        old: &Rect<D>,
-        new: Rect<D>,
-    ) -> EntryUpdate<D>
+    fn update_staged_at(&mut self, index: usize, key: &K, new: Rect<D>) -> EntryUpdate<D>
     where
         K: Clone + PartialEq,
     {
         let frozen = matches!(&self.epoch, Some(e) if index < e.frozen_staged_len);
-        let result = if frozen {
+        if frozen {
             // The frozen prefix is index-stable mid-compaction: retire
             // the old rectangle in place (install re-removes it from
             // the merged core) and stage the new one past the prefix.
@@ -1737,9 +1714,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
                 None => new,
             });
             EntryUpdate::Staged { index }
-        };
-        self.move_lease(key, old, &new);
-        result
+        }
     }
 
     /// [`PackedRTree::update_entry`] with the packed-tier search
@@ -1766,20 +1741,20 @@ impl<K, const D: usize> PackedRTree<K, D> {
         {
             return None;
         }
-        Some(self.update_packed(slot, key, old, new))
+        Some(self.update_packed(slot, key, new))
     }
 
     /// The packed-tier move itself, after `slot` is known to hold live
     /// `(key, old)`: in place when eligible, tombstone + restage
-    /// otherwise, lease following either way.
-    fn update_packed(&mut self, slot: usize, key: &K, old: &Rect<D>, new: Rect<D>) -> EntryUpdate<D>
+    /// otherwise.
+    fn update_packed(&mut self, slot: usize, key: &K, new: Rect<D>) -> EntryUpdate<D>
     where
         K: Clone + PartialEq,
     {
         // In-place needs an idle compaction (the merged core could
         // not see the move) and a new rectangle that keeps packing
         // degradation local to the slot's leaf subtree.
-        let result = if self.epoch.is_none() && self.stays_in_subtree(slot, &new) {
+        if self.epoch.is_none() && self.stays_in_subtree(slot, &new) {
             self.update(slot, new);
             EntryUpdate::InPlace { slot }
         } else {
@@ -1790,9 +1765,7 @@ impl<K, const D: usize> PackedRTree<K, D> {
                 removal: DeltaRemoval::Tombstoned { slot },
                 index,
             }
-        };
-        self.move_lease(key, old, &new);
-        result
+        }
     }
 
     /// `true` when `rect` fits inside the region of `slot`'s leaf
@@ -1811,72 +1784,6 @@ impl<K, const D: usize> PackedRTree<K, D> {
         core.levels[level][node].contains_rect(rect)
     }
 
-    // ---- TTL leases --------------------------------------------------
-
-    /// Arms (or re-arms) a TTL lease on the entry `(key, rect)`: once a
-    /// caller-supplied logical clock reaches `deadline`,
-    /// [`PackedRTree::pop_expired_lease`] surfaces the entry for
-    /// eviction. One lease per entry identity — re-arming replaces the
-    /// deadline. The tree never evicts on its own; leases are
-    /// metadata until an owner drives expiry.
-    pub fn set_lease(&mut self, key: K, rect: Rect<D>, deadline: u64)
-    where
-        K: PartialEq,
-    {
-        if let Some(lease) = self
-            .leases
-            .iter_mut()
-            .find(|l| l.key == key && l.rect == rect)
-        {
-            lease.deadline = deadline;
-            return;
-        }
-        self.leases.push(LeaseRecord {
-            key,
-            rect,
-            deadline,
-        });
-    }
-
-    /// Removes the lease on `(key, rect)` and returns its deadline, if
-    /// one was armed.
-    pub fn take_lease(&mut self, key: &K, rect: &Rect<D>) -> Option<u64>
-    where
-        K: PartialEq,
-    {
-        let i = self
-            .leases
-            .iter()
-            .position(|l| l.key == *key && l.rect == *rect)?;
-        Some(self.leases.swap_remove(i).deadline)
-    }
-
-    /// Removes and returns one lease whose deadline is `<= now`
-    /// (arbitrary order), or `None` when nothing expired. The covered
-    /// entry itself is untouched — callers evict it through their
-    /// regular removal path, keeping side structures consistent.
-    pub fn pop_expired_lease(&mut self, now: u64) -> Option<(K, Rect<D>)> {
-        let i = self.leases.iter().position(|l| l.deadline <= now)?;
-        let lease = self.leases.swap_remove(i);
-        Some((lease.key, lease.rect))
-    }
-
-    /// Number of armed lease records (dangling ones awaiting a
-    /// compaction sweep included).
-    pub fn lease_count(&self) -> usize {
-        self.leases.len()
-    }
-
-    /// Moves every lease record out of the tree as
-    /// `(key, rect, deadline)` triples — the redistribute companion of
-    /// [`PackedRTree::drain_live`], which drops leases.
-    pub fn take_leases(&mut self) -> Vec<(K, Rect<D>, u64)> {
-        std::mem::take(&mut self.leases)
-            .into_iter()
-            .map(|l| (l.key, l.rect, l.deadline))
-            .collect()
-    }
-
     /// `true` when a live entry `(key, rect)` exists in either tier.
     pub fn contains_entry(&self, key: &K, rect: &Rect<D>) -> bool
     where
@@ -1890,38 +1797,6 @@ impl<K, const D: usize> PackedRTree<K, D> {
             .zip(&self.staged_rects)
             .enumerate()
             .any(|(i, (k, r))| k == key && r == rect && self.is_staged_live(i))
-    }
-
-    /// Re-points the lease on `(key, old)` (if any) at the entry's new
-    /// rectangle, keeping lease identity in step with a move.
-    fn move_lease(&mut self, key: &K, old: &Rect<D>, new: &Rect<D>)
-    where
-        K: PartialEq,
-    {
-        if let Some(lease) = self
-            .leases
-            .iter_mut()
-            .find(|l| l.key == *key && l.rect == *old)
-        {
-            lease.rect = *new;
-        }
-    }
-
-    /// Drops lease records whose entry no longer exists — the
-    /// compaction-time sweep ([`PackedRTree::compact`] /
-    /// [`PackedRTree::install`] call this after rebuilding).
-    fn sweep_leases(&mut self)
-    where
-        K: PartialEq,
-    {
-        if self.leases.is_empty() {
-            return;
-        }
-        let leases = std::mem::take(&mut self.leases);
-        self.leases = leases
-            .into_iter()
-            .filter(|l| self.contains_entry(&l.key, &l.rect))
-            .collect();
     }
 
     /// Deliberately flips a bit of packed `slot`'s stored curve key —
@@ -2159,10 +2034,8 @@ impl<K, const D: usize> PackedRTree<K, D> {
         let gen2_keys = self.staged_keys.split_off(epoch.frozen_staged_len);
         let gen2_rects = self.staged_rects.split_off(epoch.frozen_staged_len);
         let fraction = self.delta_fraction;
-        let leases = std::mem::take(&mut self.leases);
         *self = merged;
         self.delta_fraction = fraction;
-        self.leases = leases;
         self.staged_mbr = Rect::union_all(gen2_rects.iter());
         self.staged_keys = gen2_keys;
         self.staged_rects = gen2_rects;
@@ -2177,7 +2050,6 @@ impl<K, const D: usize> PackedRTree<K, D> {
                 None => debug_assert!(false, "mid-compaction removal lost by the merge"),
             }
         }
-        self.sweep_leases();
         stats
     }
 
@@ -2230,10 +2102,6 @@ impl<K, const D: usize> PackedRTree<K, D> {
         let tombstones = std::mem::take(&mut self.tombstones);
         self.tombstone_count = 0;
         self.staged_mbr = None;
-        // The entries leave the tree, so the leases covering them die
-        // with it; callers re-arming after a redistribute collect them
-        // first via [`PackedRTree::take_leases`].
-        self.leases.clear();
         let mut out: Vec<(K, Rect<D>)> = Vec::with_capacity(keys.len() + staged_keys.len());
         for (slot, (k, r)) in keys.into_iter().zip(rects).enumerate() {
             if !bit_set(&tombstones, slot) {
@@ -2861,7 +2729,6 @@ impl<K, const D: usize> PackedRTree<K, D> {
             staged_mbr,
             delta_fraction,
             epoch: None,
-            leases: Vec::new(),
         })
     }
 

@@ -1,8 +1,7 @@
 //! Mobility-path tests for the packed tree: `update_entry` absorbs
 //! moves as delta patches — in place while the new rectangle stays in
 //! the slot's leaf subtree, tombstone + re-stage when it escapes, a
-//! staged rewrite for delta-tier entries — TTL lease records follow
-//! every move and are swept at compaction, and `validate()` catches a
+//! staged rewrite for delta-tier entries — and `validate()` catches a
 //! stale curve key left behind by a corrupted in-place move.
 
 use drtree_rtree::{DeltaRemoval, EntryUpdate, PackedRTree, PackedValidationError};
@@ -145,83 +144,6 @@ fn mid_freeze_moves_never_mutate_the_frozen_core_in_place() {
 }
 
 #[test]
-fn lease_follows_the_entry_through_moves() {
-    let mut tree = PackedRTree::bulk_load(grid_entries());
-    let (&key, &old) = tree.entry(30);
-    tree.set_lease(key, old, 42);
-    let new = Rect::new(
-        [old.lo(0) + 0.5, old.lo(1) + 0.5],
-        [old.hi(0) - 0.5, old.hi(1) - 0.5],
-    );
-    tree.update_entry(&key, &old, new).expect("entry is live");
-    assert_eq!(
-        tree.take_lease(&key, &old),
-        None,
-        "the lease no longer points at the old rectangle"
-    );
-    assert_eq!(tree.take_lease(&key, &new), Some(42));
-}
-
-#[test]
-fn pop_expired_lease_respects_the_clock_and_touches_no_entry() {
-    let mut tree = PackedRTree::bulk_load(grid_entries());
-    let (&k0, &r0) = tree.entry(0);
-    let (&k1, &r1) = tree.entry(1);
-    tree.set_lease(k0, r0, 5);
-    tree.set_lease(k1, r1, 9);
-    assert_eq!(tree.pop_expired_lease(4), None);
-    assert_eq!(tree.pop_expired_lease(5), Some((k0, r0)));
-    assert!(
-        tree.contains_entry(&k0, &r0),
-        "expiry surfaces the entry; eviction is the caller's job"
-    );
-    assert_eq!(tree.lease_count(), 1);
-    assert_eq!(tree.pop_expired_lease(100), Some((k1, r1)));
-    assert_eq!(tree.lease_count(), 0);
-}
-
-#[test]
-fn rearming_a_lease_replaces_the_deadline() {
-    let mut tree = PackedRTree::bulk_load(grid_entries());
-    let (&key, &rect) = tree.entry(7);
-    tree.set_lease(key, rect, 10);
-    tree.set_lease(key, rect, 99);
-    assert_eq!(tree.lease_count(), 1, "one lease per entry identity");
-    assert_eq!(tree.pop_expired_lease(10), None);
-    assert_eq!(tree.pop_expired_lease(99), Some((key, rect)));
-}
-
-#[test]
-fn compaction_sweeps_dangling_leases_and_keeps_live_ones() {
-    let mut tree = PackedRTree::bulk_load(grid_entries());
-    let (&live, &live_rect) = tree.entry(3);
-    let (&dead, &dead_rect) = tree.entry(4);
-    tree.set_lease(live, live_rect, 10);
-    tree.set_lease(dead, dead_rect, 20);
-    tree.remove_entry(&dead, &dead_rect).expect("entry is live");
-    assert_eq!(
-        tree.lease_count(),
-        2,
-        "the dangling record lingers until a sweep"
-    );
-    tree.compact();
-    assert_eq!(tree.lease_count(), 1, "compaction sweeps the dangler");
-    assert_eq!(tree.take_lease(&live, &live_rect), Some(10));
-}
-
-#[test]
-fn install_sweeps_dangling_leases_too() {
-    let mut tree = PackedRTree::bulk_load(grid_entries());
-    let (&dead, &dead_rect) = tree.entry(5);
-    tree.set_lease(dead, dead_rect, 7);
-    let frozen = tree.freeze();
-    tree.remove_entry(&dead, &dead_rect).expect("entry is live");
-    tree.install(frozen.merge());
-    assert_eq!(tree.lease_count(), 0);
-    tree.validate().expect("install stays valid");
-}
-
-#[test]
 fn validate_flags_a_stale_curve_key_after_a_corrupted_move() {
     // The regression the detector exists for: an in-place move that
     // rewrote the rectangle but skipped the curve-key re-derivation
@@ -242,8 +164,6 @@ enum MobOp {
     Insert(Rect<2>),
     MoveNth(usize, Rect<2>),
     RemoveNth(usize),
-    LeaseNth(usize, u64),
-    Expire(u64),
     Compact,
     Probe(Point<2>),
 }
@@ -258,8 +178,6 @@ fn arb_mob_op() -> impl Strategy<Value = MobOp> {
         2 => arb_rect().prop_map(MobOp::Insert),
         4 => ((0usize..128), arb_rect()).prop_map(|(n, r)| MobOp::MoveNth(n, r)),
         1 => (0usize..128).prop_map(MobOp::RemoveNth),
-        1 => ((0usize..128), (0u64..40)).prop_map(|(n, d)| MobOp::LeaseNth(n, d)),
-        1 => (0u64..40).prop_map(MobOp::Expire),
         1 => Just(MobOp::Compact),
         3 => (0.0f64..180.0, 0.0f64..180.0)
             .prop_map(|(x, y)| MobOp::Probe(Point::new([x, y]))),
@@ -269,10 +187,10 @@ fn arb_mob_op() -> impl Strategy<Value = MobOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random interleavings of moves, inserts, removes, lease arming,
-    /// expiry drives, and compactions: after every operation the tree
-    /// validates (delta invariants *and* curve-key freshness), and
-    /// every probe's hit set equals the reference's.
+    /// Random interleavings of moves, inserts, removes and
+    /// compactions: after every operation the tree validates (delta
+    /// invariants *and* curve-key freshness), and every probe's hit set
+    /// equals the reference's.
     #[test]
     fn random_move_sequences_stay_exact_and_valid(
         seed_entries in prop::collection::vec(arb_rect(), 8..64),
@@ -281,7 +199,6 @@ proptest! {
         let mut next_key = seed_entries.len();
         let mut model: Reference<usize, 2> = seed_entries.into_iter().enumerate().collect();
         let mut tree = PackedRTree::bulk_load(model.entries().to_vec());
-        let mut clock = 0u64;
 
         for op in ops {
             match op {
@@ -301,23 +218,6 @@ proptest! {
                 MobOp::RemoveNth(n) => {
                     if let Some((k, r)) = model.remove_nth(n) {
                         prop_assert!(tree.remove_entry(&k, &r).is_some());
-                    }
-                }
-                MobOp::LeaseNth(n, ttl) => {
-                    if !model.is_empty() {
-                        let (k, r) = model.entries()[n % model.len()];
-                        tree.set_lease(k, r, clock + ttl);
-                    }
-                }
-                MobOp::Expire(advance) => {
-                    clock += advance;
-                    while let Some((k, r)) = tree.pop_expired_lease(clock) {
-                        // A moved or removed entry may have orphaned
-                        // the record; evict only what is still live.
-                        if tree.contains_entry(&k, &r) {
-                            prop_assert!(tree.remove_entry(&k, &r).is_some());
-                            prop_assert!(model.remove(k, &r));
-                        }
                     }
                 }
                 MobOp::Compact => {

@@ -150,11 +150,6 @@ impl ContainmentGraph {
             .max()
             .unwrap_or(0)
     }
-
-    /// Total number of Hasse edges.
-    pub fn hasse_edge_count(&self) -> usize {
-        self.hasse.iter().map(Vec::len).sum()
-    }
 }
 
 impl fmt::Display for ContainmentGraph {
