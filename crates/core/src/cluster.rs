@@ -661,7 +661,9 @@ impl<const D: usize, Q: Schedule<DrtNode<D>>> Overlay<D, Q> {
 
     /// Installs a network partition between the given groups (both
     /// directions of every cross-group link are cut; successive calls
-    /// compose). See [`Network::partition`].
+    /// compose). The groups must be disjoint: no process may be listed
+    /// in two of them (checked in debug builds). See
+    /// [`Network::partition`].
     pub fn partition(&mut self, groups: &[Vec<ProcessId>]) {
         self.net.partition(groups);
     }

@@ -953,7 +953,8 @@ impl<const D: usize> FederatedFabric<D> {
         self.net.set_faults(faults);
     }
 
-    /// Partitions the brokers into isolated groups (by slot).
+    /// Partitions the brokers into isolated groups (by slot); no slot
+    /// may be listed in two groups.
     pub fn partition_slots(&mut self, groups: &[Vec<usize>]) {
         let groups: Vec<Vec<ProcessId>> = groups
             .iter()

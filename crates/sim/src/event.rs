@@ -514,6 +514,44 @@ mod tests {
         assert_eq!(net.metrics().delivered(), 3, "both externals + the forward");
     }
 
+    /// Whether a forward from `from` reaches `to` without a drop.
+    fn forwards(
+        net: &mut EventNetwork<Forwarder>,
+        from: ProcessId,
+        to: ProcessId,
+        tag: u64,
+    ) -> bool {
+        net.process_mut(from).unwrap().target = Some(to);
+        let dropped = net.metrics().dropped();
+        net.send_external(from, Tagged(tag));
+        net.run_to_quiescence(100);
+        net.metrics().dropped() == dropped
+    }
+
+    #[test]
+    fn overlapping_partitions_compose_and_a_fresh_one_recuts_a_repaired_link() {
+        let mut net: EventNetwork<Forwarder> = EventNetwork::new(NetConfig::default(), 5);
+        let [a, b, c] = [(); 3].map(|()| net.add_process(Forwarder { target: None }));
+        net.partition(&[vec![a, b], vec![c]]);
+        net.partition(&[vec![a], vec![b, c]]);
+        assert!(!forwards(&mut net, a, b, 1), "cut by the second partition");
+        assert!(!forwards(&mut net, c, b, 2), "cut by the first");
+        assert!(!forwards(&mut net, a, c, 3), "cut by both");
+        assert_eq!(net.metrics().partitioned_drops(), 3);
+        // One repair lifts the link from both partitions, one direction.
+        net.unblock_link(a, c);
+        assert!(forwards(&mut net, a, c, 4));
+        assert!(!forwards(&mut net, c, a, 5), "the reverse stays cut");
+        // A fresh partition that separates the pair cuts it again.
+        net.partition(&[vec![a], vec![c]]);
+        assert!(!forwards(&mut net, a, c, 6), "re-cut");
+        assert_eq!(net.metrics().partitioned_drops(), 5);
+        net.heal();
+        for (tag, (from, to)) in (7..).zip([(a, b), (b, a), (b, c), (c, b), (a, c), (c, a)]) {
+            assert!(forwards(&mut net, from, to, tag), "{from} -> {to} healed");
+        }
+    }
+
     #[test]
     fn corrupt_mutates_state() {
         let mut net: EventNetwork<Node> = EventNetwork::new(NetConfig::default(), 1);

@@ -77,15 +77,97 @@ impl FaultProfile {
     }
 }
 
+/// The group label of an id a partition does not list: such an id is
+/// cut from nobody by that partition.
+const UNLISTED: u32 = u32::MAX;
+
+/// One installed partition, stored at the cost of its members: a group
+/// label per process, never the set of links it cuts.
+#[derive(Debug, Clone)]
+struct Partition {
+    /// `group[raw id]`: the index of the group that lists the id, or
+    /// [`UNLISTED`]. Ids past the end are unlisted too, so processes
+    /// added later stay uncut.
+    group: Vec<u32>,
+    /// How many directed links it separates: Σ |g|·(listed − |g|) over
+    /// its groups `g`.
+    separated: u64,
+}
+
+impl Partition {
+    /// Labels the members of each of `groups`, which must be disjoint;
+    /// `None` when fewer than two of them are non-empty, since such a
+    /// call separates nobody. Linear in the largest listed raw id.
+    fn new(groups: &[Vec<ProcessId>]) -> Option<Self> {
+        let len = groups.iter().flatten().map(|id| id.raw() as usize).max()? + 1;
+        let mut group = vec![UNLISTED; len];
+        for (label, members) in groups.iter().enumerate() {
+            let label = u32::try_from(label).expect("fewer than u32::MAX groups");
+            for &id in members {
+                let slot = &mut group[id.raw() as usize];
+                debug_assert!(
+                    *slot == UNLISTED || *slot == label,
+                    "{id} listed in two partition groups"
+                );
+                *slot = label;
+            }
+        }
+        let mut sizes = vec![0u64; groups.len()];
+        for &label in group.iter().filter(|&&label| label != UNLISTED) {
+            sizes[label as usize] += 1;
+        }
+        let listed: u64 = sizes.iter().sum();
+        let separated = sizes.iter().map(|&size| size * (listed - size)).sum();
+        (separated > 0).then_some(Self { group, separated })
+    }
+
+    /// `true` when this partition puts `from` and `to` in different
+    /// groups: two array loads.
+    #[inline]
+    fn separates(&self, from: ProcessId, to: ProcessId) -> bool {
+        let label = |id: ProcessId| {
+            self.group
+                .get(id.raw() as usize)
+                .copied()
+                .unwrap_or(UNLISTED)
+        };
+        let (a, b) = (label(from), label(to));
+        a != b && a != UNLISTED && b != UNLISTED
+    }
+}
+
+/// What a directed link is to a message about to cross it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    /// Neither blocked nor cut.
+    Up,
+    /// Down by [`Network::block_link`], whether or not a partition also
+    /// cuts it.
+    Blocked,
+    /// Down by a partition alone: a drop here is a partition drop.
+    Cut,
+}
+
 /// The state of the links: down by hand, down by partition, and the
 /// knobs on those that are up.
+///
+/// A partition costs its members, not the links it cuts: installing
+/// one labels each listed process with its group (O(N)), [`Network::heal`]
+/// clears two collections (O(1)), and while one stands a send costs two
+/// array loads per partition. Only the cuts that [`Network::unblock_link`]
+/// lifted are held link by link.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Links {
     /// Manually blocked directed links ([`Network::block_link`]).
     blocked: BTreeSet<(ProcessId, ProcessId)>,
-    /// Links cut by [`Network::partition`]; kept apart from `blocked`
-    /// so [`Network::heal`] removes exactly the partition's cuts.
-    partition_links: BTreeSet<(ProcessId, ProcessId)>,
+    /// Installed partitions, oldest first: a link is cut while one of
+    /// them separates its ends, unless it is in `repaired`. Kept apart
+    /// from `blocked` so [`Network::heal`] removes exactly the
+    /// partitions' cuts, and empty whenever no link is cut.
+    partitions: Vec<Partition>,
+    /// Cut links lifted by [`Network::unblock_link`]; a later partition
+    /// that separates one cuts it again.
+    repaired: BTreeSet<(ProcessId, ProcessId)>,
     /// Active message fault knobs ([`Network::set_faults`]).
     faults: FaultProfile,
 }
@@ -95,7 +177,82 @@ impl Links {
     /// which the round engine lets a process sleep, since a process
     /// that is not called draws nothing from the RNG.
     pub(crate) fn is_quiet(&self) -> bool {
-        self.blocked.is_empty() && self.partition_links.is_empty() && self.faults.is_quiet()
+        self.blocked.is_empty() && self.partitions.is_empty() && self.faults.is_quiet()
+    }
+
+    /// The state of `from → to`. A manual block wins over a partition
+    /// cut; while no partition stands the cut test is one length check.
+    #[inline]
+    fn link(&self, from: ProcessId, to: ProcessId) -> Link {
+        if self.blocked.contains(&(from, to)) {
+            Link::Blocked
+        } else if self.is_cut(from, to) {
+            Link::Cut
+        } else {
+            Link::Up
+        }
+    }
+
+    #[inline]
+    fn is_cut(&self, from: ProcessId, to: ProcessId) -> bool {
+        self.partitions.iter().any(|p| p.separates(from, to))
+            && !self.repaired.contains(&(from, to))
+    }
+
+    // `#[inline]` on the controls keeps them in their callers' codegen
+    // units: compiled once in this crate instead, they changed how the
+    // protocol handlers were inlined and slowed the publish path ≈ 10 %.
+    #[inline]
+    fn block(&mut self, from: ProcessId, to: ProcessId) {
+        self.blocked.insert((from, to));
+    }
+
+    /// Lifts the manual block and the partition cut on `from → to`.
+    /// Lifting the last cut drops the partitions, so `partitions` stays
+    /// empty whenever no link is cut and [`Links::is_quiet`] stays exact.
+    #[inline]
+    fn unblock(&mut self, from: ProcessId, to: ProcessId) {
+        self.blocked.remove(&(from, to));
+        if self.is_cut(from, to) {
+            self.repaired.insert((from, to));
+            if !self.cuts_remain() {
+                self.heal();
+            }
+        }
+    }
+
+    /// Whether some link is still cut. A partition separates
+    /// `separated` distinct links, so one of them is still cut unless
+    /// `repaired` holds that many of them. O(partitions × repaired).
+    fn cuts_remain(&self) -> bool {
+        self.partitions.iter().any(|p| {
+            let lifted = self
+                .repaired
+                .iter()
+                .filter(|&&(from, to)| p.separates(from, to))
+                .count();
+            (lifted as u64) < p.separated
+        })
+    }
+
+    #[inline]
+    fn partition(&mut self, groups: &[Vec<ProcessId>]) {
+        if let Some(p) = Partition::new(groups) {
+            self.repaired.retain(|&(from, to)| !p.separates(from, to));
+            self.partitions.push(p);
+        }
+    }
+
+    #[inline]
+    fn heal(&mut self) {
+        self.partitions.clear();
+        self.repaired.clear();
+    }
+
+    #[inline]
+    fn unblock_all(&mut self) {
+        self.blocked.clear();
+        self.heal();
     }
 }
 
@@ -124,10 +281,9 @@ impl<P: Process> World<P> {
             ..
         } = self;
         metrics.record_send(msg);
-        let blocked = links.blocked.contains(&(from, to));
-        let cut = links.partition_links.contains(&(from, to));
-        if blocked || cut || roll(rng, links.faults.drop_probability) {
-            if cut && !blocked {
+        let link = links.link(from, to);
+        if link != Link::Up || roll(rng, links.faults.drop_probability) {
+            if link == Link::Cut {
                 metrics.record_partition_drop();
             }
             metrics.record_dropped();
@@ -168,23 +324,22 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// [`Network::unblock_all`].
     pub fn block_link(&mut self, from: ProcessId, to: ProcessId) {
         self.wake_all();
-        self.world.links.blocked.insert((from, to));
+        self.world.links.block(from, to);
     }
 
     /// Unblocks the directed link `from → to` — the single-link inverse
     /// of [`Network::block_link`]. Also removes any partition cut on
-    /// that link, so a manual repair overrides an installed partition.
+    /// that link, so a manual repair overrides an installed partition
+    /// until a later [`Network::partition`] separates its ends again.
     pub fn unblock_link(&mut self, from: ProcessId, to: ProcessId) {
         self.wake_all();
-        self.world.links.blocked.remove(&(from, to));
-        self.world.links.partition_links.remove(&(from, to));
+        self.world.links.unblock(from, to);
     }
 
     /// Removes all link blocks, manual and partition-installed.
     pub fn unblock_all(&mut self) {
         self.wake_all();
-        self.world.links.blocked.clear();
-        self.world.links.partition_links.clear();
+        self.world.links.unblock_all();
     }
 
     /// Installs a network partition: every link between processes of
@@ -193,27 +348,26 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// and settle their tags at drop time. Successive calls accumulate,
     /// so overlapping partitions compose; [`Network::heal`] removes
     /// every partition cut while manual [`Network::block_link`] blocks
-    /// survive.
+    /// survive. Ids no group lists, processes added later among them,
+    /// stay uncut, and a call with fewer than two non-empty groups cuts
+    /// nothing.
+    ///
+    /// The groups must be disjoint: no process may be listed in two of
+    /// them (checked in debug builds). The partition is stored as one
+    /// group label per process, so installing it costs O(N) in the
+    /// largest listed raw id and a send crossing it two array loads,
+    /// whatever the number of links it cuts.
     pub fn partition(&mut self, groups: &[Vec<ProcessId>]) {
         self.wake_all();
-        let cuts = &mut self.world.links.partition_links;
-        for (i, a) in groups.iter().enumerate() {
-            for b in groups.iter().skip(i + 1) {
-                for &x in a {
-                    for &y in b {
-                        cuts.insert((x, y));
-                        cuts.insert((y, x));
-                    }
-                }
-            }
-        }
+        self.world.links.partition(groups);
     }
 
-    /// Heals every partition cut. Manual link blocks survive, even on
-    /// links that were also partition-cut.
+    /// Heals every partition cut by dropping the partitions' labels.
+    /// Manual link blocks survive, even on links that were also
+    /// partition-cut.
     pub fn heal(&mut self) {
         self.wake_all();
-        self.world.links.partition_links.clear();
+        self.world.links.heal();
     }
 
     /// Replaces the message fault profile at runtime — how scripted
@@ -227,5 +381,161 @@ impl<P: Process, Q: Schedule<P> + ?Sized> Network<P, Q> {
     /// The active message fault profile.
     pub fn faults(&self) -> &FaultProfile {
         &self.world.links.faults
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::Just;
+
+    /// The fault plane as it was stored before group labels: every cut
+    /// directed link in a set. The reference the labels are pinned to.
+    #[derive(Default)]
+    struct PairPlane {
+        blocked: BTreeSet<(ProcessId, ProcessId)>,
+        cuts: BTreeSet<(ProcessId, ProcessId)>,
+    }
+
+    impl PairPlane {
+        fn partition(&mut self, groups: &[Vec<ProcessId>]) {
+            for (i, a) in groups.iter().enumerate() {
+                for b in groups.iter().skip(i + 1) {
+                    for &x in a {
+                        for &y in b {
+                            self.cuts.insert((x, y));
+                            self.cuts.insert((y, x));
+                        }
+                    }
+                }
+            }
+        }
+
+        fn link(&self, from: ProcessId, to: ProcessId) -> Link {
+            if self.blocked.contains(&(from, to)) {
+                Link::Blocked
+            } else if self.cuts.contains(&(from, to)) {
+                Link::Cut
+            } else {
+                Link::Up
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `(labels, count)`: id `i` joins group `labels[i]` when that
+        /// is below `count`; the other groups stay empty.
+        Partition(Vec<Option<usize>>, usize),
+        Heal,
+        Block(u64, u64),
+        Unblock(u64, u64),
+        /// `unblock_link` on every link, one at a time: lifts the last
+        /// cut by hand.
+        UnblockEach,
+        UnblockAll,
+    }
+
+    const IDS: u64 = 12;
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let id = || 0..IDS;
+        let labels = prop::collection::vec(
+            prop::sample::select(vec![None, Some(0), Some(1), Some(2)]),
+            IDS as usize,
+        );
+        prop_oneof![
+            4 => (labels, 0usize..4).prop_map(|(labels, count)| Op::Partition(labels, count)),
+            1 => Just(Op::Heal),
+            2 => (id(), id()).prop_map(|(a, b)| Op::Block(a, b)),
+            4 => (id(), id()).prop_map(|(a, b)| Op::Unblock(a, b)),
+            1 => Just(Op::UnblockEach),
+            1 => Just(Op::UnblockAll),
+        ]
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "listed in two partition groups")]
+    fn a_process_in_two_groups_is_refused() {
+        let [a, b] = [0, 1].map(ProcessId::from_raw);
+        Links::default().partition(&[vec![a], vec![a, b]]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Group labels cut, lift, heal and count exactly the links the
+        /// pair set did, and leave the plane quiet exactly when it did,
+        /// after every op of a random script over `n ≤ 12` ids (and one
+        /// id past them that no call lists).
+        #[test]
+        fn labels_match_the_pair_set(
+            n in 1..=IDS,
+            ops in prop::collection::vec(arb_op(), 1..40),
+        ) {
+            let id = |raw: u64| ProcessId::from_raw(raw % n);
+            let mut links = Links::default();
+            let mut reference = PairPlane::default();
+            for op in &ops {
+                match op {
+                    Op::Partition(labels, count) => {
+                        let mut groups = vec![Vec::new(); *count];
+                        for (raw, label) in labels.iter().take(n as usize).enumerate() {
+                            if let Some(group) = label.and_then(|g| groups.get_mut(g)) {
+                                group.push(ProcessId::from_raw(raw as u64));
+                            }
+                        }
+                        links.partition(&groups);
+                        reference.partition(&groups);
+                    }
+                    Op::Heal => {
+                        links.heal();
+                        reference.cuts.clear();
+                    }
+                    &Op::Block(a, b) => {
+                        links.block(id(a), id(b));
+                        reference.blocked.insert((id(a), id(b)));
+                    }
+                    &Op::Unblock(a, b) => {
+                        links.unblock(id(a), id(b));
+                        reference.blocked.remove(&(id(a), id(b)));
+                        reference.cuts.remove(&(id(a), id(b)));
+                    }
+                    Op::UnblockEach => {
+                        for from in (0..n).map(ProcessId::from_raw) {
+                            for to in (0..n).map(ProcessId::from_raw) {
+                                links.unblock(from, to);
+                            }
+                        }
+                        reference = PairPlane::default();
+                    }
+                    Op::UnblockAll => {
+                        links.unblock_all();
+                        reference.blocked.clear();
+                        reference.cuts.clear();
+                    }
+                }
+                for from in (0..=n).map(ProcessId::from_raw) {
+                    for to in (0..=n).map(ProcessId::from_raw) {
+                        prop_assert_eq!(
+                            links.link(from, to),
+                            reference.link(from, to),
+                            "{} -> {} after {:?}",
+                            from,
+                            to,
+                            op
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    links.is_quiet(),
+                    reference.blocked.is_empty() && reference.cuts.is_empty(),
+                    "after {:?}",
+                    op
+                );
+            }
+        }
     }
 }

@@ -1163,6 +1163,39 @@ mod tests {
         assert_eq!(net.metrics().tag_count(3), 2, "relay went through");
     }
 
+    /// Whether a one-hop relay from `from` reaches `to` without a drop.
+    fn relays(net: &mut RoundNetwork<Relay>, from: ProcessId, to: ProcessId, tag: u64) -> bool {
+        net.process_mut(from).unwrap().next = Some(to);
+        let dropped = net.metrics().dropped();
+        net.send_external(from, Hop { tag, hops: 1 });
+        net.run_rounds(3);
+        net.metrics().dropped() == dropped
+    }
+
+    #[test]
+    fn overlapping_partitions_compose_and_a_fresh_one_recuts_a_repaired_link() {
+        let mut net: RoundNetwork<Relay> = RoundNetwork::new(3);
+        let [a, b, c] = [(); 3].map(|()| net.add_process(Relay { next: None }));
+        net.partition(&[vec![a, b], vec![c]]);
+        net.partition(&[vec![a], vec![b, c]]);
+        assert!(!relays(&mut net, a, b, 1), "cut by the second partition");
+        assert!(!relays(&mut net, c, b, 2), "cut by the first");
+        assert!(!relays(&mut net, a, c, 3), "cut by both");
+        assert_eq!(net.metrics().partitioned_drops(), 3);
+        // One repair lifts the link from both partitions, one direction.
+        net.unblock_link(a, c);
+        assert!(relays(&mut net, a, c, 4));
+        assert!(!relays(&mut net, c, a, 5), "the reverse stays cut");
+        // A fresh partition that separates the pair cuts it again.
+        net.partition(&[vec![a], vec![c]]);
+        assert!(!relays(&mut net, a, c, 6), "re-cut");
+        assert_eq!(net.metrics().partitioned_drops(), 5);
+        net.heal();
+        for (tag, (from, to)) in (7..).zip([(a, b), (b, a), (b, c), (c, b), (a, c), (c, a)]) {
+            assert!(relays(&mut net, from, to, tag), "{from} -> {to} healed");
+        }
+    }
+
     #[test]
     fn lossy_profile_drops_and_settles_round_traffic() {
         let (mut net, a, _b) = relay_pair();
