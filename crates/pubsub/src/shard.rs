@@ -126,15 +126,14 @@ struct ShardBatchBuf {
     counts: Vec<u32>,
 }
 
-/// A uniform stab grid over one shard's entries — the batched
-/// pipeline's refinement structure.
+/// A uniform stab grid over one shard's entries — the oracle's one
+/// point-matching kernel, for single and batched probes alike.
 ///
 /// Cells partition the shard's finite world, ~1 live entry per cell;
 /// each cell lists (CSR layout) the *slots* of the packed tree whose
 /// rectangle overlaps it. A point stab is then one cell lookup plus a
 /// handful of exact rectangle tests — an order of magnitude fewer
-/// comparisons than a root-to-leaf tree descent, which is what lets a
-/// batched publish beat per-event descents well past 2×. The grid is
+/// comparisons than a root-to-leaf tree descent. The grid is
 /// rebuilt with its shard on flush (same laziness, cost accounted to
 /// the same rebuild columns) and answers *exactly* like the tree:
 /// candidate cells over-approximate (clamping is conservative), the
@@ -710,8 +709,8 @@ impl<const D: usize> MergedShard<D> {
 
 /// One shard: the delta-bearing packed tree holding its slice of the
 /// subscription set (live entries = packed slots − tombstones +
-/// staged), the incrementally patched stab grid accelerating batched
-/// probes, and — while a concurrent compaction is in flight — the
+/// staged), the incrementally patched stab grid answering every
+/// probe, and — while a concurrent compaction is in flight — the
 /// background job merging the shard's frozen snapshot. The packed
 /// tree *is* the entry store — there is no separate entry list to
 /// clone on rebuild.
@@ -907,23 +906,17 @@ impl BatchMatches {
 ///
 /// # Single vs batched probes
 ///
-/// [`match_point_into`](ShardedOracle::match_point_into) answers one
-/// probe by descending each shard's packed tree inline: a single
-/// probe cannot amortize a thread spawn (the fan degrades to the
-/// calling thread) and needs no auxiliary structure.
-/// [`match_batch_into`](ShardedOracle::match_batch_into) is the
-/// batched pipeline: probes are sorted along a space-filling curve,
-/// fanned across shards (one scoped worker per shard chunk via
-/// [`drtree_rtree::parallel::fan`] when threads are available, a
-/// fused merge-free pass otherwise), and answered against each
-/// shard's flush-built stab grid (`StabGrid` in the source) — one
-/// cell lookup and a few exact rectangle tests per probe instead of a
-/// root-to-leaf descent.
-/// Batching amortizes the sort, keeps every structure cache-resident
-/// across curve-adjacent probes, and collapses result assembly into
-/// reused arenas — that is what makes it ≥ 2× faster per event than
-/// single-probe matching even on one core, before shard parallelism
-/// multiplies it further.
+/// Both paths answer a probe with the same kernel: each shard whose
+/// MBR contains the point stabs its stab grid (`StabGrid` in the
+/// source) — one cell lookup and a few exact rectangle tests instead
+/// of a root-to-leaf descent — kept exact between compactions by its
+/// patch tiers. [`match_point_into`](ShardedOracle::match_point_into)
+/// runs it inline for one probe.
+/// [`match_batch_into`](ShardedOracle::match_batch_into) adds what
+/// only a batch can amortize: a space-filling-curve sort that keeps
+/// every structure cache-resident across adjacent probes, a fan across
+/// shards ([`drtree_rtree::parallel::fan`]) when threads are
+/// available, and result assembly in one reused arena.
 ///
 /// # Example
 ///
@@ -960,9 +953,9 @@ pub struct ShardedOracle<const D: usize> {
     stale_world: bool,
     /// The derived read-side structures (per-shard stab grids, the
     /// id-count dedup table) have not been built yet — the state a
-    /// freshly restored oracle wakes up in. The first flush rebuilds
-    /// them; until then single-point matching works off the packed
-    /// trees alone, so restore itself stays `O(header)` per shard.
+    /// freshly restored oracle wakes up in. The first flush (every
+    /// query flushes) rebuilds them, so restore itself stays
+    /// `O(header)` per shard.
     derived_stale: bool,
     /// Compaction trigger forwarded to every shard's packed tree.
     delta_fraction: f64,
@@ -992,9 +985,8 @@ pub struct ShardedOracle<const D: usize> {
     /// never touch the table. In memory only: snapshots carry no
     /// leases.
     leases: HashMap<ProcessId, Vec<(Rect<D>, u64)>, FastState>,
-    // Reused scratch: per-shard hit buffers, the curve-sorted probe
-    // permutation, and the per-shard merge cursors.
-    point_bufs: Vec<Vec<ProcessId>>,
+    // Reused scratch of the batched path: per-shard hit streams, the
+    // curve-sorted probe permutation, and the per-shard merge cursors.
     batch_bufs: Vec<ShardBatchBuf>,
     /// Live entry count per id, and how many ids have more than one
     /// entry (subscription sets). While zero, per-probe deduplication
@@ -1036,7 +1028,6 @@ impl<const D: usize> ShardedOracle<D> {
             pending_rekeyed: 0,
             pending_leases_expired: 0,
             leases: HashMap::default(),
-            point_bufs: vec![Vec::new(); shards],
             batch_bufs: vec![ShardBatchBuf::default(); shards],
             id_counts: HashMap::new(),
             duplicate_ids: 0,
@@ -1223,8 +1214,6 @@ impl<const D: usize> ShardedOracle<D> {
     /// serialized: the first [`ShardedOracle::flush`] (explicit, or
     /// implicit in the first query) rebuilds both from the restored
     /// shards, keeping restore itself off the `O(entries)` path.
-    /// Single-point matching works before that rebuild — it descends
-    /// the packed trees directly.
     ///
     /// # Errors
     ///
@@ -2101,21 +2090,27 @@ impl<const D: usize> ShardedOracle<D> {
     /// Fills `out` with the sorted, deduplicated set of subscribers
     /// whose filter contains `point` — the exact matching set of one
     /// published event. Flushes implicitly; allocation-free once `out`
-    /// and the per-shard buffers are warm.
+    /// is warm.
     pub fn match_point_into(&mut self, point: &Point<D>, out: &mut Vec<ProcessId>) {
         self.flush();
+        self.stab_point_into(point, out);
+    }
+
+    /// [`ShardedOracle::match_point_into`] minus the flush: stabs the
+    /// grid of every shard whose MBR contains `point` — the kernel of
+    /// [`ShardedOracle::match_batch_into`]'s one-worker pass — then
+    /// sorts and deduplicates. Exact in any state the grids are
+    /// patched to, flushed or not.
+    fn stab_point_into(&self, point: &Point<D>, out: &mut Vec<ProcessId>) {
         out.clear();
-        // One probe cannot amortize a thread spawn, so this fan runs
-        // inline (worker budget 1); the batched path is the parallel
-        // one.
-        parallel::fan(&self.shards, &mut self.point_bufs, 1, |_, shard, buf| {
-            buf.clear();
-            shard
+        for shard in &self.shards {
+            if shard
                 .packed
-                .for_each_containing(point, |&id, _| buf.push(id));
-        });
-        for buf in &self.point_bufs {
-            out.extend_from_slice(buf);
+                .mbr()
+                .is_some_and(|mbr| mbr.contains_point_branchless(point))
+            {
+                shard.grid.stab(&shard.packed, point, |id| out.push(id));
+            }
         }
         out.sort_unstable();
         out.dedup();
@@ -2144,12 +2139,8 @@ impl<const D: usize> ShardedOracle<D> {
     ///    from the per-shard streams into `out`'s reused arena,
     ///    sorted and deduplicated.
     ///
-    /// Single-probe matching ([`ShardedOracle::match_point_into`])
-    /// stays on the packed tree: it needs no flush-built side
-    /// structure and serves arbitrary one-off probes well. The batched
-    /// path is what the ≥ 2×-per-event speedup of the publish
-    /// pipeline comes from, and it parallelizes across shards on many
-    /// cores.
+    /// Step 3 is [`ShardedOracle::match_point_into`]'s whole kernel;
+    /// the sort, the fan and the arena merge are what batching adds.
     ///
     /// # Panics
     ///
@@ -2350,8 +2341,8 @@ impl<const D: usize> ShardedOracle<D> {
 ///
 /// Internally one epoch-free [`FrozenShard`] per oracle shard: the
 /// packed tiers are `Arc`-shared with the live oracle (snapshotting is
-/// a reference-count bump plus a delta-layer copy), and queries run
-/// the same pruned packed descent the live oracle uses. Because the
+/// a reference-count bump plus a delta-layer copy), and queries run a
+/// pruned packed descent (a snapshot carries no stab grid). Because the
 /// view is `&self`-only and owns everything it needs, an
 /// `Arc<OracleSnapshot>` serves any number of concurrent readers
 /// without ever blocking — or being blocked by — the writer that keeps
@@ -2396,6 +2387,7 @@ impl<const D: usize> OracleSnapshot<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drtree_spatial::reference::Reference;
 
     fn pid(i: u64) -> ProcessId {
         ProcessId::from_raw(i)
@@ -2583,24 +2575,30 @@ mod tests {
         // removals that swap-remove into vacated indexes.
         for threads in [1usize, 3] {
             let mut oracle: ShardedOracle<2> = ShardedOracle::new(4);
+            let mut model = Reference::new();
             oracle.set_threads(threads);
             for i in 0..128 {
                 oracle.insert(pid(i), grid_rect(i));
+                model.insert(pid(i), grid_rect(i));
             }
             oracle.flush();
             // Stage three entries at the same spot, remove the first
             // (forcing a swap-remove), tombstone a packed one.
-            oracle.insert(pid(500), grid_rect(10));
-            oracle.insert(pid(501), grid_rect(10));
-            oracle.insert(pid(502), grid_rect(10));
-            assert!(oracle.remove(pid(500), &grid_rect(10)));
-            assert!(oracle.remove(pid(10), &grid_rect(10)));
+            for i in 500..503 {
+                oracle.insert(pid(i), grid_rect(10));
+                model.insert(pid(i), grid_rect(10));
+            }
+            for i in [500, 10] {
+                assert!(oracle.remove(pid(i), &grid_rect(10)));
+                assert!(model.remove(pid(i), &grid_rect(10)));
+            }
             let probe = grid_rect(10).center();
             let mut batch = BatchMatches::new();
             oracle.match_batch_into(&[probe], &mut batch);
             assert_eq!(batch.matches(0), &[pid(501), pid(502)], "threads={threads}");
             let mut single = Vec::new();
             oracle.match_point_into(&probe, &mut single);
+            assert_eq!(single, model.matching(&probe), "threads={threads}");
             assert_eq!(batch.matches(0), single.as_slice(), "threads={threads}");
         }
     }
@@ -2608,10 +2606,12 @@ mod tests {
     #[test]
     fn concurrent_flush_is_two_phase_and_stays_exact() {
         let mut oracle: ShardedOracle<2> = ShardedOracle::new(4);
+        let mut model = Reference::new();
         oracle.set_compaction_mode(CompactionMode::Concurrent);
         oracle.set_delta_fraction(0.05);
         for i in 0..512 {
             oracle.insert(pid(i), grid_rect(i % 256));
+            model.insert(pid(i), grid_rect(i % 256));
         }
         oracle.flush();
         assert_eq!(oracle.compacting_shards(), 0);
@@ -2620,6 +2620,7 @@ mod tests {
         // a background merge instead of stalling on it.
         for i in 0..64 {
             oracle.insert(pid(5000 + i), grid_rect(7));
+            model.insert(pid(5000 + i), grid_rect(7));
         }
         let begin = oracle.flush();
         assert!(begin.begun_compactions >= 1, "{begin:?}");
@@ -2630,12 +2631,15 @@ mod tests {
         // Mid-compaction the oracle keeps answering exactly, absorbing
         // further mutations into the second-generation delta.
         oracle.insert(pid(9000), grid_rect(7));
+        model.insert(pid(9000), grid_rect(7));
         assert!(oracle.remove(pid(5000), &grid_rect(7)));
+        assert!(model.remove(pid(5000), &grid_rect(7)));
         let probe = grid_rect(7).center();
         let mut batch = BatchMatches::new();
         oracle.match_batch_into(&[probe], &mut batch);
         let mut single = Vec::new();
         oracle.match_point_into(&probe, &mut single);
+        assert_eq!(single, model.matching(&probe));
         assert_eq!(batch.matches(0), single.as_slice());
         assert!(single.contains(&pid(9000)), "gen-2 insert visible");
         assert!(
@@ -2650,8 +2654,8 @@ mod tests {
         assert_eq!(oracle.compacting_shards(), 0);
         oracle.match_point_into(&probe, &mut single);
         assert_eq!(
-            batch.matches(0),
-            single.as_slice(),
+            single,
+            model.matching(&probe),
             "answers unchanged by install"
         );
         // The lifetime counters saw the concurrent merge.
@@ -2784,8 +2788,10 @@ mod tests {
         for threads in [1usize, 3] {
             let mut oracle: ShardedOracle<2> = ShardedOracle::new(70);
             oracle.set_threads(threads);
-            for i in 0..512 {
-                oracle.insert(pid(i), grid_rect(i % 256));
+            let model: Reference<ProcessId, 2> =
+                (0..512).map(|i| (pid(i), grid_rect(i % 256))).collect();
+            for &(id, rect) in model.entries() {
+                oracle.insert(id, rect);
             }
             let probe = grid_rect(37).center();
             let mut batch = BatchMatches::new();
@@ -2793,13 +2799,19 @@ mod tests {
             let mut single = Vec::new();
             oracle.match_point_into(&probe, &mut single);
             assert!(!single.is_empty());
+            assert_eq!(single, model.matching(&probe), "threads={threads}");
             assert_eq!(batch.matches(0), single.as_slice(), "threads={threads}");
         }
     }
 
-    /// Single-point and batched answers over a probe sweep, for
-    /// comparing a restored oracle against its source.
-    fn answers(oracle: &mut ShardedOracle<2>, probes: &[Point<2>]) -> Vec<Vec<ProcessId>> {
+    /// Single-point and batched answers over a probe sweep, each
+    /// pinned to `model`, for comparing a restored oracle against its
+    /// source.
+    fn answers(
+        oracle: &mut ShardedOracle<2>,
+        model: &Reference<ProcessId, 2>,
+        probes: &[Point<2>],
+    ) -> Vec<Vec<ProcessId>> {
         let mut buf = Vec::new();
         let mut batch = BatchMatches::new();
         oracle.match_batch_into(probes, &mut batch);
@@ -2808,6 +2820,7 @@ mod tests {
             .enumerate()
             .map(|(i, p)| {
                 oracle.match_point_into(p, &mut buf);
+                assert_eq!(buf, model.matching(p), "single probe at {p:?}");
                 assert_eq!(batch.matches(i), buf.as_slice(), "paths agree at {p:?}");
                 buf.clone()
             })
@@ -2817,27 +2830,32 @@ mod tests {
     #[test]
     fn oracle_snapshot_bytes_round_trips_mid_churn() {
         let mut oracle: ShardedOracle<2> = ShardedOracle::new(4);
+        let mut model = Reference::new();
         for i in 0..256 {
             oracle.insert(pid(i), grid_rect(i));
+            model.insert(pid(i), grid_rect(i));
         }
         oracle.flush();
         // Leave a live delta: staged inserts (one a duplicate id, so
         // the restored id-count rebuild is exercised), a staged
         // removal, and a tombstone.
-        oracle.insert(pid(500), grid_rect(7));
-        oracle.insert(pid(40), grid_rect(7));
-        oracle.insert(pid(501), grid_rect(9));
-        assert!(oracle.remove(pid(501), &grid_rect(9)));
-        assert!(oracle.remove(pid(3), &grid_rect(3)));
+        for (i, cell) in [(500, 7), (40, 7), (501, 9)] {
+            oracle.insert(pid(i), grid_rect(cell));
+            model.insert(pid(i), grid_rect(cell));
+        }
+        for (i, cell) in [(501, 9), (3, 3)] {
+            assert!(oracle.remove(pid(i), &grid_rect(cell)));
+            assert!(model.remove(pid(i), &grid_rect(cell)));
+        }
 
         let probes: Vec<Point<2>> = (0..256).map(|i| grid_rect(i).center()).collect();
-        let want = answers(&mut oracle, &probes);
+        let want = answers(&mut oracle, &model, &probes);
         let bytes = oracle.snapshot_bytes();
         let mut restored = ShardedOracle::restore_bytes(bytes).expect("restores");
         assert_eq!(restored.len(), oracle.len());
         assert_eq!(restored.shard_count(), oracle.shard_count());
         restored.verify_snapshot().expect("bulk checksums hold");
-        assert_eq!(answers(&mut restored, &probes), want);
+        assert_eq!(answers(&mut restored, &model, &probes), want);
         // The restored oracle keeps mutating like the original.
         restored.insert(pid(900), grid_rect(11));
         assert!(restored.remove(pid(40), &grid_rect(40)));
@@ -2944,5 +2962,333 @@ mod tests {
         oracle.match_batch_into(&[probe], &mut batch);
         assert_eq!(batch.matches(0), &[pid(1), pid(2)]);
         assert_eq!(batch.total_hits(), 2);
+    }
+
+    /// Pins every lattice answer of `oracle` to `model`: single probes
+    /// through [`ShardedOracle::match_point_into`], or — with
+    /// `flush == false` — through the flush-free kernel, so the probed
+    /// state is exactly the one the caller built; flushed checks add
+    /// one batch over the same lattice.
+    fn assert_lattice(
+        oracle: &mut ShardedOracle<2>,
+        model: &Reference<ProcessId, 2>,
+        probes: &[Point<2>],
+        flush: bool,
+        stage: &str,
+    ) {
+        let want: Vec<Vec<ProcessId>> = probes.iter().map(|p| model.matching(p)).collect();
+        let mut hits = Vec::new();
+        for (p, want) in probes.iter().zip(&want) {
+            if flush {
+                oracle.match_point_into(p, &mut hits);
+            } else {
+                oracle.stab_point_into(p, &mut hits);
+            }
+            assert_eq!(&hits, want, "{stage}: single probe at {p:?}");
+        }
+        if flush {
+            let mut batch = BatchMatches::new();
+            oracle.match_batch_into(probes, &mut batch);
+            for (i, p) in probes.iter().enumerate() {
+                assert_eq!(batch.matches(i), want[i], "{stage}: batch at {p:?}");
+            }
+        }
+    }
+
+    /// Removes `(id, rect)` from both the oracle and the model.
+    fn remove_both(
+        oracle: &mut ShardedOracle<2>,
+        model: &mut Reference<ProcessId, 2>,
+        id: ProcessId,
+        rect: &Rect<2>,
+    ) {
+        assert!(oracle.remove(id, rect), "{id:?} {rect:?}");
+        assert!(model.remove(id, rect));
+    }
+
+    /// Moves `(id, old)` to `new` in both the oracle and the model.
+    fn move_both(
+        oracle: &mut ShardedOracle<2>,
+        model: &mut Reference<ProcessId, 2>,
+        id: ProcessId,
+        old: Rect<2>,
+        new: Rect<2>,
+    ) {
+        assert!(oracle.move_entry(id, &old, new), "{id:?} {old:?}");
+        assert!(model.remove(id, &old));
+        model.insert(id, new);
+    }
+
+    #[test]
+    fn single_probes_stay_exact_at_fabric_depth() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut oracle: ShardedOracle<2> = ShardedOracle::new(4);
+        oracle.set_delta_fraction(1e9);
+        let mut model = Reference::new();
+        let square = |c: [f64; 2], r: f64| Rect::new([c[0] - r, c[1] - r], [c[0] + r, c[1] + r]);
+        // Integer coordinates, so lattice probes land on filter edges.
+        let random_rect = |rng: &mut StdRng| {
+            let x = f64::from(rng.gen_range(0..1000u32));
+            let y = f64::from(rng.gen_range(0..1000u32));
+            let side = match rng.gen_range(0..100u32) {
+                0..=89 => rng.gen_range(1..20u32),
+                90..=98 => rng.gen_range(20..80u32),
+                _ => rng.gen_range(100..300u32),
+            };
+            let w = f64::from(side);
+            let h = f64::from(rng.gen_range(1..=side));
+            Rect::new([x, y], [x + w, y + h])
+        };
+
+        // ≈ 20k entries: two frame corners widen the mapped world past
+        // the data, so entries staged into the margin fall outside
+        // their shard's grid world while staying inside the map's;
+        // eight clusters of one 400-wide anchor and twelve movers
+        // sharing its center (one curve key, so one leaf subtree whose
+        // region the anchor spans).
+        let centers: Vec<[f64; 2]> = (0..8)
+            .map(|k| [f64::from(250 + 70 * k), f64::from(250 + (k * 190) % 500)])
+            .collect();
+        let mut next = 0u64;
+        let mut add = |oracle: &mut ShardedOracle<2>, model: &mut Reference<_, 2>, rect| {
+            oracle.insert(pid(next), rect);
+            model.insert(pid(next), rect);
+            next += 1;
+            (pid(next - 1), rect)
+        };
+        add(&mut oracle, &mut model, square([-200.0, -200.0], 1.0));
+        add(&mut oracle, &mut model, square([1200.0, 1200.0], 1.0));
+        let mut movers = Vec::new();
+        for &c in &centers {
+            add(&mut oracle, &mut model, square(c, 200.0));
+            for _ in 0..12 {
+                movers.push(add(&mut oracle, &mut model, square(c, 2.0)));
+            }
+        }
+        let mut base = Vec::new();
+        while model.len() < 20_000 {
+            base.push(add(&mut oracle, &mut model, random_rect(&mut rng)));
+        }
+
+        let mut probes = Vec::new();
+        for i in 0..16 {
+            for j in 0..16 {
+                let (x, y) = (f64::from(i * 100 - 240), f64::from(j * 100 - 240));
+                probes.push(Point::new([x, y]));
+                probes.push(Point::new([x + 13.5, y + 27.25]));
+            }
+        }
+        for &c in &centers {
+            // Every resting place of the movers below, plus anchor
+            // interior and rim.
+            for (dx, dy) in [
+                (0.0, 0.0),
+                (2.0, 2.0),
+                (30.0, 1.0),
+                (10.0, -10.0),
+                (-40.0, 40.0),
+                (-45.0, 45.0),
+                (-25.0, 45.0),
+                (15.0, -5.0),
+                (-150.0, 120.0),
+                (199.0, -199.0),
+            ] {
+                probes.push(Point::new([c[0] + dx, c[1] + dy]));
+            }
+        }
+
+        // (a) Before the first flush: no map and no grid geometry, so
+        // every entry sits in shard 0's staged-overflow tier; staged
+        // removals swap-remove and staged moves rewrite in place.
+        for _ in 0..200 {
+            let (id, rect) = base.swap_remove(rng.gen_range(0..base.len()));
+            remove_both(&mut oracle, &mut model, id, &rect);
+        }
+        for _ in 0..200 {
+            let i = rng.gen_range(0..base.len());
+            let (id, old) = base[i];
+            let new = random_rect(&mut rng);
+            move_both(&mut oracle, &mut model, id, old, new);
+            base[i].1 = new;
+        }
+        assert!(oracle.shards.iter().all(|s| s.grid.offsets.is_empty()));
+        assert_lattice(
+            &mut oracle,
+            &model,
+            &probes,
+            false,
+            "before the first flush",
+        );
+
+        assert!(oracle.flush().rebalanced, "the first flush maps the world");
+        let rebalances = oracle.rebalance_count();
+
+        // The delta layer at fabric depth: staged inserts past a
+        // quarter of the data, some into the frame margin, one
+        // half-open filter, one duplicate id; tombstones and staged
+        // swap-removals.
+        let mut staged = Vec::new();
+        for i in 0..7_000 {
+            let mut rect = random_rect(&mut rng);
+            if i % 50 == 0 {
+                let shift = [-190.0, 1010.0][i / 50 % 2];
+                rect = Rect::new([shift, rect.lo(1)], [shift + 60.0, rect.hi(1)]);
+            }
+            staged.push(add(&mut oracle, &mut model, rect));
+        }
+        add(
+            &mut oracle,
+            &mut model,
+            Rect::new([300.0, 200.0], [f64::INFINITY, 260.0]),
+        );
+        let (dup_id, dup_rect) = base.swap_remove(7);
+        let dup = square(*dup_rect.center().coords(), 40.0);
+        oracle.insert(dup_id, dup);
+        model.insert(dup_id, dup);
+        for _ in 0..1_500 {
+            let (id, rect) = base.swap_remove(rng.gen_range(0..base.len()));
+            remove_both(&mut oracle, &mut model, id, &rect);
+        }
+        for _ in 0..500 {
+            let (id, rect) = staged.swap_remove(rng.gen_range(0..staged.len()));
+            remove_both(&mut oracle, &mut model, id, &rect);
+        }
+        let margin = staged
+            .iter()
+            .filter(|(_, r)| r.lo(0) < 0.0 || r.hi(0) > 1000.0)
+            .filter(|(_, r)| {
+                let s = &oracle.shards[oracle.shard_of(r).expect("mapped")];
+                GridMapper::world_of(s.packed.entries().map(|(_, _, r)| r))
+                    .is_some_and(|world| !world.contains_rect(r))
+            })
+            .count();
+        assert!(
+            margin > 0,
+            "some staged entries lie outside their grid world"
+        );
+
+        // In-place moves of every kind, inside the anchors' subtree
+        // regions: a jitter within the cell range, a shift out of it,
+        // a growth past `MAX_CELL_SPAN` cells and back, a growth that
+        // stays in the overflow tier.
+        for (n, (id, rect)) in movers.iter_mut().enumerate() {
+            let c = *rect.center().coords();
+            let mut hops = vec![
+                square([c[0] + 0.25, c[1]], 2.0),
+                square([c[0] + 30.0, c[1]], 2.0),
+            ];
+            match n % 3 {
+                0 => hops.push(square(c, 190.0)),
+                1 => hops.extend([square(c, 190.0), square([c[0] + 10.0, c[1] - 10.0], 2.0)]),
+                _ => hops.push(square([c[0] - 40.0, c[1] + 40.0], 3.0)),
+            }
+            for new in hops {
+                move_both(&mut oracle, &mut model, *id, *rect, new);
+                *rect = new;
+            }
+        }
+        let grids = || oracle.shards.iter().map(|s| &s.grid);
+        assert!(
+            grids().any(|g| !g.moved_overflow.is_empty()),
+            "overflow moves"
+        );
+        assert!(grids().any(|g| !g.moved_cells.is_empty()), "cell moves");
+        assert!(
+            grids().any(|g| !g.staged_overflow.is_empty()),
+            "wide staged entries"
+        );
+        let staged_len: usize = oracle.shards.iter().map(|s| s.packed.staged_len()).sum();
+        assert!(
+            4 * staged_len >= oracle.len(),
+            "{staged_len} of {}",
+            oracle.len()
+        );
+        assert!(oracle.shards.iter().all(|s| s.packed.tombstone_count() > 0));
+        assert_lattice(&mut oracle, &model, &probes, false, "delta at depth");
+        assert_lattice(
+            &mut oracle,
+            &model,
+            &probes,
+            true,
+            "delta at depth, flushed",
+        );
+        assert_eq!(oracle.rebalance_count(), rebalances, "the delta survived");
+
+        // (b) During a concurrent compaction of every shard, with
+        // second-generation churn: frozen staged entries retire,
+        // packed moves restage, new entries stage past the frozen
+        // prefix.
+        oracle.set_compaction_mode(CompactionMode::Concurrent);
+        oracle.set_threads(4);
+        oracle.set_delta_fraction(0.0);
+        assert_eq!(oracle.flush().begun_compactions, 4);
+        oracle.set_delta_fraction(1e9);
+        for _ in 0..300 {
+            let (id, rect) = staged.swap_remove(rng.gen_range(0..staged.len()));
+            remove_both(&mut oracle, &mut model, id, &rect);
+        }
+        for _ in 0..300 {
+            let (id, rect) = base.swap_remove(rng.gen_range(0..base.len()));
+            remove_both(&mut oracle, &mut model, id, &rect);
+        }
+        for (id, rect) in movers.iter_mut().chain(staged.iter_mut().take(200)) {
+            let c = rect.center();
+            let new = square([c.coord(0) - 5.0, c.coord(1) + 5.0], 2.0);
+            move_both(&mut oracle, &mut model, *id, *rect, new);
+            *rect = new;
+        }
+        for _ in 0..500 {
+            staged.push(add(&mut oracle, &mut model, random_rect(&mut rng)));
+        }
+        assert_eq!(oracle.compacting_shards(), 4);
+        assert_lattice(&mut oracle, &model, &probes, false, "mid-compaction");
+        assert_lattice(
+            &mut oracle,
+            &model,
+            &probes,
+            true,
+            "mid-compaction, flushed",
+        );
+        oracle.finish_compactions();
+        assert_lattice(&mut oracle, &model, &probes, true, "after install");
+
+        // (c) After a restore: a mid-churn snapshot (staged entries,
+        // tombstones, slots moved in place) wakes up with no grid.
+        for (id, rect) in movers.iter_mut() {
+            let c = rect.center();
+            let new = square([c.coord(0) + 20.0, c.coord(1)], 2.0);
+            move_both(&mut oracle, &mut model, *id, *rect, new);
+            *rect = new;
+        }
+        for _ in 0..300 {
+            let (id, rect) = base.swap_remove(rng.gen_range(0..base.len()));
+            remove_both(&mut oracle, &mut model, id, &rect);
+            staged.push(add(&mut oracle, &mut model, random_rect(&mut rng)));
+        }
+        let mut restored = ShardedOracle::restore_bytes(oracle.snapshot_bytes()).expect("restores");
+        assert_lattice(&mut restored, &model, &probes, true, "restored");
+        for (id, rect) in movers.iter_mut() {
+            let new = square(*rect.center().coords(), 190.0);
+            move_both(&mut restored, &mut model, *id, *rect, new);
+            *rect = new;
+        }
+        assert_lattice(&mut restored, &model, &probes, true, "restored, churned");
+
+        // An entry past the mapped world: exact while staged, then
+        // absorbed by the redistribute its flush triggers.
+        add(&mut restored, &mut model, square([1300.0, 1300.0], 5.0));
+        let outside = [Point::new([1300.0, 1300.0]), Point::new([1296.0, 1304.5])];
+        assert_lattice(&mut restored, &model, &outside, false, "past the world");
+        assert_lattice(
+            &mut restored,
+            &model,
+            &outside,
+            true,
+            "past the world, flushed",
+        );
+        assert!(restored.rebalance_count() > 0);
     }
 }
